@@ -6,20 +6,16 @@
 //
 //   text-serial   io::read_edge_list of the text file + Csr::build
 //   text-par      parallel chunked parse (text_parse.hpp) + Csr::build
-//   convert       edgelist2pbg's work: write_pbg (CSR + Rice + write)
+//   convert       edgelist2pbg's work: write_pbg (CSR + sort + write)
 //   mmap-cold     map + structural validation + parallel prefault
 //   mmap-warm     map + structural validation, pages already resident
-//   solve         load+solve end to end through both ingestion paths,
-//                 plain and compressed backends
+//   solve         load+solve end to end through both ingestion paths
 //
 // Hard gates (exit 1 on violation — CI runs this binary):
 //   G1  mmap-warm is >= 20x faster than the *fastest* text ingestion
 //       (parallel parse + CSR build) on every family
 //   G2  the mmap-path solve labels the edges identically to the
 //       in-memory solve on every family
-//   G3  on the 20n family the compressed-backend solve stays within
-//       1.6x of the plain solve's wall time while streaming <= 0.5x of
-//       the plain backend's adjacency bytes
 //
 //   --graph <file.pbg>  additionally measure map + solve on a real
 //                       graph produced by tools/fetch_graphs.sh
@@ -28,9 +24,8 @@
 //   --trace-out <path>  one Chrome segment per family ("io:<mult>n"):
 //                       a traced map (io_map / io_prefault spans,
 //                       io_mapped_bytes / io_prefault_bytes counters)
-//                       plus a compressed-backend solve
-//                       (csr_decode_bytes) — validate_trace.py checks
-//                       the io rules against it
+//                       plus a solve of the mapped graph —
+//                       validate_trace.py checks the io rules against it
 
 #include <cstdio>
 #include <cstdlib>
@@ -71,35 +66,21 @@ std::vector<vid> canonical_labels(const std::vector<vid>& labels) {
   return out;
 }
 
-double counter_total(const TraceReport& rep, const char* name) {
-  for (const TraceCounterTotal& c : rep.counters) {
-    if (c.name == name) return c.total;
-  }
-  return 0;
-}
-
 struct SolveSample {
   double seconds = 0;
   std::vector<vid> labels;
-  double decode_bytes = 0;     // csr_decode_bytes counter
-  double inspected_edges = 0;  // bfs_inspected_edges counter
 };
 
 SolveSample solve_prepared(BccContext& ctx, const EdgeList& g, int p,
-                           CsrBackend backend, int reps) {
+                           int reps) {
   BccOptions opt;
   opt.threads = p;
   opt.algorithm = BccAlgorithm::kFastBcc;
-  opt.csr_backend = backend;
   SolveSample out;
   out.seconds = 1e30;
   for (int rep = 0; rep < reps; ++rep) {
     const BccResult r = biconnected_components(ctx, g, opt);
-    if (r.times.total < out.seconds) {
-      out.seconds = r.times.total;
-      out.decode_bytes = counter_total(r.trace, "csr_decode_bytes");
-      out.inspected_edges = counter_total(r.trace, "bfs_inspected_edges");
-    }
+    out.seconds = std::min(out.seconds, r.times.total);
     if (rep == 0) out.labels = canonical_labels(r.edge_component);
   }
   return out;
@@ -113,30 +94,23 @@ void measure_external(const std::string& path, int p, int reps,
   io::MapOptions mopt;
   mopt.prefault = true;
   mopt.executor = &ctx.executor();
-  const PreparedGraph& pg = io::map_prepared_graph(ctx, path, mopt);
+  io::map_prepared_graph(ctx, path, mopt);
   const double map_s = map_timer.seconds();
   const EdgeList& g = *ctx.mapped_graph();
   std::printf("  n=%u m=%u map+prefault %.4fs\n", g.n, g.m(), map_s);
 
-  const SolveSample plain = solve_prepared(ctx, g, p, CsrBackend::kPlain,
-                                           reps);
-  std::printf("  solve(plain)      %.4fs\n", plain.seconds);
+  const SolveSample solve = solve_prepared(ctx, g, p, reps);
+  std::printf("  solve %.4fs\n", solve.seconds);
   JsonRecord rec;
   rec.bench = "io_external";
   rec.n = g.n;
   rec.m = g.m();
   rec.p = p;
   rec.algorithm = "fast_bcc";
-  rec.min = plain.seconds;
-  rec.median = plain.seconds;
+  rec.min = solve.seconds;
+  rec.median = solve.seconds;
   rec.extra.push_back({"map_seconds_x1e9", map_s * 1e9});
   json.add(rec);
-  if (pg.compressed() != nullptr) {
-    const SolveSample comp =
-        solve_prepared(ctx, g, p, CsrBackend::kCompressed, reps);
-    std::printf("  solve(compressed) %.4fs (%.0f decoded bytes)\n",
-                comp.seconds, comp.decode_bytes);
-  }
 }
 
 }  // namespace
@@ -229,20 +203,16 @@ int main(int argc, char** argv) {
 
     // End-to-end solves: in-memory graph vs adopted mapping.
     BccContext mem_ctx(p);
-    const SolveSample in_memory =
-        solve_prepared(mem_ctx, g, p, CsrBackend::kPlain, reps);
+    const SolveSample in_memory = solve_prepared(mem_ctx, g, p, reps);
     BccContext map_ctx(p);
     io::MapOptions mopt;
     mopt.prefault = true;
     mopt.executor = &map_ctx.executor();
     io::map_prepared_graph(map_ctx, pbg, mopt);
-    const SolveSample via_map = solve_prepared(
-        map_ctx, *map_ctx.mapped_graph(), p, CsrBackend::kPlain, reps);
-    const SolveSample via_map_comp = solve_prepared(
-        map_ctx, *map_ctx.mapped_graph(), p, CsrBackend::kCompressed, reps);
-    std::printf("  solve in-memory %7.4fs   via-map %7.4fs   "
-                "via-map-compressed %7.4fs\n",
-                in_memory.seconds, via_map.seconds, via_map_comp.seconds);
+    const SolveSample via_map =
+        solve_prepared(map_ctx, *map_ctx.mapped_graph(), p, reps);
+    std::printf("  solve in-memory %7.4fs   via-map %7.4fs\n",
+                in_memory.seconds, via_map.seconds);
 
     // G1: warm map load vs fastest text ingestion.
     const double text_best = std::min(text_serial, text_par);
@@ -254,26 +224,6 @@ int main(int argc, char** argv) {
     // G2: identical labels through the mapped path.
     gate(via_map.labels == in_memory.labels, "G2",
          "mmap labels == in-memory labels");
-    gate(via_map_comp.labels == in_memory.labels, "G2c",
-         "compressed labels == in-memory labels");
-
-    // G3 on the 20n family: compressed within 1.6x wall, <= 0.5x bytes.
-    if (mult == 20) {
-      std::snprintf(detail, sizeof(detail), "%.4fs vs %.4fs = %.2fx",
-                    via_map_comp.seconds, via_map.seconds,
-                    via_map_comp.seconds / via_map.seconds);
-      gate(via_map_comp.seconds <= 1.6 * via_map.seconds, "G3t", detail);
-      // Plain adjacency bytes for the same traversals: 4 bytes per
-      // inspected BFS arc plus 4 bytes per arc of the full low/high
-      // sweep (2m arcs).
-      const double plain_bytes =
-          4.0 * (via_map.inspected_edges + 2.0 * static_cast<double>(g.m()));
-      std::snprintf(detail, sizeof(detail),
-                    "%.0f decoded vs %.0f plain = %.2fx",
-                    via_map_comp.decode_bytes, plain_bytes,
-                    via_map_comp.decode_bytes / plain_bytes);
-      gate(via_map_comp.decode_bytes <= 0.5 * plain_bytes, "G3b", detail);
-    }
 
     JsonRecord rec;
     rec.bench = "io";
@@ -287,16 +237,11 @@ int main(int argc, char** argv) {
                        {"map_cold", map_cold},
                        {"map_warm", map_warm},
                        {"solve_in_memory", in_memory.seconds},
-                       {"solve_via_map", via_map.seconds},
-                       {"solve_via_map_compressed", via_map_comp.seconds}};
+                       {"solve_via_map", via_map.seconds}};
     rec.min = via_map.seconds;
     rec.median = via_map.seconds;
     rec.extra.push_back({"warm_speedup_x100",
                          100.0 * std::min(text_serial, text_par) / map_warm});
-    rec.extra.push_back({"decode_bytes", via_map_comp.decode_bytes});
-    rec.extra.push_back(
-        {"plain_bytes",
-         4.0 * (via_map.inspected_edges + 2.0 * static_cast<double>(g.m()))});
     json.add(rec);
 
     if (traces.enabled()) {
@@ -310,7 +255,6 @@ int main(int argc, char** argv) {
       BccOptions topt;
       topt.threads = p;
       topt.algorithm = BccAlgorithm::kFastBcc;
-      topt.csr_backend = CsrBackend::kCompressed;
       topt.trace = &tr;
       biconnected_components(tctx, *tctx.mapped_graph(), topt);
       traces.add("io:" + std::to_string(mult) + "n", tr);

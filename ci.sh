@@ -9,10 +9,9 @@
 # concurrent union-find behind the fused aux kernel, the Chase-Lev
 # fork-join scheduler itself, the arena-backed context-reuse sweep,
 # the batch-dynamic probe/splice/solve cycle, the hardened text and
-# binary readers, the parallel Rice encoder with its decode sweeps, the
-# zero-copy ingestion pipeline on the committed fixtures, and the query
-# server's epoch publication + TCP surface, all at 12-way width under
-# both loop-scheduling models).
+# binary readers, the zero-copy ingestion pipeline on the committed
+# fixtures, and the query server's epoch publication + TCP surface,
+# all at 12-way width under both loop-scheduling models).
 # Exits non-zero on the first failure.
 #
 #   ./ci.sh              # full gate
@@ -81,15 +80,14 @@ if grep -q 'gate: FAIL' build/bench_server_smoke.log; then
 fi
 
 # bench_io hard-gates the ingestion stack itself: warm-mmap load >= 20x
-# the fastest text ingestion, mmap-path labels identical to in-memory
-# labels on every family, and the compressed backend within 1.6x wall /
-# <= 0.5x bytes on the 20n family.  A nonzero exit is a gate failure.
+# the fastest text ingestion and mmap-path labels identical to in-memory
+# labels on every family.  A nonzero exit is a gate failure.
 echo "==> bench smoke: zero-copy ingestion gates (A8)"
 PARBCC_N=20000 PARBCC_REPS=2 ./build/bench/bench_io \
     --json build/bench_io_smoke.json >/dev/null
 grep -q '"io"' build/bench_io_smoke.json
 
-echo "==> trace smoke: ingestion segments (io_map/io_prefault/decode)"
+echo "==> trace smoke: ingestion segments (io_map/io_prefault)"
 PARBCC_N=20000 PARBCC_REPS=1 ./build/bench/bench_io \
     --trace-out=build/trace_io_smoke.json >/dev/null
 python3 tools/validate_trace.py build/trace_io_smoke.json
@@ -116,7 +114,7 @@ echo "==> tsan: build smoke set"
 cmake --build build-tsan -j "$JOBS" --target stress_test csr_test \
     workspace_test frontier_test trace_test concurrent_uf_test \
     auxgraph_test fastbcc_test scheduler_test batch_dynamic_test \
-    io_test server_test compressed_csr_test realgraph_test
+    io_test server_test realgraph_test
 
 echo "==> tsan: ctest -L sanitize-smoke"
 ctest --test-dir build-tsan -L sanitize-smoke --output-on-failure

@@ -147,14 +147,13 @@ BccResult run_connected(Executor& ex, Workspace& ws, const PreparedGraph& pg,
 /// solve them one after another (each solve is internally parallel).
 /// `pg`, when non-null, is a conversion cache for `g` itself; it only
 /// applies on the connected fast path (subproblems are relabeled graphs
-/// with their own adjacency).  `cache`, when non-null, is a context
-/// whose conversion cache may be used for `g` on that same fast path.
-/// Per-step times are not assembled here: every driver records into
-/// opt.trace, and the dispatcher derives StepTimes from the combined
-/// rollup once.
+/// with their own adjacency).  Otherwise that fast path takes `g`'s
+/// adjacency from `ctx`'s conversion cache.  Per-step times are not
+/// assembled here: every driver records into opt.trace, and the
+/// dispatcher derives StepTimes from the combined rollup once.
 BccResult run_general(Executor& ex, Workspace& ws, const EdgeList& g,
                       const BccOptions& opt, BccAlgorithm algorithm,
-                      const PreparedGraph* pg, BccContext* cache) {
+                      const PreparedGraph* pg, BccContext& ctx) {
   const vid n = g.n;
   const eid m = g.m();
 
@@ -173,13 +172,8 @@ BccResult run_general(Executor& ex, Workspace& ws, const EdgeList& g,
       // TV-SMP runs on the raw edge list; never build adjacency for it.
       return run_connected(ex, ws, g, connected_opt, algorithm);
     }
-    if (pg) return run_connected(ex, ws, *pg, connected_opt, algorithm);
-    if (cache) {
-      return run_connected(ex, ws, cache->prepare(g), connected_opt,
-                           algorithm);
-    }
-    const PreparedGraph built(ex, ws, g);
-    return run_connected(ex, ws, built, connected_opt, algorithm);
+    return run_connected(ex, ws, pg ? *pg : ctx.prepare(g), connected_opt,
+                         algorithm);
   }
 
   // Bucket vertices and edges by component (counting sort).  This path
@@ -327,6 +321,9 @@ BccResult biconnected_components(BccContext& ctx, const EdgeList& g,
 
   // A caller-supplied adjacency applies only when `work` is the exact
   // graph it was built from (stripping self-loops renumbers edges).
+  // Otherwise adjacency comes from ctx.prepare(work): both the raw and
+  // the stripped graph live long enough to key the context's conversion
+  // cache (the stripped copy is context-owned).
   std::optional<PreparedGraph> built;
   const PreparedGraph* pg = nullptr;
   if (options.prebuilt_csr && !has_loops &&
@@ -335,10 +332,6 @@ BccResult biconnected_components(BccContext& ctx, const EdgeList& g,
     built.emplace(work, *options.prebuilt_csr);
     pg = &*built;
   }
-
-  // Both the raw and the stripped graph live long enough to key the
-  // context's conversion cache (the stripped copy is context-owned).
-  BccContext* cache = &ctx;
 
   // kAuto's decision cascade, cheapest probe first:
   //  - degenerate (no effective edges) and tiny inputs go straight to
@@ -359,14 +352,7 @@ BccResult biconnected_components(BccContext& ctx, const EdgeList& g,
       algorithm = BccAlgorithm::kTvOpt;
     } else {
       TraceSpan span(tr, "dispatch");
-      if (!pg) {
-        if (cache) {
-          pg = &cache->prepare(work);
-        } else {
-          built.emplace(ex, ws, work);
-          pg = &*built;
-        }
-      }
+      if (!pg) pg = &ctx.prepare(work);
       const std::uint64_t unique = count_unique_edges(ex, ws, pg->csr());
       tr.counter("dispatch_unique_edges", static_cast<double>(unique));
       if (unique <= 4ull * work.n) {
@@ -396,21 +382,14 @@ BccResult biconnected_components(BccContext& ctx, const EdgeList& g,
     TraceSpan root_span(tr, to_string(algorithm));
 
     if (algorithm == BccAlgorithm::kSequential) {
-      if (!pg) {
-        if (cache) {
-          pg = &cache->prepare(work);
-        } else {
-          built.emplace(ex, ws, work);
-          pg = &*built;
-        }
-      }
+      if (!pg) pg = &ctx.prepare(work);
       if (pg->conversion_seconds() > 0) {
         tr.charge(steps::kConversion, pg->conversion_seconds());
       }
       result = hopcroft_tarjan_bcc(ex, ws, work, pg->csr(),
                                    /*compute_cut_info=*/false, &tr);
     } else {
-      result = run_general(ex, ws, work, traced, algorithm, pg, cache);
+      result = run_general(ex, ws, work, traced, algorithm, pg, ctx);
     }
 
     if (has_loops) {

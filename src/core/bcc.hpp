@@ -21,7 +21,11 @@
 /// decomposed into connected components first (each is solved with the
 /// selected algorithm), parallel edges are handled natively, and
 /// self-loops are split off as their own single-edge components.
-/// kAuto applies the paper's rule: TV-filter when m > 4n, else TV-opt.
+/// kAuto cascades: tiny inputs (n + m below a fixed cutoff) go to
+/// Hopcroft-Tarjan; inputs with at most 4n distinct edges go to TV-opt
+/// (the paper's §4 fallback rule); denser ones go to FastBCC or
+/// TV-filter, whichever a measured per-element cost model predicts is
+/// faster.
 
 namespace parbcc {
 

@@ -46,9 +46,6 @@ const PreparedGraph& BccContext::adopt(io::MappedGraph&& mapped) {
   mapped_.reset();
   mapped_.emplace(std::move(mapped));
   cache_.emplace(mapped_->graph(), mapped_->csr());
-  if (mapped_->has_compressed()) {
-    cache_->attach_compressed(mapped_->compressed());
-  }
   // Key the cache like prepare() would, so solving the mapped graph
   // through the ordinary dispatcher is a hit (the fingerprint pass
   // also warms the edges section).

@@ -58,12 +58,11 @@ class BccContext {
 
   /// Take ownership of a mapped .pbg file and seed the conversion
   /// cache with its on-disk arrays: the cache entry's EdgeList borrows
-  /// the edges section, its Csr adopts the offsets/targets/eids
-  /// sections, and a compressed section (if present) is attached for
-  /// the kCompressed backend — no CSR rebuild, no copy, conversion
-  /// reported as 0.  The mapping lives as long as the cache entry
-  /// does; prepare()/solve calls on adopt(...)'s graph() are cache
-  /// hits.  Replaces any previously adopted mapping.
+  /// the edges section and its Csr adopts the offsets/targets/eids
+  /// sections — no CSR rebuild, no copy, conversion reported as 0.
+  /// The mapping lives as long as the cache entry does; prepare()/solve
+  /// calls on adopt(...)'s graph() are cache hits.  Replaces any
+  /// previously adopted mapping.
   const PreparedGraph& adopt(io::MappedGraph&& mapped);
 
   /// The adopted mapping's graph view (nullptr when none) — what

@@ -47,18 +47,6 @@ enum class BccAlgorithm {
 
 const char* to_string(BccAlgorithm algorithm);
 
-/// Adjacency storage the CSR-hot loops read (the BFS tree's
-/// top-down/bottom-up sweeps and FastBCC's low/high tagging sweep).
-/// kCompressed streams delta-compressed rows (~0.45x the bytes of the
-/// plain 4-byte arcs, see compressed_csr.hpp) and decodes on the fly —
-/// a bandwidth-for-cycles trade that pays on high-degree graphs.  The
-/// edge-list sweeps (aux graph, skeleton hooks, labeling) are
-/// unaffected: they read the EdgeList, not the CSR.
-enum class CsrBackend {
-  kPlain,
-  kCompressed,
-};
-
 /// Canonical span names of the paper's Fig. 4 steps.  The drivers open
 /// TraceSpans under these names and derive_step_times matches rollup
 /// phases against them, so StepTimes can never drift from the trace.
@@ -145,13 +133,6 @@ struct BccOptions {
   /// pins the paper's flat static-partition/shared-counter schedule
   /// (the printed algorithm — paper_fidelity_test runs under it).
   ExecMode exec_mode = ExecMode::kWorkSteal;
-  /// Adjacency backend for the CSR-hot traversals (BFS + FastBCC's
-  /// low/high sweep).  kCompressed builds (or reuses — a mapped .pbg
-  /// with a compressed section, or a PreparedGraph that solved with it
-  /// before) the delta-compressed rows and emits the bytes actually
-  /// streamed as the csr_decode_bytes counter.  Algorithms that never
-  /// touch the CSR (TV-SMP, the sequential driver) ignore it.
-  CsrBackend csr_backend = CsrBackend::kPlain;
   /// Adjacency the caller already holds for the input graph, so the
   /// dispatcher never rebuilds it (StepTimes::conversion then reports
   /// 0).  Must be the Csr::build of exactly the edge list passed in;

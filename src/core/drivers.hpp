@@ -1,9 +1,6 @@
 #pragma once
 
-#include <optional>
-
 #include "core/bcc_result.hpp"
-#include "graph/compressed_csr.hpp"
 #include "graph/csr.hpp"
 #include "graph/edge_list.hpp"
 #include "util/thread_pool.hpp"
@@ -11,14 +8,13 @@
 #include "util/workspace.hpp"
 
 /// \file drivers.hpp
-/// The three parallel biconnected-components drivers.  Each assumes a
+/// The four parallel biconnected-components drivers.  Each assumes a
 /// connected input without self-loops (enforced/arranged by the public
 /// dispatcher in bcc.hpp), fills edge_component with contiguous labels,
 /// num_components, and the per-step times of the paper's Fig. 4.
 /// Cut info (articulation points, bridges) is annotated by the caller.
-/// Every driver has a Workspace-threaded primary — all O(n + m)
-/// scratch along the pipeline is drawn from (and returned to) the
-/// caller's arena — plus a legacy overload owning a private arena.
+/// Every driver takes the caller's Workspace: all O(n + m) scratch
+/// along the pipeline is drawn from (and returned to) that arena.
 
 namespace parbcc {
 
@@ -40,13 +36,6 @@ class PreparedGraph {
     conversion_seconds_ = timer.seconds();
   }
 
-  PreparedGraph(Executor& ex, const EdgeList& g) : graph_(&g) {
-    Timer timer;
-    owned_ = Csr::build(ex, g);
-    csr_ = &owned_;
-    conversion_seconds_ = timer.seconds();
-  }
-
   /// Adopt a caller-built adjacency (no conversion charged).  `csr`
   /// must be the adjacency of exactly `g`, e.g. from a prior
   /// Csr::build on the same edge list.
@@ -64,32 +53,11 @@ class PreparedGraph {
   /// hits so repeat solves report conversion = 0.
   void waive_conversion_charge() { conversion_seconds_ = 0; }
 
-  /// The compressed-adjacency companion (BccOptions::csr_backend ==
-  /// kCompressed), built from the plain CSR on first demand and kept
-  /// for the PreparedGraph's lifetime — repeat solves of a cached
-  /// graph reuse it like they reuse the CSR.  Mutable + const because
-  /// drivers hold the PreparedGraph by const reference and the
-  /// context is single-orchestrator (one solve at a time).
-  const CompressedCsr& ensure_compressed(Executor& ex) const {
-    if (!compressed_) compressed_.emplace(CompressedCsr::build(ex, *csr_));
-    return *compressed_;
-  }
-  /// Attach an externally built/adopted compressed adjacency (the mmap
-  /// loader adopts the file's compressed section; its storage must
-  /// outlive the PreparedGraph).
-  void attach_compressed(CompressedCsr c) const {
-    compressed_.emplace(std::move(c));
-  }
-  const CompressedCsr* compressed() const {
-    return compressed_ ? &*compressed_ : nullptr;
-  }
-
  private:
   const EdgeList* graph_;
   const Csr* csr_ = nullptr;
   Csr owned_;
   double conversion_seconds_ = 0;
-  mutable std::optional<CompressedCsr> compressed_;
 };
 
 /// Direct SMP emulation of Tarjan-Vishkin (paper §3.1): SV spanning
@@ -97,25 +65,17 @@ class PreparedGraph {
 /// Works on the raw edge list; it never needs (or charges) adjacency.
 BccResult tv_smp_bcc(Executor& ex, Workspace& ws, const EdgeList& g,
                      const BccOptions& opt);
-BccResult tv_smp_bcc(Executor& ex, const EdgeList& g, const BccOptions& opt);
 
 /// Optimized adaptation (paper §3.2): work-stealing rooted spanning
 /// tree (merging Spanning-tree and Root-tree), DFS-order tree
 /// computations via level sweeps and prefix sums.
 BccResult tv_opt_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
                      const BccOptions& opt);
-BccResult tv_opt_bcc(Executor& ex, const EdgeList& g, const BccOptions& opt);
-BccResult tv_opt_bcc(Executor& ex, const PreparedGraph& pg,
-                     const BccOptions& opt);
 
 /// The paper's Alg. 2: BFS tree T, spanning forest F of G - T, TV-opt
 /// machinery on T u F (at most 2(n-1) edges), condition-1 labels for
 /// the filtered edges.
 BccResult tv_filter_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
-                        const BccOptions& opt);
-BccResult tv_filter_bcc(Executor& ex, const EdgeList& g,
-                        const BccOptions& opt);
-BccResult tv_filter_bcc(Executor& ex, const PreparedGraph& pg,
                         const BccOptions& opt);
 
 /// FastBCC (Dong, Wang, Gu & Sun, PPoPP 2023): BFS spanning tree,
@@ -125,9 +85,6 @@ BccResult tv_filter_bcc(Executor& ex, const PreparedGraph& pg,
 /// is labeled by its deeper endpoint's cluster.  O(n) arena scratch
 /// beyond the tree structures; never materializes an auxiliary graph.
 BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
-                   const BccOptions& opt);
-BccResult fast_bcc(Executor& ex, const EdgeList& g, const BccOptions& opt);
-BccResult fast_bcc(Executor& ex, const PreparedGraph& pg,
                    const BccOptions& opt);
 
 }  // namespace parbcc

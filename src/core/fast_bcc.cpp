@@ -83,20 +83,6 @@ namespace {
 
 }  // namespace
 
-BccResult fast_bcc(Executor& ex, const EdgeList& g, const BccOptions& opt) {
-  Workspace ws;
-  // Representation conversion, as in TV-opt / TV-filter: the BFS and
-  // the tagging sweep both need adjacency.
-  const PreparedGraph pg(ex, ws, g);
-  return fast_bcc(ex, ws, pg, opt);
-}
-
-BccResult fast_bcc(Executor& ex, const PreparedGraph& pg,
-                   const BccOptions& opt) {
-  Workspace ws;
-  return fast_bcc(ex, ws, pg, opt);
-}
-
 BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
                    const BccOptions& opt) {
   const EdgeList& g = pg.graph();
@@ -113,23 +99,11 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
   const eid m = g.m();
   const int p = ex.threads();
 
-  // Compressed backend: build (first use) or reuse the delta-coded
-  // rows; the build is a representation-conversion cost, booked like
-  // the CSR build itself.
-  const CompressedCsr* cc = nullptr;
-  if (opt.csr_backend == CsrBackend::kCompressed) {
-    Timer ctimer;
-    cc = &pg.ensure_compressed(ex);
-    const double built = ctimer.seconds();
-    if (built > 0) tr.charge(steps::kConversion, built);
-  }
-
   // Step 1: BFS spanning tree (Beamer hybrid, as TV-filter).
   BfsTree bfs;
   {
     TraceSpan span(tr, steps::kSpanningTree);
-    bfs = cc != nullptr ? bfs_tree(ex, ws, *cc, opt.root, opt.bfs_mode, &tr)
-                        : bfs_tree(ex, ws, csr, opt.root, opt.bfs_mode, &tr);
+    bfs = bfs_tree(ex, ws, csr, opt.root, opt.bfs_mode, &tr);
   }
   if (bfs.reached != n) {
     throw std::invalid_argument("fast_bcc: graph must be connected");
@@ -174,59 +148,26 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
   {
     TraceSpan span(tr, steps::kLowHigh);
     const vid* pre = tree.pre.data();
-    if (cc != nullptr) {
-      // Compressed rows stream sequentially; hubs stay on their worker
-      // (no nested split into a bitstream), which the dynamic chunk
-      // claiming absorbs.  The decoded bytes are the sweep's whole
-      // memory traffic on the adjacency — the counter the bench's
-      // bytes-streamed gate reads.
-      std::span<Padded<std::uint64_t>> t_decode =
-          ws.alloc<Padded<std::uint64_t>>(static_cast<std::size_t>(p));
-      for (int t = 0; t < p; ++t) {
-        t_decode[static_cast<std::size_t>(t)].value = 0;
-      }
-      ex.parallel_for_dynamic(n, /*grain=*/512, [&](std::size_t v) {
-        vid lo = pre[v];
-        vid hi = lo;
-        const std::size_t bytes =
-            cc->decode_row(static_cast<vid>(v), [&](vid w, eid) {
-              const vid pw = pre[w];
-              lo = std::min(lo, pw);
-              hi = std::max(hi, pw);
-              return false;
-            });
-        low[v] = lo;
-        high[v] = hi;
-        t_decode[static_cast<std::size_t>(ex.worker_id())].value += bytes;
-      });
-      std::uint64_t decoded = 0;
-      for (int t = 0; t < p; ++t) {
-        decoded += t_decode[static_cast<std::size_t>(t)].value;
-      }
-      tr.counter("csr_decode_bytes", static_cast<double>(decoded));
-    } else {
-      constexpr std::size_t kHubDegree = 2048;  // 2x the helper's grain
-      const bool nest =
-          ex.mode() == ExecMode::kWorkSteal && ex.threads() > 1;
-      ex.parallel_for_dynamic(n, /*grain=*/512, [&](std::size_t v) {
-        const std::span<const vid> nbrs = csr.neighbors(static_cast<vid>(v));
-        vid lo = pre[v];
-        vid hi = lo;
-        if (nest && nbrs.size() > kHubDegree) {
-          const std::pair<vid, vid> lh = hub_pre_minmax(ex, pre, nbrs, lo);
-          lo = lh.first;
-          hi = lh.second;
-        } else {
-          for (const vid w : nbrs) {
-            const vid pw = pre[w];
-            lo = std::min(lo, pw);
-            hi = std::max(hi, pw);
-          }
+    constexpr std::size_t kHubDegree = 2048;  // 2x the helper's grain
+    const bool nest = ex.mode() == ExecMode::kWorkSteal && ex.threads() > 1;
+    ex.parallel_for_dynamic(n, /*grain=*/512, [&](std::size_t v) {
+      const std::span<const vid> nbrs = csr.neighbors(static_cast<vid>(v));
+      vid lo = pre[v];
+      vid hi = lo;
+      if (nest && nbrs.size() > kHubDegree) {
+        const std::pair<vid, vid> lh = hub_pre_minmax(ex, pre, nbrs, lo);
+        lo = lh.first;
+        hi = lh.second;
+      } else {
+        for (const vid w : nbrs) {
+          const vid pw = pre[w];
+          lo = std::min(lo, pw);
+          hi = std::max(hi, pw);
         }
-        low[v] = lo;
-        high[v] = hi;
-      });
-    }
+      }
+      low[v] = lo;
+      high[v] = hi;
+    });
     subtree_min(ex, children, levels, low.data());
     subtree_max(ex, children, levels, high.data());
   }

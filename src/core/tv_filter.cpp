@@ -13,20 +13,6 @@
 
 namespace parbcc {
 
-BccResult tv_filter_bcc(Executor& ex, const EdgeList& g,
-                        const BccOptions& opt) {
-  Workspace ws;
-  // Representation conversion, as in TV-opt.
-  const PreparedGraph pg(ex, ws, g);
-  return tv_filter_bcc(ex, ws, pg, opt);
-}
-
-BccResult tv_filter_bcc(Executor& ex, const PreparedGraph& pg,
-                        const BccOptions& opt) {
-  Workspace ws;
-  return tv_filter_bcc(ex, ws, pg, opt);
-}
-
 BccResult tv_filter_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
                         const BccOptions& opt) {
   const EdgeList& g = pg.graph();
@@ -43,22 +29,11 @@ BccResult tv_filter_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
   const eid m = g.m();
 
   // Alg. 2 step 1: T must be a BFS tree (Lemma 1 needs its level
-  // structure).  Under the compressed backend the traversal decodes
-  // delta-coded rows on the fly; building the compressed form (first
-  // use only — cached on the PreparedGraph afterwards) is a
-  // representation-conversion cost and is booked as such.
-  const CompressedCsr* cc = nullptr;
-  if (opt.csr_backend == CsrBackend::kCompressed) {
-    Timer ctimer;
-    cc = &pg.ensure_compressed(ex);
-    const double built = ctimer.seconds();
-    if (built > 0) tr.charge(steps::kConversion, built);
-  }
+  // structure).
   BfsTree bfs;
   {
     TraceSpan span(tr, steps::kSpanningTree);
-    bfs = cc != nullptr ? bfs_tree(ex, ws, *cc, opt.root, opt.bfs_mode, &tr)
-                        : bfs_tree(ex, ws, csr, opt.root, opt.bfs_mode, &tr);
+    bfs = bfs_tree(ex, ws, csr, opt.root, opt.bfs_mode, &tr);
   }
   if (bfs.reached != n) {
     throw std::invalid_argument("tv_filter_bcc: graph must be connected");

@@ -10,20 +10,6 @@
 
 namespace parbcc {
 
-BccResult tv_opt_bcc(Executor& ex, const EdgeList& g, const BccOptions& opt) {
-  Workspace ws;
-  // Representation conversion: the work-stealing traversal needs an
-  // adjacency structure; TV-SMP works on the raw edge list.
-  const PreparedGraph pg(ex, ws, g);
-  return tv_opt_bcc(ex, ws, pg, opt);
-}
-
-BccResult tv_opt_bcc(Executor& ex, const PreparedGraph& pg,
-                     const BccOptions& opt) {
-  Workspace ws;
-  return tv_opt_bcc(ex, ws, pg, opt);
-}
-
 BccResult tv_opt_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
                      const BccOptions& opt) {
   const EdgeList& g = pg.graph();

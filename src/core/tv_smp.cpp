@@ -55,9 +55,4 @@ BccResult tv_smp_bcc(Executor& ex, Workspace& ws, const EdgeList& g,
   return result;
 }
 
-BccResult tv_smp_bcc(Executor& ex, const EdgeList& g, const BccOptions& opt) {
-  Workspace ws;
-  return tv_smp_bcc(ex, ws, g, opt);
-}
-
 }  // namespace parbcc

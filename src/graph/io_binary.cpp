@@ -25,16 +25,20 @@ static_assert(sizeof(Edge) == 8 && alignof(Edge) == 4,
 static_assert(sizeof(eid) == 4 && sizeof(vid) == 4,
               "the .pbg layout is specified for 32-bit ids");
 
+/// Slots 4..6 of the section table are reserved and must be all zero.
 enum Section : std::size_t {
   kSecEdges = 0,
   kSecOffsets = 1,
   kSecTargets = 2,
   kSecEids = 3,
-  kSecCindex = 4,
-  kSecCdata = 5,
-  kSecReserved = 6,
+  kSecPresent = 4,  // slots [0, kSecPresent) carry data
   kSecCount = 7,
 };
+
+/// Flag bit 0 marked the Rice-compressed adjacency sections (slots 4
+/// and 5) that older writers emitted.  Such files are rejected by name
+/// so the user knows to re-convert them.
+constexpr std::uint32_t kFlagLegacyCompressed = 1u << 0;
 
 constexpr std::size_t kOffMagic = 0x00;
 constexpr std::size_t kOffVersion = 0x08;
@@ -76,8 +80,10 @@ T load(const std::uint8_t* base, std::size_t off) {
 
 constexpr std::uint64_t align64(std::uint64_t x) { return (x + 63) & ~63ull; }
 
-/// Canonical per-row order: (neighbour, edge id) ascending, the order
-/// the compressed rows decode in.  Sorting both halves through one
+/// Canonical per-row order: (neighbour, edge id) ascending.  Csr::build
+/// lays rows out in an order that depends on the thread count, so this
+/// sort is what makes the file byte-deterministic: one graph converts
+/// to the same bytes at any width.  Sorting both halves through one
 /// packed u64 keeps the nbr/eid pairing intact.
 void canonicalize_rows(Executor& ex, const Csr& csr, uvector<vid>& nbrs_out,
                        uvector<eid>& eids_out) {
@@ -144,6 +150,11 @@ std::uint64_t pbg_checksum(const void* data, std::size_t bytes) {
 
 void write_pbg(const std::string& path, Executor& ex, const EdgeList& g,
                const PbgWriteOptions& opt) {
+  if (opt.include_compressed) {
+    throw std::invalid_argument(
+        "write_pbg: PbgWriteOptions::include_compressed is no longer "
+        "supported (the .pbg writer emits plain CSR only)");
+  }
   if (!g.validate()) {
     fail(path, "edge list invalid (out-of-range endpoint or self-loop)");
   }
@@ -155,13 +166,6 @@ void write_pbg(const std::string& path, Executor& ex, const EdgeList& g,
   uvector<vid> nbrs;
   uvector<eid> eids;
   canonicalize_rows(ex, built, nbrs, eids);
-  const Csr canonical =
-      Csr::adopt(g.n, g.m(), built.offsets(), {nbrs.data(), nbrs.size()},
-                 {eids.data(), eids.size()});
-  CompressedCsr compressed;
-  if (opt.include_compressed) {
-    compressed = CompressedCsr::build(ex, canonical);
-  }
 
   std::array<std::pair<const void*, std::uint64_t>, kSecCount> payload{};
   payload[kSecEdges] = {g.edges.data(), g.edges.size() * sizeof(Edge)};
@@ -169,20 +173,14 @@ void write_pbg(const std::string& path, Executor& ex, const EdgeList& g,
                           built.offsets().size() * sizeof(eid)};
   payload[kSecTargets] = {nbrs.data(), nbrs.size() * sizeof(vid)};
   payload[kSecEids] = {eids.data(), eids.size() * sizeof(eid)};
-  if (opt.include_compressed) {
-    payload[kSecCindex] = {compressed.row_index().data(),
-                           compressed.row_index().size() * sizeof(std::uint64_t)};
-    payload[kSecCdata] = {compressed.row_data().data(),
-                          compressed.row_data().size()};
-  }
 
   std::array<SectionDesc, kSecCount> sections{};
   std::uint64_t cursor = kPbgHeaderBytes;
   for (std::size_t s = 0; s < kSecCount; ++s) {
     const auto [ptr, bytes] = payload[s];
     if (ptr == nullptr && bytes == 0 && s != kSecOffsets) {
-      // Absent section (compressed pair when not requested, reserved):
-      // all-zero descriptor.
+      // Reserved slot, or an unallocated empty array of an empty
+      // graph: all-zero descriptor.
       continue;
     }
     sections[s].offset = cursor;
@@ -194,8 +192,7 @@ void write_pbg(const std::string& path, Executor& ex, const EdgeList& g,
   std::array<std::uint8_t, kPbgHeaderBytes> header{};
   store<std::uint64_t>(header.data(), kOffMagic, kPbgMagic);
   store<std::uint32_t>(header.data(), kOffVersion, kPbgVersion);
-  store<std::uint32_t>(header.data(), kOffFlags,
-                       opt.include_compressed ? kPbgFlagCompressed : 0);
+  store<std::uint32_t>(header.data(), kOffFlags, 0);
   store<std::uint32_t>(header.data(), kOffN, g.n);
   store<std::uint64_t>(header.data(), kOffM, g.m());
   for (std::size_t s = 0; s < kSecCount; ++s) {
@@ -246,14 +243,8 @@ MappedGraph& MappedGraph::operator=(MappedGraph&& o) noexcept {
     length_ = o.length_;
     graph_ = std::move(o.graph_);
     csr_ = std::move(o.csr_);
-    has_compressed_ = o.has_compressed_;
-    cindex_ = o.cindex_;
-    cdata_ = o.cdata_;
     o.base_ = nullptr;
     o.length_ = 0;
-    o.has_compressed_ = false;
-    o.cindex_ = {};
-    o.cdata_ = {};
   }
   return *this;
 }
@@ -304,10 +295,12 @@ MappedGraph MappedGraph::map(const std::string& path, const MapOptions& opt) {
     fail(path, "header checksum mismatch");
   }
   const auto flags = load<std::uint32_t>(bytes, kOffFlags);
-  const bool has_compressed = (flags & kPbgFlagCompressed) != 0;
-  if ((flags & ~kPbgFlagCompressed) != 0) {
-    fail(path, "unknown flag bits set");
+  if ((flags & kFlagLegacyCompressed) != 0) {
+    fail(path,
+         "compressed-adjacency sections (flag bit 0) are no longer "
+         "supported; re-convert the graph with edgelist2pbg");
   }
+  if (flags != 0) fail(path, "unknown flag bits set");
   const auto n64 = static_cast<std::uint64_t>(load<std::uint32_t>(bytes, kOffN));
   const auto m64 = load<std::uint64_t>(bytes, kOffM);
   if (n64 > kMaxVertices) {
@@ -328,21 +321,15 @@ MappedGraph MappedGraph::map(const std::string& path, const MapOptions& opt) {
     sections[s].checksum =
         load<std::uint64_t>(bytes, kOffSections + s * 24 + 16);
   }
-  const std::array<std::uint64_t, kSecCount> expected_bytes = {
-      m64 * sizeof(Edge),         (n64 + 1) * sizeof(eid),
-      num_arcs * sizeof(vid),     num_arcs * sizeof(eid),
-      has_compressed ? (n64 + 1) * sizeof(std::uint64_t) : 0,
-      has_compressed ? sections[kSecCdata].bytes : 0,  // variable length
-      0};
+  const std::array<std::uint64_t, kSecPresent> expected_bytes = {
+      m64 * sizeof(Edge), (n64 + 1) * sizeof(eid), num_arcs * sizeof(vid),
+      num_arcs * sizeof(eid)};
   static constexpr const char* kSectionNames[kSecCount] = {
-      "edges", "offsets", "targets", "eids", "cindex", "cdata", "reserved"};
+      "edges", "offsets", "targets", "eids", "reserved", "reserved",
+      "reserved"};
   for (std::size_t s = 0; s < kSecCount; ++s) {
     const SectionDesc& sec = sections[s];
-    const bool present =
-        s == kSecReserved ? false
-        : (s == kSecCindex || s == kSecCdata) ? has_compressed
-                                              : true;
-    if (!present) {
+    if (s >= kSecPresent) {
       if (sec.offset != 0 || sec.bytes != 0) {
         fail(path, std::string("unexpected ") + kSectionNames[s] +
                        " section present");
@@ -364,7 +351,7 @@ MappedGraph MappedGraph::map(const std::string& path, const MapOptions& opt) {
   }
 
   // --- Structural validation (O(n), still allocation-free): the
-  // offsets/cindex shapes everything downstream indexes by. ---
+  // offsets shape everything downstream indexes by. ---
   const auto* offsets =
       reinterpret_cast<const eid*>(bytes + sections[kSecOffsets].offset);
   if (offsets[0] != 0 || offsets[n] != num_arcs) {
@@ -376,30 +363,9 @@ MappedGraph MappedGraph::map(const std::string& path, const MapOptions& opt) {
                      std::to_string(v));
     }
   }
-  const std::uint64_t* cindex = nullptr;
-  if (has_compressed) {
-    cindex = reinterpret_cast<const std::uint64_t*>(
-        bytes + sections[kSecCindex].offset);
-    if (cindex[0] != 0 || cindex[n] != sections[kSecCdata].bytes) {
-      fail(path, "cindex section does not span the cdata section");
-    }
-    for (vid v = 0; v < n; ++v) {
-      if (cindex[v] > cindex[v + 1]) {
-        fail(path,
-             "cindex section is not monotone at vertex " + std::to_string(v));
-      }
-      // A nonempty row is at least a k byte plus one varint byte.
-      const eid deg = offsets[v + 1] - offsets[v];
-      if (deg > 0 && cindex[v + 1] - cindex[v] < 2) {
-        fail(path, "compressed row shorter than its minimum at vertex " +
-                       std::to_string(v));
-      }
-    }
-  }
 
-  // --- Optional deep verification: section checksums, per-element
-  // range checks, and a full decode of every compressed row (faults
-  // the whole file in). ---
+  // --- Optional deep verification: section checksums and per-element
+  // range checks (faults the whole file in). ---
   if (opt.verify) {
     for (std::size_t s = 0; s < kSecCount; ++s) {
       if (sections[s].offset == 0 && sections[s].bytes == 0) continue;
@@ -431,36 +397,6 @@ MappedGraph MappedGraph::map(const std::string& path, const MapOptions& opt) {
                        std::to_string(a));
       }
     }
-    // Decode every compressed row and require it to reproduce the
-    // (already range-checked) targets row exactly.  Checksums alone
-    // only prove the bytes match what the header claims — a hostile
-    // file with self-consistent checksums could still encode
-    // out-of-range or wrong neighbours, which the kCompressed sweeps
-    // would then feed to parent[]/pre[] indexing.  This is what makes
-    // verify=true end-to-end for the compressed backend.
-    if (has_compressed) {
-      const CompressedCsr rows = CompressedCsr::adopt(
-          n, m, {offsets, static_cast<std::size_t>(n) + 1},
-          {cindex, static_cast<std::size_t>(n) + 1},
-          {bytes + sections[kSecCdata].offset,
-           static_cast<std::size_t>(sections[kSecCdata].bytes)},
-          {arc_eids, static_cast<std::size_t>(num_arcs)});
-      for (vid v = 0; v < n; ++v) {
-        const eid lo = offsets[v];
-        const eid deg = offsets[v + 1] - lo;
-        eid matched = 0;
-        rows.decode_row(v, [&](vid w, eid) {
-          if (w >= n || w != targets[lo + matched]) return true;  // stop
-          ++matched;
-          return false;
-        });
-        if (matched != deg) {
-          fail(path, "compressed row does not decode to the targets row "
-                     "at vertex " +
-                         std::to_string(v));
-        }
-      }
-    }
   }
 
   MappedGraph out;
@@ -476,12 +412,6 @@ MappedGraph MappedGraph::map(const std::string& path, const MapOptions& opt) {
        static_cast<std::size_t>(num_arcs)},
       {reinterpret_cast<const eid*>(bytes + sections[kSecEids].offset),
        static_cast<std::size_t>(num_arcs)});
-  out.has_compressed_ = has_compressed;
-  if (has_compressed) {
-    out.cindex_ = {cindex, static_cast<std::size_t>(n) + 1};
-    out.cdata_ = {bytes + sections[kSecCdata].offset,
-                  static_cast<std::size_t>(sections[kSecCdata].bytes)};
-  }
   if (tr != nullptr) {
     tr->counter("io_mapped_bytes", static_cast<double>(file_bytes));
   }

@@ -2,10 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 
-#include "graph/compressed_csr.hpp"
 #include "graph/csr.hpp"
 #include "graph/edge_list.hpp"
 #include "util/thread_pool.hpp"
@@ -15,17 +13,17 @@
 /// The .pbg binary graph format and its zero-copy mmap loader.
 ///
 /// A .pbg file is a prepared graph: the edge list *and* its finished
-/// CSR (plus, optionally, the delta-compressed rows), laid out so the
-/// solvers can run on the mapped bytes directly — no parse, no CSR
-/// rebuild, no copy.  Loading is one mmap plus O(n) validation; the
-/// real cost moves to page faults, which the optional prefault pass
-/// spreads across threads.
+/// CSR, laid out so the solvers can run on the mapped bytes directly —
+/// no parse, no CSR rebuild, no copy.  Loading is one mmap plus O(n)
+/// validation; the real cost moves to page faults, which the optional
+/// prefault pass spreads across threads.
 ///
 /// Layout (little-endian, all section offsets 64-byte aligned):
 ///
 ///   [0x00] u64  magic "PBGRAPH1"
 ///   [0x08] u32  version (= 1)
-///   [0x0c] u32  flags   (bit 0: compressed sections present)
+///   [0x0c] u32  flags   (0; bit 0 marked the Rice-compressed sections
+///                        of older files, which the loader rejects)
 ///   [0x10] u32  n
 ///   [0x14] u32  reserved (0)
 ///   [0x18] u64  m
@@ -34,51 +32,43 @@
 ///            [1] offsets  n + 1 x u32   CSR row offsets (offsets[n] == 2m)
 ///            [2] targets  2m    x u32   neighbour per arc
 ///            [3] eids     2m    x u32   edge id per arc
-///            [4] cindex   n + 1 x u64   compressed row byte index
-///            [5] cdata    var   x u8    Rice-coded rows (compressed_csr.hpp)
-///            [6] reserved (all zero)
+///            [4..6] reserved (all zero)
 ///   [0xc8] u64  header checksum (bytes [0x00, 0xc8))
 ///   ...    zero pad to 0x100, then the sections
 ///
 /// CSR rows in the file are *canonical*: sorted by (neighbour, edge
-/// id).  That makes the one eids section serve both backends — the
-/// compressed rows decode in exactly this order (adjacency order is
-/// unspecified by contract, so canonicalization is invisible to the
-/// algorithms).
+/// id), so one graph always converts to the same bytes (adjacency
+/// order is unspecified by contract, so canonicalization is invisible
+/// to the algorithms).
 ///
 /// The loader treats the file as untrusted, exactly like
 /// io::read_edge_list treats text: magic/version/header-checksum,
-/// hostile n/m (ids must fit the 32-bit space, 2m must fit an eid),
-/// section bounds vs. the real file size, and offsets monotonicity are
-/// all rejected with a named error *before any allocation*.  Section
-/// checksums, per-element range checks (edges/targets < n, eids < m),
-/// and a full decode of every compressed row against the targets
-/// section are O(data) and opt-in via MapOptions::verify — the
-/// converter always writes checksums, so paranoid callers can demand
-/// end-to-end integrity, including that the compressed backend decodes
-/// to exactly the same adjacency the plain backend reads.  (Even
-/// without verify, CompressedCsr::decode_row bounds every read by the
-/// row byte index and clamps neighbours to [0, n), so hostile row
-/// bytes can corrupt results but never memory.)
+/// unsupported flags, hostile n/m (ids must fit the 32-bit space, 2m
+/// must fit an eid), section bounds vs. the real file size, and offsets
+/// monotonicity are all rejected with a named error *before any
+/// allocation*.  Section checksums and per-element range checks
+/// (edges/targets < n, eids < m) are O(data) and opt-in via
+/// MapOptions::verify — the converter always writes checksums, so
+/// paranoid callers can demand end-to-end integrity.
 
 namespace parbcc::io {
 
 inline constexpr std::uint64_t kPbgMagic = 0x3148504152474250ull;  // "PBGRAPH1"
 inline constexpr std::uint32_t kPbgVersion = 1;
 inline constexpr std::size_t kPbgHeaderBytes = 256;
-inline constexpr std::uint32_t kPbgFlagCompressed = 1u << 0;
 
 struct PbgWriteOptions {
-  /// Also emit the cindex/cdata sections (the compressed backend's
-  /// mmap path needs them; costs the encode pass and ~0.45x of the
-  /// targets section in extra file bytes).
-  bool include_compressed = true;
+  /// Must stay false: the writer no longer emits compressed sections
+  /// and throws std::invalid_argument when asked to.  The field exists
+  /// only so a frozen benchmark call site that spells it out keeps
+  /// compiling.
+  bool include_compressed = false;
 };
 
 /// Convert `g` to a .pbg file at `path`: builds the CSR (parallel
-/// bucket scatter), canonicalizes the rows, optionally Rice-encodes
-/// them, checksums every section, and writes atomically (temp file +
-/// rename).  Throws std::runtime_error on I/O failure.
+/// bucket scatter), canonicalizes the rows, checksums every section,
+/// and writes atomically (temp file + rename).  Throws
+/// std::runtime_error on I/O failure.
 void write_pbg(const std::string& path, Executor& ex, const EdgeList& g,
                const PbgWriteOptions& opt = {});
 
@@ -88,9 +78,8 @@ struct MapOptions {
   /// across cores instead of serializing on the first traversal.
   bool prefault = false;
   Executor* executor = nullptr;
-  /// Deep integrity pass: recompute section checksums, range-check
-  /// every element, and decode every compressed row against the
-  /// targets section (O(file bytes), faults everything in).
+  /// Deep integrity pass: recompute section checksums and range-check
+  /// every element (O(file bytes), faults everything in).
   bool verify = false;
   /// Receives io_map / io_prefault spans and io_mapped_bytes /
   /// io_prefault_bytes counters.  Orchestrator-only, like the solver
@@ -100,8 +89,7 @@ struct MapOptions {
 
 /// A .pbg file mapped into memory, exposing the graph views the
 /// solver stack consumes: an EdgeList whose EdgeStore borrows the
-/// edges section, a Csr adopting the offsets/targets/eids sections,
-/// and (when the file carries one) a CompressedCsr over cindex/cdata.
+/// edges section and a Csr adopting the offsets/targets/eids sections.
 /// All views point into the mapping — the MappedGraph must outlive
 /// every solve and every cache entry built on it (BccContext::adopt
 /// takes ownership for exactly that reason).  Move-only; unmaps on
@@ -120,13 +108,6 @@ class MappedGraph {
 
   const EdgeList& graph() const { return graph_; }
   const Csr& csr() const { return csr_; }
-  bool has_compressed() const { return has_compressed_; }
-  /// A fresh adopted view over the file's compressed sections
-  /// (precondition: has_compressed()).  Cheap — spans only.
-  CompressedCsr compressed() const {
-    return CompressedCsr::adopt(graph_.n, graph_.m(), csr_.offsets(),
-                                cindex_, cdata_, csr_.edge_ids());
-  }
   std::size_t file_bytes() const { return length_; }
 
  private:
@@ -136,9 +117,6 @@ class MappedGraph {
   std::size_t length_ = 0;
   EdgeList graph_;
   Csr csr_;
-  bool has_compressed_ = false;
-  std::span<const std::uint64_t> cindex_;
-  std::span<const std::uint8_t> cdata_;
 };
 
 /// Mixing checksum over a byte range (8-byte stride + splitmix finale)

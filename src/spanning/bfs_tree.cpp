@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <type_traits>
 
-#include "graph/compressed_csr.hpp"
 #include "scan/compact.hpp"
 #include "util/bitvector.hpp"
 #include "util/concat.hpp"
@@ -25,8 +23,7 @@ constexpr std::uint64_t kBeta = 24;
 /// Under work-stealing, a vertex whose degree exceeds twice this grain
 /// has its edge loop run as a nested parallel region (per-vertex inner
 /// parallel_for, the parlay/PASGAL idiom) instead of serially on the
-/// worker that drew it.  Plain adjacency only: a compressed row is a
-/// sequential bitstream, so hubs decode serially on their worker.
+/// worker that drew it.
 constexpr std::size_t kInnerGrain = 1024;
 
 struct HubProbe {
@@ -69,13 +66,10 @@ struct HubProbe {
           probes.load(std::memory_order_relaxed)};
 }
 
-/// The traversal, shared by both adjacency backends.  `G` is Csr
-/// (random-access rows: spans, nested hub regions) or CompressedCsr
-/// (sequential per-row decode, bytes-streamed accounting).
-template <typename G>
-BfsTree bfs_tree_impl(Executor& ex, Workspace& ws, const G& g, vid root,
-                      BfsMode mode, Trace* trace) {
-  constexpr bool kPlainAdj = std::is_same_v<G, Csr>;
+}  // namespace
+
+BfsTree bfs_tree(Executor& ex, Workspace& ws, const Csr& g, vid root,
+                 BfsMode mode, Trace* trace) {
   const vid n = g.num_vertices();
   BfsTree out;
   out.root = root;
@@ -96,7 +90,7 @@ BfsTree bfs_tree_impl(Executor& ex, Workspace& ws, const G& g, vid root,
   const std::size_t num_words = BitSpan::words_for(n);
   const std::uint64_t num_arcs = 2 * static_cast<std::uint64_t>(g.num_edges());
 
-  const bool nest = kPlainAdj && ex.mode() == ExecMode::kWorkSteal && p > 1;
+  const bool nest = ex.mode() == ExecMode::kWorkSteal && p > 1;
 
   Workspace::Frame frame(ws);
   std::span<vid> frontier = ws.alloc<vid>(n);
@@ -110,9 +104,6 @@ BfsTree bfs_tree_impl(Executor& ex, Workspace& ws, const G& g, vid root,
       ws.alloc<Padded<std::uint64_t>>(static_cast<std::size_t>(p));
   std::span<Padded<std::size_t>> t_count =
       ws.alloc<Padded<std::size_t>>(static_cast<std::size_t>(p));
-  std::span<Padded<std::uint64_t>> t_decode =
-      ws.alloc<Padded<std::uint64_t>>(static_cast<std::size_t>(p));
-  for (int t = 0; t < p; ++t) t_decode[static_cast<std::size_t>(t)].value = 0;
   // Per-thread discovery buffers grow dynamically: they are thread-local
   // state, which the single-orchestrator Workspace cannot hand out.
   std::vector<Padded<std::vector<vid>>> local(static_cast<std::size_t>(p));
@@ -184,56 +175,35 @@ BfsTree bfs_tree_impl(Executor& ex, Workspace& ws, const G& g, vid root,
       ex.parallel_for(0, frontier_size, td_grain, [&](std::size_t k) {
         const vid v = frontier[k];
         const std::size_t deg = g.degree(v);
-        if constexpr (kPlainAdj) {
-          const auto nbrs = g.neighbors(v);
-          const auto eids = g.incident_edges(v);
-          const auto scan = [&](std::size_t jb, std::size_t je) {
-            const auto slot = static_cast<std::size_t>(ex.worker_id());
-            std::vector<vid>& next = local[slot].value;
-            std::uint64_t claimed_degree = 0;
-            for (std::size_t j = jb; j < je; ++j) {
-              const vid w = nbrs[j];
-              vid expected = kNoVertex;
-              if (std::atomic_ref(parent[w])
-                      .compare_exchange_strong(expected, v,
-                                               std::memory_order_acq_rel)) {
-                out.parent_edge[w] = eids[j];
-                out.level[w] = depth;
-                claimed_degree += g.degree(w);
-                next.push_back(w);
-              }
-            }
-            t_degree[slot].value += claimed_degree;
-          };
-          if (nest && deg > 2 * kInnerGrain) {
-            const std::size_t chunks = deg / kInnerGrain;
-            ex.parallel_for(0, chunks, 1, [&](std::size_t c) {
-              const auto [jb, je] = Executor::block_range(
-                  deg, static_cast<int>(chunks), static_cast<int>(c));
-              scan(jb, je);
-            });
-          } else {
-            scan(0, deg);
-          }
-        } else {
+        const auto nbrs = g.neighbors(v);
+        const auto eids = g.incident_edges(v);
+        const auto scan = [&](std::size_t jb, std::size_t je) {
           const auto slot = static_cast<std::size_t>(ex.worker_id());
           std::vector<vid>& next = local[slot].value;
           std::uint64_t claimed_degree = 0;
-          const std::size_t bytes =
-              g.decode_row(v, [&](vid w, eid edge) {
-                vid expected = kNoVertex;
-                if (std::atomic_ref(parent[w])
-                        .compare_exchange_strong(expected, v,
-                                                 std::memory_order_acq_rel)) {
-                  out.parent_edge[w] = edge;
-                  out.level[w] = depth;
-                  claimed_degree += g.degree(w);
-                  next.push_back(w);
-                }
-                return false;
-              });
+          for (std::size_t j = jb; j < je; ++j) {
+            const vid w = nbrs[j];
+            vid expected = kNoVertex;
+            if (std::atomic_ref(parent[w])
+                    .compare_exchange_strong(expected, v,
+                                             std::memory_order_acq_rel)) {
+              out.parent_edge[w] = eids[j];
+              out.level[w] = depth;
+              claimed_degree += g.degree(w);
+              next.push_back(w);
+            }
+          }
           t_degree[slot].value += claimed_degree;
-          t_decode[slot].value += bytes;
+        };
+        if (nest && deg > 2 * kInnerGrain) {
+          const std::size_t chunks = deg / kInnerGrain;
+          ex.parallel_for(0, chunks, 1, [&](std::size_t c) {
+            const auto [jb, je] = Executor::block_range(
+                deg, static_cast<int>(chunks), static_cast<int>(c));
+            scan(jb, je);
+          });
+        } else {
+          scan(0, deg);
         }
         t_inspected[static_cast<std::size_t>(ex.worker_id())].value += deg;
       });
@@ -260,7 +230,6 @@ BfsTree bfs_tree_impl(Executor& ex, Workspace& ws, const G& g, vid root,
         std::uint64_t inspected = 0;
         std::uint64_t claimed_degree = 0;
         std::size_t claimed = 0;
-        std::uint64_t decode_bytes = 0;
         std::uint64_t next_word = 0;
         const std::size_t base = w << 6;
         const std::size_t limit =
@@ -268,44 +237,24 @@ BfsTree bfs_tree_impl(Executor& ex, Workspace& ws, const G& g, vid root,
         for (std::size_t v = base; v < limit; ++v) {
           if (parent[v] != kNoVertex) continue;
           const std::size_t deg = g.degree(static_cast<vid>(v));
-          vid hit_nbr = kNoVertex;
-          eid hit_edge = kNoEdge;
-          if constexpr (kPlainAdj) {
-            const auto nbrs = g.neighbors(static_cast<vid>(v));
-            const auto eids = g.incident_edges(static_cast<vid>(v));
-            std::size_t hit = deg;
-            if (nest && deg > 2 * kInnerGrain) {
-              const HubProbe hp = hub_probe(ex, cur_bits, nbrs);
-              hit = hp.hit;
-              inspected += hp.probes;
-            } else {
-              for (std::size_t j = 0; j < deg; ++j) {
-                ++inspected;
-                if (cur_bits.get(nbrs[j])) {
-                  hit = j;
-                  break;
-                }
+          const auto nbrs = g.neighbors(static_cast<vid>(v));
+          std::size_t hit = deg;
+          if (nest && deg > 2 * kInnerGrain) {
+            const HubProbe hp = hub_probe(ex, cur_bits, nbrs);
+            hit = hp.hit;
+            inspected += hp.probes;
+          } else {
+            for (std::size_t j = 0; j < deg; ++j) {
+              ++inspected;
+              if (cur_bits.get(nbrs[j])) {
+                hit = j;
+                break;
               }
             }
-            if (hit < deg) {
-              hit_nbr = nbrs[hit];
-              hit_edge = eids[hit];
-            }
-          } else {
-            decode_bytes += g.decode_row(
-                static_cast<vid>(v), [&](vid nbr, eid edge) {
-                  ++inspected;
-                  if (cur_bits.get(nbr)) {
-                    hit_nbr = nbr;
-                    hit_edge = edge;
-                    return true;
-                  }
-                  return false;
-                });
           }
-          if (hit_nbr != kNoVertex) {
-            parent[v] = hit_nbr;
-            out.parent_edge[v] = hit_edge;
+          if (hit < deg) {
+            parent[v] = nbrs[hit];
+            out.parent_edge[v] = g.incident_edges(static_cast<vid>(v))[hit];
             out.level[v] = depth;
             next_word |= std::uint64_t{1} << (v & 63);
             claimed_degree += deg;
@@ -317,7 +266,6 @@ BfsTree bfs_tree_impl(Executor& ex, Workspace& ws, const G& g, vid root,
         t_inspected[slot].value += inspected;
         t_degree[slot].value += claimed_degree;
         t_count[slot].value += claimed;
-        t_decode[slot].value += decode_bytes;
       });
       std::size_t total = 0;
       for (int t = 0; t < p; ++t) {
@@ -339,9 +287,6 @@ BfsTree bfs_tree_impl(Executor& ex, Workspace& ws, const G& g, vid root,
     reached += static_cast<vid>(frontier_size);
   }
 
-  for (int t = 0; t < p; ++t) {
-    out.decode_bytes += t_decode[static_cast<std::size_t>(t)].value;
-  }
   out.reached = reached;
   out.num_levels = depth;  // last round discovered nothing: depth-1 levels past root
   out.diameter_estimate = depth > 0 ? depth - 1 : 0;
@@ -354,30 +299,14 @@ BfsTree bfs_tree_impl(Executor& ex, Workspace& ws, const G& g, vid root,
                    static_cast<double>(out.bottom_up_rounds));
     trace->counter("bfs_diameter_estimate",
                    static_cast<double>(out.diameter_estimate));
-    if constexpr (!kPlainAdj) {
-      trace->counter("csr_decode_bytes",
-                     static_cast<double>(out.decode_bytes));
-    }
   }
   return out;
-}
-
-}  // namespace
-
-BfsTree bfs_tree(Executor& ex, Workspace& ws, const Csr& g, vid root,
-                 BfsMode mode, Trace* trace) {
-  return bfs_tree_impl(ex, ws, g, root, mode, trace);
-}
-
-BfsTree bfs_tree(Executor& ex, Workspace& ws, const CompressedCsr& g,
-                 vid root, BfsMode mode, Trace* trace) {
-  return bfs_tree_impl(ex, ws, g, root, mode, trace);
 }
 
 BfsTree bfs_tree(Executor& ex, const Csr& g, vid root, BfsMode mode,
                  Trace* trace) {
   Workspace ws;
-  return bfs_tree_impl(ex, ws, g, root, mode, trace);
+  return bfs_tree(ex, ws, g, root, mode, trace);
 }
 
 }  // namespace parbcc

@@ -87,34 +87,16 @@ struct BfsTree {
   /// high-diameter (torus/chain-like) inputs, whose O(d) round count
   /// dominates the BFS term, without a second traversal.
   vid diameter_estimate = 0;
-  /// Encoded adjacency bytes decoded during the traversal — nonzero
-  /// only on the CompressedCsr overload, where it is what the run
-  /// actually streamed from the rows (early-exiting bottom-up probes
-  /// charge only the decoded prefix).  The plain overload's streamed
-  /// bytes are 4 * inspected_edges by construction.
-  std::uint64_t decode_bytes = 0;
 };
 
-class CompressedCsr;
-
 /// `trace`, when given, receives the run's telemetry as counters
-/// (bfs_inspected_edges, bfs_top_down_rounds, bfs_bottom_up_rounds;
-/// csr_decode_bytes on the compressed overload) — per-round spans
-/// would cost a clock read on pathological (diameter-bound) inputs, so
-/// only aggregates are emitted.
+/// (bfs_inspected_edges, bfs_top_down_rounds, bfs_bottom_up_rounds,
+/// bfs_diameter_estimate) — per-round spans would cost a clock read on
+/// pathological (diameter-bound) inputs, so only aggregates are
+/// emitted.
 BfsTree bfs_tree(Executor& ex, Workspace& ws, const Csr& g, vid root,
                  BfsMode mode = BfsMode::kAuto, Trace* trace = nullptr);
 BfsTree bfs_tree(Executor& ex, const Csr& g, vid root,
                  BfsMode mode = BfsMode::kAuto, Trace* trace = nullptr);
-
-/// Same traversal over delta-compressed adjacency: rows decode on the
-/// fly (serially per row — no nested hub split), trading decode cycles
-/// for ~2x fewer bytes streamed.  Level arrays are identical to the
-/// plain overload's; parents may differ where a row's canonical order
-/// reaches a different same-level neighbour first, which no consumer
-/// distinguishes (any BFS tree of the graph is valid).
-BfsTree bfs_tree(Executor& ex, Workspace& ws, const CompressedCsr& g,
-                 vid root, BfsMode mode = BfsMode::kAuto,
-                 Trace* trace = nullptr);
 
 }  // namespace parbcc

@@ -152,8 +152,10 @@ TEST(FastBcc, DirectDriverRequiresConnectedInput) {
   // The raw driver is a single-component engine; the dispatcher owns
   // the decomposition (covered by edge_cases_test's disconnected runs).
   Executor ex(2);
+  Workspace ws;
   const EdgeList g(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
-  EXPECT_THROW(fast_bcc(ex, g, {}), std::invalid_argument);
+  const PreparedGraph pg(ex, ws, g);
+  EXPECT_THROW(fast_bcc(ex, ws, pg, {}), std::invalid_argument);
 }
 
 TEST(FastBcc, DisconnectedThroughDispatcherMatchesReference) {

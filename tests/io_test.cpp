@@ -343,7 +343,9 @@ TEST_P(PbgRoundTrip, MappedViewsMatchSource) {
   // order, so compare rows as sorted sets against a fresh build).
   const Csr built = Csr::build(ex, g);
   // (The n = 0 graph cannot distinguish borrowed from owned-empty.)
-  if (g.n > 0) ASSERT_TRUE(mapped.csr().is_borrowed());
+  if (g.n > 0) {
+    ASSERT_TRUE(mapped.csr().is_borrowed());
+  }
   for (vid v = 0; v < g.n; ++v) {
     ASSERT_EQ(mapped.csr().degree(v), built.degree(v));
     const auto ms = mapped.csr().neighbors(v);
@@ -360,32 +362,6 @@ TEST_P(PbgRoundTrip, MappedViewsMatchSource) {
       EXPECT_TRUE(e.u == v || e.v == v);
     }
   }
-  ASSERT_TRUE(mapped.has_compressed());
-  const CompressedCsr cc = mapped.compressed();
-  for (vid v = 0; v < g.n; ++v) {
-    std::vector<vid> via_decode;
-    cc.decode_row(v, [&](vid w, eid) {
-      via_decode.push_back(w);
-      return false;
-    });
-    const auto ms = mapped.csr().neighbors(v);
-    ASSERT_EQ(via_decode, std::vector<vid>(ms.begin(), ms.end())) << v;
-  }
-}
-
-TEST_P(PbgRoundTrip, NoCompressVariantMapsWithoutSections) {
-  const EdgeList g = input();
-  Executor ex(2);
-  const std::string path = pbg_path("roundtrip_nc.pbg");
-  io::PbgWriteOptions wopt;
-  wopt.include_compressed = false;
-  io::write_pbg(path, ex, g, wopt);
-  io::MapOptions opt;
-  opt.verify = true;
-  const io::MappedGraph mapped = io::MappedGraph::map(path, opt);
-  EXPECT_EQ(mapped.graph().n, g.n);
-  EXPECT_EQ(mapped.graph().m(), g.m());
-  EXPECT_FALSE(mapped.has_compressed());
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, PbgRoundTrip, ::testing::Range(0, 5));
@@ -395,6 +371,14 @@ TEST(Pbg, WriterRejectsSelfLoops) {
   const EdgeList g(3, {{0, 1}, {2, 2}});
   EXPECT_THROW(io::write_pbg(pbg_path("loops.pbg"), ex, g),
                std::runtime_error);
+}
+
+TEST(Pbg, WriterRejectsCompressedSections) {
+  Executor ex(1);
+  const EdgeList g(3, {{0, 1}, {1, 2}});
+  EXPECT_THROW(io::write_pbg(pbg_path("compressed.pbg"), ex, g,
+                             {.include_compressed = true}),
+               std::invalid_argument);
 }
 
 TEST(Pbg, PrefaultedParallelMapSolvesIdentically) {
@@ -531,6 +515,16 @@ TEST_F(PbgMalformed, SectionTableAbuse) {
   std::memcpy(bytes.data() + 0x20 + 24 + 8, &sz, sizeof(sz));
   reseal_header(bytes);
   expect_rejects(bytes, "section size");
+
+  // Reserved slots 4..6 must stay all zero, even when they point at
+  // real data (here: a copy of the offsets descriptor).
+  for (std::size_t slot = 4; slot < 7; ++slot) {
+    bytes = valid_;
+    std::memcpy(bytes.data() + 0x20 + slot * 24, bytes.data() + 0x20 + 24,
+                16);
+    reseal_header(bytes);
+    expect_rejects(bytes, "unexpected reserved section present");
+  }
 }
 
 TEST_F(PbgMalformed, NonMonotoneOffsetsRejectedWithoutVerify) {
@@ -556,44 +550,15 @@ TEST_F(PbgMalformed, VerifyCatchesSectionBitRot) {
   expect_rejects(bytes, "checksum", /*verify=*/true);
 }
 
-TEST_F(PbgMalformed, VerifyCatchesSelfConsistentHostileCdata) {
-  // Overwrite the whole cdata section with 0xff and re-seal both its
-  // section checksum (table slot 5) and the header checksum covering
-  // it: every checksum is now self-consistent, so only the
-  // decode-vs-targets pass can see that the compressed rows no longer
-  // encode the graph.  Before that pass existed, this file mapped with
-  // verify=true and fed unbounded decoded neighbours into the
-  // kCompressed sweeps' parent[]/pre[] indexing.
+TEST_F(PbgMalformed, LegacyCompressedFlagRejectedByName) {
+  // Older writers set flag bit 0 and appended Rice-compressed sections.
+  // Forge such a header on a plain file and re-seal it: the loader must
+  // name the flag and point at the converter, structural pass only.
   auto bytes = valid_;
-  std::uint64_t off, len;
-  std::memcpy(&off, bytes.data() + 0x20 + 5 * 24, sizeof(off));
-  std::memcpy(&len, bytes.data() + 0x20 + 5 * 24 + 8, sizeof(len));
-  ASSERT_GT(len, 0u);
-  std::fill(bytes.begin() + static_cast<std::ptrdiff_t>(off),
-            bytes.begin() + static_cast<std::ptrdiff_t>(off + len), 0xff);
-  const std::uint64_t sum = io::pbg_checksum(bytes.data() + off, len);
-  std::memcpy(bytes.data() + 0x20 + 5 * 24 + 16, &sum, sizeof(sum));
+  bytes[0x0c] |= 0x01;
   reseal_header(bytes);
-  expect_rejects(bytes, "compressed row", /*verify=*/true);
-
-  // Without verify the map succeeds (structural checks cannot price
-  // row contents) — but decoding the hostile rows stays bounded and
-  // in-range, so even the trusted path cannot be steered out of
-  // bounds, only into garbage labels.
-  const std::string path = pbg_path("hostile_cdata.pbg");
-  spew(path, bytes);
-  const io::MappedGraph m = io::MappedGraph::map(path);
-  ASSERT_TRUE(m.has_compressed());
-  const CompressedCsr cc = m.compressed();
-  for (vid v = 0; v < m.graph().n; ++v) {
-    eid calls = 0;
-    cc.decode_row(v, [&](vid w, eid) {
-      EXPECT_LT(w, m.graph().n) << "v=" << v;
-      ++calls;
-      return false;
-    });
-    EXPECT_EQ(calls, m.csr().degree(v)) << "v=" << v;
-  }
+  expect_rejects(bytes, "re-convert the graph with edgelist2pbg",
+                 /*verify=*/false);
 }
 
 TEST_F(PbgMalformed, EveryByteFlipEitherRejectsOrIsBenignPadding) {

@@ -137,29 +137,6 @@ TEST_P(RealGraph, TextAndMmapMatchPinnedInvariants) {
   EXPECT_EQ(from_text.bridges, from_map.bridges);
 }
 
-TEST_P(RealGraph, CompressedBackendMatchesTable) {
-  static const std::vector<RefRow> table = load_table();
-  const RefRow& ref = table[std::get<0>(GetParam())];
-  const int p = std::get<1>(GetParam());
-  const std::string base = std::string(PARBCC_TEST_DATA_DIR) + "/" + ref.name;
-
-  // The committed .pbg files carry compressed sections; solve through
-  // them and pin the same invariants.
-  BccContext ctx(p);
-  const PreparedGraph& pg = io::map_prepared_graph(ctx, base + ".pbg");
-  ASSERT_NE(pg.compressed(), nullptr);
-  BccOptions opt;
-  opt.threads = p;
-  opt.csr_backend = CsrBackend::kCompressed;
-  opt.algorithm = BccAlgorithm::kFastBcc;
-  const BccResult r = biconnected_components(ctx, *ctx.mapped_graph(), opt);
-  const Invariants inv = invariants_of(r);
-  EXPECT_EQ(inv.num_components, ref.num_components) << ref.name;
-  EXPECT_EQ(inv.largest_block_edges, ref.largest_block_edges) << ref.name;
-  EXPECT_EQ(inv.articulation_points, ref.articulation_points) << ref.name;
-  EXPECT_EQ(inv.bridges, ref.bridges) << ref.name;
-}
-
 std::string fixture_name(
     const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
   static const char* const names[4] = {"road_grid", "web_pa", "social_comm",

@@ -4,7 +4,6 @@
 //   edgelist2pbg [options] <input.txt> <output.pbg>
 //     --format auto|edgelist|dimacs|metis|snap   (default auto)
 //     --threads N          parser + CSR build width (default hardware)
-//     --no-compress        omit the compressed-adjacency sections
 //     --verify             re-map the output with the deep integrity
 //                          pass and cross-check counts
 //
@@ -32,7 +31,7 @@ namespace {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--format auto|edgelist|dimacs|metis|snap] [--threads N]"
-               " [--no-compress] [--verify] <input> <output.pbg>\n";
+               " [--verify] <input> <output.pbg>\n";
   return 2;
 }
 
@@ -42,7 +41,6 @@ int main(int argc, char** argv) {
   io::TextFormat format = io::TextFormat::kAuto;
   int threads = static_cast<int>(std::thread::hardware_concurrency());
   if (threads < 1) threads = 1;
-  io::PbgWriteOptions wopt;
   bool verify = false;
   std::string input;
   std::string output;
@@ -68,8 +66,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads" && i + 1 < argc) {
       threads = std::atoi(argv[++i]);
       if (threads < 1) threads = 1;
-    } else if (arg == "--no-compress") {
-      wopt.include_compressed = false;
     } else if (arg == "--verify") {
       verify = true;
     } else if (arg.rfind("--", 0) == 0) {
@@ -101,7 +97,7 @@ int main(int argc, char** argv) {
     }
 
     Timer write_timer;
-    io::write_pbg(output, ex, graph, wopt);
+    io::write_pbg(output, ex, graph);
     const double write_s = write_timer.seconds();
 
     std::cout << input << ": n=" << graph.n << " m=" << graph.m();
@@ -115,24 +111,12 @@ int main(int argc, char** argv) {
       io::MapOptions mopt;
       mopt.verify = true;
       const io::MappedGraph mapped = io::MappedGraph::map(output, mopt);
-      if (mapped.graph().n != graph.n || mapped.graph().m() != graph.m() ||
-          mapped.has_compressed() != wopt.include_compressed) {
+      if (mapped.graph().n != graph.n || mapped.graph().m() != graph.m()) {
         std::cerr << "verify: mapped shape does not match input\n";
         return 1;
       }
       std::cout << "verify  " << verify_timer.seconds() << " s ("
-                << mapped.file_bytes() << " bytes";
-      if (mapped.has_compressed()) {
-        const CompressedCsr cc = mapped.compressed();
-        const double plain_bytes =
-            static_cast<double>(mapped.csr().targets().size() * sizeof(vid));
-        if (plain_bytes > 0) {
-          std::cout << ", compressed rows "
-                    << static_cast<double>(cc.data_bytes()) / plain_bytes
-                    << "x of plain targets";
-        }
-      }
-      std::cout << ")\n";
+                << mapped.file_bytes() << " bytes)\n";
     }
   } catch (const std::exception& e) {
     std::cerr << "edgelist2pbg: " << e.what() << "\n";

@@ -36,13 +36,11 @@ Checks, per segment of the Chrome export written by bench_fig4:
      that contain static segments (a dynamic-only or io-only artifact
      is legal);
   9. io segments (label `io:<mult>n`, written by bench_io) trace one
-     mmap load plus one compressed-backend solve: an io_map span with
-     io_prefault nested inside (one prefaulted load each), the
-     io_mapped_bytes / io_prefault_bytes counters, and a positive
-     csr_decode_bytes counter proving the solve actually streamed the
-     Rice-coded rows rather than silently falling back to plain
-     adjacency.  Static segments must carry no io_* span: the solvers
-     never load files themselves.
+     mmap load plus one solve of the mapped graph: an io_map span with
+     io_prefault nested inside (one prefaulted load each) and positive
+     io_mapped_bytes / io_prefault_bytes counters, with no more bytes
+     prefaulted than mapped.  Static segments must carry no io_* span:
+     the solvers never load files themselves.
 
 Usage: validate_trace.py <trace.json>
 """
@@ -145,7 +143,6 @@ IO_SPANS = ["io_map", "io_prefault"]
 REQUIRED_IO_COUNTERS = [
     "io_mapped_bytes",
     "io_prefault_bytes",
-    "csr_decode_bytes",
 ]
 
 
