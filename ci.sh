@@ -28,6 +28,8 @@ cmake -B build -S . >/dev/null
 echo "==> tier-1: build"
 cmake --build build -j "$JOBS"
 
+# The full ctest includes bench_e2e_smoke: every end-to-end workload at
+# 1/50 scale with its oracles.
 echo "==> tier-1: ctest"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 

@@ -9,7 +9,7 @@
 #include "connectivity/shiloach_vishkin.hpp"
 #include "core/articulation.hpp"
 #include "core/bcc.hpp"
-#include "core/incremental.hpp"
+#include "graph/csr.hpp"
 #include "graph/subgraph.hpp"
 #include "spanning/certificate.hpp"
 
@@ -26,12 +26,18 @@ BatchDynamicBcc::BatchDynamicBcc(BccContext& ctx, EdgeList base,
   full_solve();
   reset_bookkeeping();
   reseed_components();
+  // The seeding solve leaves g_'s CSR in the conversion cache (a
+  // disconnected base may need one parallel build here); each incidence
+  // list is one sized copy of its CSR row.
+  const Csr& csr = ctx_.prepare(g_).csr();
   adj_.assign(g_.n, {});
-  for (eid e = 0; e < g_.m(); ++e) {
-    const Edge& ed = g_.edges[e];
-    adj_[ed.u].push_back({ed.v, e});
-    adj_[ed.v].push_back({ed.u, e});
-  }
+  ctx_.executor().parallel_for(g_.n, [&](std::size_t v) {
+    const auto nbrs = csr.neighbors(static_cast<vid>(v));
+    const auto eids = csr.incident_edges(static_cast<vid>(v));
+    auto& list = adj_[v];
+    list.resize(nbrs.size());
+    for (std::size_t i = 0; i < nbrs.size(); ++i) list[i] = {nbrs[i], eids[i]};
+  });
   touch_mark_.assign(g_.n, 0);
   mark_a_.assign(g_.n, 0);
   mark_b_.assign(g_.n, 0);
@@ -56,20 +62,14 @@ void BatchDynamicBcc::reset_bookkeeping() {
 }
 
 void BatchDynamicBcc::reseed_components() {
-  // The insertion-only tracker, bulk-loaded with the whole standing
-  // edge list, hands every vertex an exact component root — deletions
-  // haven't happened from its point of view because the list already
-  // reflects them.  Construction and every fallback re-solve come
+  // SV's smallest-vertex-id labels are valid roots in [0, n) under an
+  // identity union-find.  Construction and every fallback re-solve come
   // through here; the incremental path maintains the ids instead.
-  IncrementalBiconnectivity incr(g_.n);
-  incr.insert_edges(g_.edges);
-  comp_id_.resize(g_.n);
+  comp_id_ = connected_components_sv(ctx_.executor(), ctx_.workspace(), g_.n,
+                                     g_.edges);
   comp_parent_.resize(g_.n);
+  for (vid v = 0; v < g_.n; ++v) comp_parent_[v] = v;
   comp_size_.assign(g_.n, 0);
-  for (vid v = 0; v < g_.n; ++v) {
-    comp_parent_[v] = v;
-    comp_id_[v] = incr.component_root(v);
-  }
   for (vid v = 0; v < g_.n; ++v) ++comp_size_[comp_id_[v]];
 }
 

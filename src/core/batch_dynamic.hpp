@@ -83,8 +83,9 @@
 /// passes `BatchDynamicOptions::damage_threshold`, patching would cost
 /// as much as solving, so the engine falls back to a full solve through
 /// the shared `BccContext` path (counter `batch_fallbacks`).  The
-/// fallback also reseeds the component ids, bulk-loading an
-/// `IncrementalBiconnectivity` tracker with the whole edge list.
+/// fallback, like construction, seeds the component ids with one
+/// parallel Shiloach-Vishkin pass; construction also copies the
+/// incidence lists, in parallel, from the solve's cached CSR rows.
 ///
 /// Tracing: every batch opens a `batch_apply` span with `damage_probe`
 /// and (on the incremental path) `certificate_solve` nested inside, and
@@ -207,10 +208,10 @@ class BatchDynamicBcc {
   void full_solve();
   /// Rebuild the bridge mask and the label counter after a full solve.
   void reset_bookkeeping();
-  /// Rebuild comp_id_ / the component union-find from scratch by
-  /// bulk-loading an IncrementalBiconnectivity tracker with the whole
-  /// standing edge list (construction and fallback re-solves; the
-  /// incremental path maintains the ids exactly instead).
+  /// Rebuild comp_id_ / the component union-find from scratch: one
+  /// connected_components_sv pass, whose smallest-vertex-id labels are
+  /// the roots of an identity union-find (construction and fallback
+  /// re-solves; the incremental path maintains the ids exactly instead).
   void reseed_components();
   vid comp_find(vid c);
   /// Exact component id of vertex v (find over comp_id_[v]).

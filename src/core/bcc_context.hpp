@@ -85,13 +85,14 @@ class BccContext {
   const StrippedGraph& strip(const EdgeList& g);
 
   /// Drop the conversion and stripped-graph caches (keeps the Executor
-  /// and the arena).
+  /// and the arena).  An adopted mapping stays alive, so mapped_graph()
+  /// and every reference taken from it remain valid; a later prepare()
+  /// of it rebuilds the adjacency from the mapped edges.
   void invalidate() {
     cache_.reset();
     cached_graph_ = nullptr;
     strip_.reset();
     strip_source_ = nullptr;
-    mapped_.reset();
   }
 
  private:

@@ -39,19 +39,13 @@ class IncrementalBiconnectivity {
   void insert_edge(vid u, vid v);
 
   /// Bulk insertion: reserves the block arrays and the LCA-walk scratch
-  /// map for the whole batch up front, then inserts in order.  The
-  /// batch-dynamic engine's connectivity tracking feeds thousands of
-  /// edges at once; without the reservation every few insertions pay a
-  /// vector reallocation or a mark_ rehash, which dominates the cheap
-  /// per-edge forest work on large batches.
+  /// map for the whole batch up front, then inserts in order.  On
+  /// batches of thousands of edges, inserting one at a time would pay a
+  /// vector reallocation or a mark_ rehash every few insertions, which
+  /// dominates the cheap per-edge forest work.
   void insert_edges(std::span<const Edge> batch);
 
   bool same_component(vid u, vid v);
-  /// Canonical representative of v's connected component.  The
-  /// batch-dynamic engine seeds its exact component labeling from
-  /// these roots after bulk-loading a tracker with the standing edge
-  /// list (at construction and after every fallback re-solve).
-  vid component_root(vid v) { return comp_find(v); }
   /// Do u and v lie in a common biconnected component?  (True for u ==
   /// v iff v is in any block, i.e. has an incident edge.)
   bool same_block(vid u, vid v);

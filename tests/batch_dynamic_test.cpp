@@ -165,6 +165,94 @@ TEST(BatchDynamic, BridgeDeletionDisconnects) {
   expect_matches_static(dyn);
 }
 
+TEST(BatchDynamic, FallbackReseedKeepsComponentIdsExact) {
+  // Components: A = triangles {0,1,2} and {3,4,5} joined by the bridge
+  // {2,3}; B = triangle {6,7,8}; C = triangle {9,10,11}; D = a 40-cycle
+  // on 12..51; 52..99 isolated.  Deleting a D edge flags the whole
+  // cycle block (40 of 100 vertices), so the first batch falls back;
+  // every later batch touches a few vertices and must splice.
+  const vid n = 100;
+  EdgeList g(n, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {2, 3},
+                 {6, 7}, {7, 8}, {8, 6}, {9, 10}, {10, 11}, {11, 9}});
+  for (vid i = 0; i < 40; ++i) g.edges.push_back({12 + i, 12 + (i + 1) % 40});
+  BccContext ctx(4);
+  BatchDynamicOptions opt;
+  opt.damage_threshold = 0.15;
+  BatchDynamicBcc dyn(ctx, g, opt);
+  expect_matches_static(dyn);
+
+  // One fallback batch splits A (bridge {2,3} is edge 6), joins B and
+  // C, and opens the cycle (edge 13 is {12,13}).  The engine skips id
+  // maintenance once it has decided to fall back, so everything below
+  // reads the reseeded ids.
+  const std::vector<eid> split{6, 13};
+  const Edge join{8, 9};
+  dyn.apply_batch({&join, 1}, split);
+  ASSERT_TRUE(dyn.last_batch().fell_back);
+  expect_matches_static(dyn);
+
+  // {0,4} now crosses components: a bridge, no search.  With A's stale
+  // single id it would be a same-component search that cannot meet.
+  const Edge cross{0, 4};
+  dyn.apply_batch({&cross, 1}, {});
+  ASSERT_FALSE(dyn.last_batch().fell_back);
+  expect_matches_static(dyn);
+
+  // {6,11} is now same-component: its path merges B, the bridge {8,9}
+  // and C into one block.  Stale ids would make it a lone bridge.
+  const Edge same{6, 11};
+  dyn.apply_batch({&same, 1}, {});
+  ASSERT_FALSE(dyn.last_batch().fell_back);
+  expect_matches_static(dyn);
+  ASSERT_EQ(dyn.result().edge_component[7],
+            dyn.result().edge_component[10]);
+
+  // {1,5} joins the halves of A again through the reseed-era union.
+  const Edge rejoin{1, 5};
+  dyn.apply_batch({&rejoin, 1}, {});
+  ASSERT_FALSE(dyn.last_batch().fell_back);
+  expect_matches_static(dyn);
+  ASSERT_EQ(dyn.fallbacks(), 1u);
+}
+
+TEST(BatchDynamic, DisconnectedBaseSeedsExactComponents) {
+  // Component ids come from SV's smallest-vertex-id roots: components
+  // whose smallest id is not 0, isolated vertices, and parallel edges.
+  const vid n = 60;
+  const EdgeList g(n, {{10, 11}, {11, 12}, {12, 13}, {13, 14}, {14, 10},
+                       {21, 22}, {20, 21}, {21, 20},
+                       {33, 31}, {31, 35}, {35, 33}, {35, 37},
+                       {40, 41}, {41, 42}, {42, 40}, {42, 43}, {43, 44},
+                       {44, 42}, {57, 58}, {58, 57}});
+  for (const int threads : {1, 4}) {
+    BccContext ctx(threads);
+    BatchDynamicOptions opt;
+    opt.damage_threshold = 1.0;
+    BatchDynamicBcc dyn(ctx, g, opt);
+    expect_matches_static(dyn);
+
+    // Cross-component insertions, one into an isolated vertex: each
+    // is a fresh bridge, spliced without any search.
+    const std::vector<Edge> cross{{12, 21}, {0, 44}, {37, 59}, {22, 58}};
+    const eid first = dyn.graph().m();
+    dyn.apply_batch(cross, {});
+    ASSERT_FALSE(dyn.last_batch().fell_back);
+    expect_matches_static(dyn);
+    for (eid e = first; e < first + cross.size(); ++e) {
+      ASSERT_TRUE(std::binary_search(dyn.result().bridges.begin(),
+                                     dyn.result().bridges.end(), e));
+    }
+
+    // Same-component insertions (two of them only through the joins
+    // above) merge the blocks along their paths.
+    const std::vector<Edge> same{{10, 22}, {31, 37}, {40, 44}, {0, 40}};
+    dyn.apply_batch(same, {});
+    ASSERT_FALSE(dyn.last_batch().fell_back);
+    expect_matches_static(dyn);
+    ASSERT_EQ(dyn.fallbacks(), 0u);
+  }
+}
+
 TEST(BatchDynamic, EmptyBatchIsIdentity) {
   BccContext ctx(1);
   BatchDynamicBcc dyn(ctx, gen::clique_chain(3, 4), {});

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
 #include <set>
+#include <string>
 #include <span>
 #include <thread>
 #include <vector>
@@ -332,6 +334,34 @@ TEST(Service, SnapshotMatchesStaticSolveAfterChurn) {
   for (vid v = 0; v < g.n; ++v) {
     ASSERT_EQ(snap->is_cut(v), fresh.is_cut(v));
   }
+}
+
+TEST(Service, BatchKeepsAdoptedMappingAlive) {
+  // Regression: apply_batch drops the context's conversion caches, and
+  // that used to unmap the adopted .pbg too, leaving every reference
+  // taken from ctx.mapped_graph() dangling after the first batch.
+  BccContext ctx(4);
+  io::map_prepared_graph(ctx,
+                         std::string(PARBCC_TEST_DATA_DIR) + "/road-grid.pbg");
+  const EdgeList* mapped = ctx.mapped_graph();
+  ASSERT_NE(mapped, nullptr);
+  const std::vector<Edge> before(mapped->edges.begin(), mapped->edges.end());
+  const BccResult solved = biconnected_components(ctx, *mapped);
+
+  BccService svc(ctx, *mapped);
+  const Edge chord{0, mapped->n - 1};
+  const eid victim = 0;
+  svc.apply_batch({&chord, 1}, {&victim, 1});
+  svc.apply_batch({}, {&victim, 1});
+
+  ASSERT_EQ(ctx.mapped_graph(), mapped);
+  ASSERT_TRUE(mapped->edges.is_borrowed());
+  ASSERT_TRUE(std::equal(before.begin(), before.end(), mapped->edges.begin(),
+                         mapped->edges.end()));
+  const BccResult again = biconnected_components(ctx, *mapped);
+  EXPECT_TRUE(testutil::same_partition(solved.edge_component,
+                                       again.edge_component));
+  EXPECT_EQ(svc.engine().graph().m(), before.size() - 1);
 }
 
 TEST(Service, ConcurrentReadersNeverBlockOnWriter) {
