@@ -10,8 +10,9 @@
 # fork-join scheduler itself, the arena-backed context-reuse sweep,
 # the batch-dynamic probe/splice/solve cycle, the hardened text and
 # binary readers, the zero-copy ingestion pipeline on the committed
-# fixtures, and the query server's epoch publication + TCP surface,
-# all at 12-way width under both loop-scheduling models).
+# fixtures, the query server's epoch publication + TCP surface, and
+# the post-labeling cut-info / block-cut-tree passes, all at 12-way
+# width under both loop-scheduling models).
 # Exits non-zero on the first failure.
 #
 #   ./ci.sh              # full gate
@@ -116,7 +117,8 @@ echo "==> tsan: build smoke set"
 cmake --build build-tsan -j "$JOBS" --target stress_test csr_test \
     workspace_test frontier_test trace_test concurrent_uf_test \
     auxgraph_test fastbcc_test scheduler_test batch_dynamic_test \
-    io_test server_test realgraph_test
+    io_test server_test realgraph_test articulation_test blockcut_test \
+    two_edge_connected_test
 
 echo "==> tsan: ctest -L sanitize-smoke"
 ctest --test-dir build-tsan -L sanitize-smoke --output-on-failure

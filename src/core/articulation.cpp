@@ -25,30 +25,50 @@ void annotate_cut_info(Executor& ex, Workspace& ws, const EdgeList& g,
     if (g.edges[e].u == g.edges[e].v) return;  // loops never articulate
     const vid label = result.edge_component[e];
     for (const vid v : {g.edges[e].u, g.edges[e].v}) {
-      vid expected = kNoVertex;
-      if (!std::atomic_ref(first_label[v])
-               .compare_exchange_strong(expected, label,
-                                        std::memory_order_acq_rel) &&
-          expected != label) {
-        std::atomic_ref(result.is_articulation[v])
-            .store(1, std::memory_order_relaxed);
+      std::atomic_ref first(first_label[v]);
+      vid seen = first.load(std::memory_order_relaxed);
+      if (seen == kNoVertex &&
+          first.compare_exchange_strong(seen, label,
+                                        std::memory_order_relaxed)) {
+        continue;
+      }
+      if (seen == label) continue;
+      std::atomic_ref art(result.is_articulation[v]);
+      if (art.load(std::memory_order_relaxed) == 0) {
+        art.store(1, std::memory_order_relaxed);
       }
     }
   });
 
-  // --- Bridges: components of size one. -------------------------------
-  std::span<eid> comp_size = ws.alloc<eid>(k);
-  ex.parallel_for(k, [&](std::size_t c) { comp_size[c] = 0; });
+  // --- Bridges: components holding exactly one edge. ------------------
+  // The first edge to reach a block claims its slot; any other edge
+  // marks the block multi-edged.
+  std::span<eid> first_edge = ws.alloc<eid>(k);
+  std::span<std::uint8_t> multi = ws.alloc<std::uint8_t>(k);
+  ex.parallel_for(k, [&](std::size_t c) {
+    first_edge[c] = kNoEdge;
+    multi[c] = 0;
+  });
   ex.parallel_for(m, [&](std::size_t e) {
-    std::atomic_ref(comp_size[result.edge_component[e]])
-        .fetch_add(1, std::memory_order_relaxed);
+    const vid c = result.edge_component[e];
+    std::atomic_ref first(first_edge[c]);
+    eid seen = first.load(std::memory_order_relaxed);
+    if (seen == kNoEdge &&
+        first.compare_exchange_strong(seen, static_cast<eid>(e),
+                                      std::memory_order_relaxed)) {
+      return;
+    }
+    std::atomic_ref many(multi[c]);
+    if (many.load(std::memory_order_relaxed) == 0) {
+      many.store(1, std::memory_order_relaxed);
+    }
   });
   result.bridges.resize(m);
   const std::size_t bridge_count = pack_into(
       ex, ws, m,
       [&](std::size_t e) {
         // A single-edge component that is not a self-loop is a bridge.
-        return comp_size[result.edge_component[e]] == 1 &&
+        return multi[result.edge_component[e]] == 0 &&
                g.edges[e].u != g.edges[e].v;
       },
       [&](std::size_t dst, std::size_t e) {

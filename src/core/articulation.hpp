@@ -20,8 +20,12 @@ namespace parbcc {
 
 /// Fill result.is_articulation and result.bridges from
 /// result.edge_component (labels must be contiguous in
-/// [0, num_components)).  First-label and component-size side arrays
-/// are Workspace scratch.
+/// [0, num_components)).  The per-vertex first-label and per-block
+/// first-edge / multi-edge side arrays are Workspace scratch.  Every
+/// shared slot is read before it is written and written only from its
+/// initial value, so each vertex and each block line is written at
+/// most twice however many edges meet there: no pass contends on a
+/// hot line, even when the whole graph is one block.
 void annotate_cut_info(Executor& ex, Workspace& ws, const EdgeList& g,
                        BccResult& result);
 void annotate_cut_info(Executor& ex, const EdgeList& g, BccResult& result);

@@ -55,10 +55,17 @@ BlockCutTree build_block_cut_tree(Executor& ex, const EdgeList& g,
 /// from a sparse batch-dynamic standing result) and one entry per
 /// edge; `is_articulation` one flag per vertex.  This is the overload
 /// the server's snapshot builder uses — it normalizes a private label
-/// copy and has no BccResult to hand over.
+/// copy and has no BccResult to hand over.  When `block_of` is given it
+/// receives, per vertex, the one block of a non-cut vertex with a
+/// non-loop edge and kNoVertex for every other vertex.
+///
+/// Cost: O(n + m) work plus a radix sort of one key per non-cut vertex
+/// and one per edge endpoint at a cut vertex (or self-loop), far fewer
+/// than 2m keys when cut vertices are few.
 BlockCutTree build_block_cut_tree(Executor& ex, const EdgeList& g,
                                   std::span<const vid> edge_component,
                                   vid num_components,
-                                  std::span<const std::uint8_t> is_articulation);
+                                  std::span<const std::uint8_t> is_articulation,
+                                  std::vector<vid>* block_of = nullptr);
 
 }  // namespace parbcc

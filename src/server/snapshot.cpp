@@ -6,7 +6,7 @@
 
 #include "connectivity/shiloach_vishkin.hpp"
 #include "core/block_cut_tree.hpp"
-#include "core/two_edge_connected.hpp"
+#include "scan/compact.hpp"
 
 namespace parbcc::server {
 
@@ -29,28 +29,33 @@ Snapshot::Snapshot(Executor& ex, const EdgeList& g, const BccResult& result,
   num_blocks_ = normalize_labels(labels_);
   is_cut_ = result.is_articulation;
 
-  TwoEdgeConnected tec = two_edge_connected_components(ex, g, result);
-  two_ec_ = std::move(tec.vertex_component);
-  num_two_ec_ = tec.num_components;
-
   BlockCutTree tree = build_block_cut_tree(ex, g, labels_, num_blocks_,
-                                           is_cut_);
+                                           is_cut_, &block_of_);
   num_cuts_ = tree.num_cut_nodes;
   cut_node_of_ = std::move(tree.cut_node_of);
-
-  // A non-cut vertex with any incident edge lies in exactly one block.
-  block_of_.assign(n_, kNoVertex);
-  for (vid b = 0; b < num_blocks_; ++b) {
-    for (const vid v : tree.vertices_of_block(b)) {
-      if (cut_node_of_[v] == kNoVertex) block_of_[v] = b;
-    }
-  }
 
   // Root the block-cut forest at block nodes.  Every component of the
   // forest contains a block (a lone cut node is impossible: a cut
   // vertex lies in >= 2 blocks), so seeding BFS from blocks reaches
   // every node, and depth parity encodes node type from then on.
+  //
+  // The same top-down walk numbers the 2-edge-connected components.
+  // Deleting the bridges leaves the non-bridge blocks glued at shared
+  // cut vertices, so a non-bridge block joins its parent cut node's
+  // component and a cut node joins its parent block's unless that block
+  // is a bridge (or it is a root); every other node opens a new id.
+  // Bridge blocks themselves get no id: no vertex takes it.
+  std::vector<std::uint8_t> bridge_block(num_blocks_, 0);
+  for (const eid e : result.bridges) bridge_block[labels_[e]] = 1;
   const vid num_nodes = num_blocks_ + num_cuts_;
+  std::vector<vid> node_two_ec(num_nodes, kNoVertex);
+  vid next_two_ec = 0;
+  const auto take_two_ec = [&](vid x, vid from) {
+    if (x < num_blocks_ && bridge_block[x]) return;
+    node_two_ec[x] = from != kNoVertex && node_two_ec[from] != kNoVertex
+                         ? node_two_ec[from]
+                         : next_two_ec++;
+  };
   std::vector<eid> off(num_nodes + 1, 0);
   for (const Edge& e : tree.edges) {
     ++off[e.u + 1];
@@ -74,6 +79,7 @@ Snapshot::Snapshot(Executor& ex, const EdgeList& g, const BccResult& result,
   for (vid r = 0; r < num_blocks_; ++r) {
     if (root_[r] != kNoVertex) continue;
     root_[r] = r;
+    take_two_ec(r, kNoVertex);
     const std::size_t tail = order.size();
     order.push_back(r);
     for (std::size_t head = tail; head < order.size(); ++head) {
@@ -85,10 +91,31 @@ Snapshot::Snapshot(Executor& ex, const EdgeList& g, const BccResult& result,
         parent_[y] = x;
         depth_[y] = depth_[x] + 1;
         max_depth = std::max(max_depth, depth_[y]);
+        take_two_ec(y, x);
         order.push_back(y);
       }
     }
   }
+
+  // A vertex takes its node's component; a vertex whose node has none
+  // (isolated, or the non-cut end of a bridge) is a component alone.
+  two_ec_.resize(n_);
+  const std::size_t alone = pack_into(
+      ex, n_,
+      [&](std::size_t v) {
+        const vid x = node_of(static_cast<vid>(v));
+        return x == kNoVertex || node_two_ec[x] == kNoVertex;
+      },
+      [&](std::size_t dst, std::size_t v) {
+        two_ec_[v] = next_two_ec + static_cast<vid>(dst);
+      });
+  ex.parallel_for(n_, [&](std::size_t v) {
+    const vid x = node_of(static_cast<vid>(v));
+    if (x != kNoVertex && node_two_ec[x] != kNoVertex) {
+      two_ec_[v] = node_two_ec[x];
+    }
+  });
+  num_two_ec_ = next_two_ec + static_cast<vid>(alone);
 
   // Binary lifting over the rooted forest for O(log n) LCA.
   levels_ = 1;

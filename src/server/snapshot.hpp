@@ -44,9 +44,13 @@
 /// even depth, cut vertices at odd depth, and "u and v lie in one
 /// block" collapses to at most three parent-pointer comparisons.
 ///
-/// Construction is O((n + m) log n) work (dominated by the block-cut
-/// tree's incidence sort and the lifting table) — this is the
-/// "snapshot refresh cost" the server bench measures per epoch.
+/// Construction — the "snapshot refresh cost" the server bench measures
+/// per epoch — is O(n + m) work for the label copy and the block-cut
+/// tree's edge pass, plus a radix sort of one key per non-cut vertex
+/// and per edge endpoint at a cut vertex (not all 2m endpoints), plus
+/// O(N log N) for the lifting table over the N = blocks + cut vertices
+/// forest nodes.  The 2-edge-connected ids fall out of the forest walk
+/// that roots the tree, with no connectivity pass over the edges.
 
 namespace parbcc::server {
 

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "connectivity/union_find.hpp"
 #include "core/augmentation.hpp"
@@ -96,6 +99,98 @@ TEST(BlockCutTree, RequiresCutInfo) {
   opt.compute_cut_info = false;
   const BccResult r = biconnected_components(ex, g, opt);
   EXPECT_THROW(build_block_cut_tree(ex, g, r), std::invalid_argument);
+}
+
+/// The tree as the definition states it: sort every (block, endpoint)
+/// incidence, deduplicate, and walk the runs.  This is the 2m-key
+/// construction the library used before it sorted only the keys that
+/// need one, so equality pins the arrays byte for byte.
+BlockCutTree sort_all_incidences(const EdgeList& g, const BccResult& r) {
+  BlockCutTree tree;
+  tree.num_blocks = r.num_components;
+  tree.cut_node_of.assign(g.n, kNoVertex);
+  for (vid v = 0; v < g.n; ++v) {
+    if (r.is_articulation[v]) {
+      tree.cut_node_of[v] = static_cast<vid>(tree.cut_vertex.size());
+      tree.cut_vertex.push_back(v);
+    }
+  }
+  tree.num_cut_nodes = static_cast<vid>(tree.cut_vertex.size());
+  std::set<std::pair<vid, vid>> incidences;
+  for (eid e = 0; e < g.m(); ++e) {
+    incidences.insert({r.edge_component[e], g.edges[e].u});
+    incidences.insert({r.edge_component[e], g.edges[e].v});
+  }
+  tree.block_offsets.assign(tree.num_blocks + 1, 0);
+  tree.cut_degree_.assign(tree.num_blocks, 0);
+  for (const auto& [block, v] : incidences) {
+    ++tree.block_offsets[block + 1];
+    tree.block_vertices.push_back(v);
+    if (tree.cut_node_of[v] != kNoVertex) {
+      tree.edges.push_back({block, tree.num_blocks + tree.cut_node_of[v]});
+      ++tree.cut_degree_[block];
+    }
+  }
+  for (vid b = 0; b < tree.num_blocks; ++b) {
+    tree.block_offsets[b + 1] += tree.block_offsets[b];
+  }
+  return tree;
+}
+
+void expect_same_tree(const BlockCutTree& got, const BlockCutTree& want) {
+  EXPECT_EQ(got.num_blocks, want.num_blocks);
+  EXPECT_EQ(got.num_cut_nodes, want.num_cut_nodes);
+  EXPECT_EQ(got.cut_vertex, want.cut_vertex);
+  EXPECT_EQ(got.cut_node_of, want.cut_node_of);
+  ASSERT_EQ(got.edges.size(), want.edges.size());
+  for (std::size_t i = 0; i < got.edges.size(); ++i) {
+    EXPECT_EQ(got.edges[i].u, want.edges[i].u) << "tree edge " << i;
+    EXPECT_EQ(got.edges[i].v, want.edges[i].v) << "tree edge " << i;
+  }
+  EXPECT_EQ(got.block_offsets, want.block_offsets);
+  EXPECT_EQ(got.block_vertices, want.block_vertices);
+  EXPECT_EQ(got.cut_degree_, want.cut_degree_);
+}
+
+TEST(BlockCutTree, MatchesFullIncidenceSortAtEveryWidth) {
+  const std::vector<EdgeList> graphs = {
+      gen::clique_chain(5, 4),
+      gen::star(12),
+      gen::barbell(5, 4),
+      gen::random_connected_gnm(3000, 3750, 2),
+      gen::random_gnm(2000, 2600, 3),
+      gen::random_connected_gnm(1500, 30000, 4),
+      gen::random_cactus(60, 7, 5),
+      // Loops (each its own block), a doubled edge and isolated vertices.
+      EdgeList(9, {{0, 0}, {0, 1}, {1, 2}, {2, 0}, {2, 2}, {3, 4}, {4, 3},
+                   {4, 5}, {7, 7}}),
+      EdgeList(3, {}),
+  };
+  for (const EdgeList& g : graphs) {
+    Executor ex1(1);
+    const BccResult r = solve(ex1, g);
+    const BlockCutTree want = sort_all_incidences(g, r);
+    for (const int p : {1, 4, 12}) {
+      SCOPED_TRACE("n=" + std::to_string(g.n) + " p=" + std::to_string(p));
+      Executor ex(p);
+      expect_same_tree(build_block_cut_tree(ex, g, r), want);
+      // block_of: the one block of each non-cut vertex with a non-loop
+      // edge.
+      std::vector<vid> block_of;
+      build_block_cut_tree(ex, g, r.edge_component, r.num_components,
+                           r.is_articulation, &block_of);
+      ASSERT_EQ(block_of.size(), g.n);
+      std::vector<vid> want_block(g.n, kNoVertex);
+      for (eid e = 0; e < g.m(); ++e) {
+        for (const vid v : {g.edges[e].u, g.edges[e].v}) {
+          if (g.edges[e].u != g.edges[e].v && !r.is_articulation[v]) {
+            want_block[v] = r.edge_component[e];
+          }
+        }
+      }
+      EXPECT_EQ(block_of, want_block);
+    }
+  }
 }
 
 void expect_biconnected_after_augmentation(Executor& ex, EdgeList g) {

@@ -17,6 +17,8 @@
 
 #include "core/bcc.hpp"
 #include "core/bcc_context.hpp"
+#include "core/two_edge_connected.hpp"
+#include "graph/text_parse.hpp"
 #include "graph/generators.hpp"
 #include "server/client.hpp"
 #include "server/protocol.hpp"
@@ -244,6 +246,91 @@ TEST(Snapshot, PathArticulationMatchesRemovalOracle) {
   for (std::uint64_t seed = 0; seed < 3; ++seed) {
     expect_path_articulation_matches(ctx, gen::random_gnm(40, 55, seed));
   }
+}
+
+/// Snapshot 2ECC against two_edge_connected_components (bridge deletion
+/// plus a connectivity pass), as partitions: every oracle class must lie
+/// inside one snapshot class, and with equal class counts that makes the
+/// partitions equal.  No brute force, so it scales past oracle_two_ec.
+void expect_two_edge_matches_connectivity(BccContext& ctx, const EdgeList& g) {
+  BccOptions opt;
+  opt.compute_cut_info = true;
+  const BccResult result = biconnected_components(ctx, g, opt);
+  const Snapshot snap(ctx.executor(), g, result, 0);
+  const TwoEdgeConnected tec =
+      two_edge_connected_components(ctx.executor(), g, result);
+  ASSERT_EQ(snap.num_two_edge_components(), tec.num_components);
+  std::vector<vid> first(tec.num_components, kNoVertex);
+  for (vid v = 0; v < g.n; ++v) {
+    vid& rep = first[tec.vertex_component[v]];
+    if (rep == kNoVertex) rep = v;
+    ASSERT_TRUE(snap.same_two_edge(v, rep)) << "vertex " << v;
+  }
+  for (eid e = 0; e < g.m(); ++e) {
+    const vid u = g.edges[e].u;
+    const vid v = g.edges[e].v;
+    EXPECT_EQ(snap.same_two_edge(u, v),
+              tec.vertex_component[u] == tec.vertex_component[v])
+        << "edge " << e;
+  }
+}
+
+TEST(Snapshot, TwoEdgeMatchesConnectivityOnFixtures) {
+  BccContext ctx(4);
+  for (const char* name : {"clique-chain", "road-grid", "social-comm",
+                           "web-pa"}) {
+    SCOPED_TRACE(name);
+    const EdgeList g = io::read_text_graph(
+        ctx.executor(),
+        std::string(PARBCC_TEST_DATA_DIR) + "/" + name + ".txt");
+    expect_two_edge_matches_connectivity(ctx, g);
+  }
+}
+
+/// `cycles` cycles of `len` vertices, consecutive ones joined by a
+/// bridge, with a pendant path of `tail` vertices off every cycle.
+EdgeList bridge_chain(vid cycles, vid len, vid tail) {
+  EdgeList g((len + tail) * cycles, {});
+  for (vid c = 0; c < cycles; ++c) {
+    const vid base = c * (len + tail);
+    for (vid i = 0; i < len; ++i) {
+      g.edges.push_back({base + i, base + (i + 1) % len});
+    }
+    for (vid i = 0; i < tail; ++i) {
+      g.edges.push_back({base + (i == 0 ? 1 : len + i - 1), base + len + i});
+    }
+    if (c + 1 < cycles) g.edges.push_back({base, base + len + tail});
+  }
+  return g;
+}
+
+/// Double every `stride`-th edge: a doubled bridge stops being one.
+EdgeList with_parallel_edges(EdgeList g, eid stride) {
+  const eid m = g.m();
+  for (eid e = 0; e < m; e += stride) g.edges.push_back(g.edges[e]);
+  return g;
+}
+
+TEST(Snapshot, TwoEdgeMatchesConnectivityOnBridgeFamilies) {
+  BccContext ctx(4);
+  expect_two_edge_matches_connectivity(ctx, gen::path(2000));
+  expect_two_edge_matches_connectivity(ctx, gen::binary_tree(3000));
+  expect_two_edge_matches_connectivity(ctx, gen::barbell(8, 300));
+  expect_two_edge_matches_connectivity(ctx, bridge_chain(200, 6, 4));
+  expect_two_edge_matches_connectivity(
+      ctx, with_parallel_edges(bridge_chain(150, 5, 3), 3));
+  expect_two_edge_matches_connectivity(
+      ctx, with_parallel_edges(gen::binary_tree(1000), 2));
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    expect_two_edge_matches_connectivity(
+        ctx, gen::random_connected_gnm(5000, 6250, seed));
+    expect_two_edge_matches_connectivity(
+        ctx, with_parallel_edges(gen::random_connected_gnm(3000, 3600, seed),
+                                 7));
+  }
+  // Isolated vertices beside the blocks.
+  expect_two_edge_matches_connectivity(
+      ctx, EdgeList(8, {{0, 1}, {1, 2}, {2, 0}, {2, 3}, {5, 6}}));
 }
 
 TEST(Service, PublishesEpochsInOrder) {

@@ -80,13 +80,15 @@ class TeccParam : public ::testing::TestWithParam<int> {};
 
 TEST_P(TeccParam, MatchesBruteForceOnRandomGraphs) {
   const int seed = GetParam();
-  Executor ex(3);
   const EdgeList g = gen::random_gnm(120, 160, seed);
-  const TwoEdgeConnected r = two_edge_connected_components(ex, g);
-  auto got = r.vertex_component;
-  normalize_labels(got);
   const auto expect = brute_force_tecc(g);
-  EXPECT_TRUE(testutil::same_partition(got, expect));
+  for (const int p : {3, 12}) {
+    Executor ex(p);
+    const TwoEdgeConnected r = two_edge_connected_components(ex, g);
+    auto got = r.vertex_component;
+    normalize_labels(got);
+    EXPECT_TRUE(testutil::same_partition(got, expect)) << "p=" << p;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, TeccParam, ::testing::Range(0, 10));
