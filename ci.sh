@@ -95,13 +95,20 @@ PARBCC_N=20000 PARBCC_REPS=1 ./build/bench/bench_io \
     --trace-out=build/trace_io_smoke.json >/dev/null
 python3 tools/validate_trace.py build/trace_io_smoke.json
 
-# End-to-end converter path on a committed fixture: text -> .pbg with
-# the deep verify pass, then solve the file both ways and diff the
-# invariant rows (the sed strips pbgstat's name column, so identical
-# invariants collapse to one row under uniq).
-echo "==> io smoke: edgelist2pbg -> mmap-solve vs text-solve diff"
-./build/tools/edgelist2pbg --format snap --verify \
-    tests/data/social-comm.txt build/ci_social-comm.pbg >/dev/null
+# End-to-end converter path on the committed fixtures: text -> .pbg
+# with the deep verify pass must reproduce each committed .pbg byte for
+# byte (the SNAP densify order is part of the file), then solve one
+# file both ways and diff the invariant rows (the sed strips pbgstat's
+# name column, so identical invariants collapse to one row under uniq).
+echo "==> io smoke: edgelist2pbg byte identity + mmap-solve vs text-solve diff"
+for name in clique-chain road-grid social-comm web-pa; do
+  ./build/tools/edgelist2pbg --format snap --verify \
+      "tests/data/$name.txt" "build/ci_$name.pbg" >/dev/null
+  if ! cmp "build/ci_$name.pbg" "tests/data/$name.pbg"; then
+    echo "io smoke: $name.txt no longer converts to the committed .pbg" >&2
+    exit 1
+  fi
+done
 ./build/tools/pbgstat --tsv tests/data/social-comm.txt \
     build/ci_social-comm.pbg > build/ci_io_stat.tsv
 if [[ "$(tail -n +2 build/ci_io_stat.tsv | sed 's/[^\t]*\t//' | uniq | wc -l)" != 1 ]]; then

@@ -1,14 +1,23 @@
 #include "graph/text_parse.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
-#include <fstream>
+#include <cstring>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "graph/io.hpp"
-#include "util/padded.hpp"
+#include "scan/compact.hpp"
+#include "sort/radix_sort.hpp"
+#include "util/workspace.hpp"
 
 namespace parbcc::io {
 
@@ -156,6 +165,42 @@ bool header_line(std::string_view text, std::size_t& start,
   return false;
 }
 
+/// The whole of `path` in one buffer: open / fstat / read until EOF
+/// (so pipes work too), retrying EINTR.  Every failure — including a
+/// read error such as EISDIR — throws naming the path.
+std::string read_file(const std::string& path) {
+  struct FdGuard {
+    int fd = -1;
+    ~FdGuard() {
+      if (fd >= 0) ::close(fd);
+    }
+  } file;
+  const auto fail = [&](const char* what) {
+    const int err = errno;
+    throw std::runtime_error(std::string(what) + " " + path + ": " +
+                             std::strerror(err));
+  };
+  file.fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (file.fd < 0) fail("cannot open");
+  struct stat st{};
+  if (::fstat(file.fd, &st) != 0) fail("cannot read");
+  // One spare byte, so a regular file's EOF read needs no growth.
+  std::string text(static_cast<std::size_t>(st.st_size) + 1, '\0');
+  std::size_t len = 0;
+  for (;;) {
+    if (len == text.size()) text.resize(2 * text.size());
+    const ssize_t got = ::read(file.fd, text.data() + len, text.size() - len);
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      fail("cannot read");
+    }
+    if (got == 0) break;
+    len += static_cast<std::size_t>(got);
+  }
+  text.resize(len);
+  return text;
+}
+
 }  // namespace
 
 EdgeList parse_edge_list(Executor& ex, std::string_view text) {
@@ -290,7 +335,7 @@ EdgeList parse_dimacs(Executor& ex, std::string_view text) {
   return g;
 }
 
-EdgeList parse_snap(Executor& ex, std::string_view text) {
+EdgeList parse_snap(Executor& ex, std::string_view text, Trace* trace) {
   struct RawEdge {
     std::uint64_t u;
     std::uint64_t v;
@@ -310,70 +355,109 @@ EdgeList parse_snap(Executor& ex, std::string_view text) {
       },
       "snap");
 
-  // Densify: sorted unique ids become [0, n).  The id table and the
-  // packed dedupe sort are the whole cost of accepting arbitrary ids.
-  std::size_t total = 0;
-  for (const auto& part : parts) total += part.size();
+  // Densify: sorted unique ids become [0, n).  Endpoint 2e / 2e + 1 is
+  // edge e's u / v; the cap keeps every endpoint position in a u32.
+  TraceSpan densify_span(trace, "io_densify");
+  std::vector<std::size_t> offset(parts.size() + 1, 0);
+  for (std::size_t c = 0; c < parts.size(); ++c) {
+    offset[c + 1] = offset[c] + parts[c].size();
+  }
+  const std::size_t total = offset.back();
   if (total > kMaxEdges) {
     throw std::runtime_error("snap: edge count " + std::to_string(total) +
                              " exceeds 2^31 - 1");
   }
-  std::vector<std::uint64_t> ids;
-  ids.reserve(2 * total);
-  for (const auto& part : parts) {
-    for (const RawEdge& e : part) {
-      ids.push_back(e.u);
-      ids.push_back(e.v);
+  const std::size_t ends = 2 * total;
+  Workspace ws;
+  std::span<vid> dense = ws.alloc<vid>(ends);
+  vid n = 0;
+  {
+    Workspace::Frame frame(ws);
+    std::span<std::uint64_t> ids = ws.alloc<std::uint64_t>(ends);
+    std::span<std::uint32_t> at = ws.alloc<std::uint32_t>(ends);
+    ex.parallel_for(0, parts.size(), 1, [&](std::size_t c) {
+      std::size_t k = 2 * offset[c];
+      for (const RawEdge& e : parts[c]) {
+        ids[k] = e.u;
+        at[k] = static_cast<std::uint32_t>(k);
+        ids[k + 1] = e.v;
+        at[k + 1] = static_cast<std::uint32_t>(k + 1);
+        k += 2;
+      }
+    });
+    parts = {};
+    // Sort (id, position) pairs; each run of equal ids is one vertex,
+    // ranked by counting run heads (per block, scanned, then written
+    // through the carried position).
+    radix_sort_kv(ex, ws, ids, at);
+    const auto head = [&](std::size_t i) {
+      return i == 0 || ids[i] != ids[i - 1];
+    };
+    std::vector<std::size_t> base(static_cast<std::size_t>(ex.threads()), 0);
+    ex.parallel_blocks(ends, [&](int tid, std::size_t b, std::size_t e) {
+      std::size_t heads = 0;
+      for (std::size_t i = b; i < e; ++i) heads += head(i) ? 1 : 0;
+      base[static_cast<std::size_t>(tid)] = heads;
+    });
+    std::size_t distinct = 0;
+    for (std::size_t& b : base) distinct += std::exchange(b, distinct);
+    if (distinct > kMaxVertices) {
+      throw std::runtime_error("snap: distinct id count " +
+                               std::to_string(distinct) +
+                               " exceeds the 32-bit id space");
     }
+    ex.parallel_blocks(ends, [&](int tid, std::size_t b, std::size_t e) {
+      std::size_t rank = base[static_cast<std::size_t>(tid)];
+      for (std::size_t i = b; i < e; ++i) {
+        rank += head(i) ? 1 : 0;
+        dense[at[i]] = static_cast<vid>(rank - 1);
+      }
+    });
+    n = static_cast<vid>(distinct);
   }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  if (ids.size() > kMaxVertices) {
-    throw std::runtime_error("snap: distinct id count " +
-                             std::to_string(ids.size()) +
-                             " exceeds the 32-bit id space");
-  }
-  const vid n = static_cast<vid>(ids.size());
-  const auto remap = [&](std::uint64_t raw) {
-    return static_cast<vid>(
-        std::lower_bound(ids.begin(), ids.end(), raw) - ids.begin());
-  };
 
-  // Canonicalize each arc as (min, max), drop loops, dedupe: SNAP arc
-  // lists carry both directions of an undirected edge.
-  std::vector<std::uint64_t> packed;
-  packed.reserve(total);
-  for (const auto& part : parts) {
-    for (const RawEdge& e : part) {
-      const vid u = remap(e.u);
-      const vid v = remap(e.v);
-      if (u == v) continue;
-      const vid lo = std::min(u, v);
-      const vid hi = std::max(u, v);
-      packed.push_back((static_cast<std::uint64_t>(lo) << 32) | hi);
-    }
-  }
-  std::sort(packed.begin(), packed.end());
-  packed.erase(std::unique(packed.begin(), packed.end()), packed.end());
+  // Canonicalize each arc as lo * n + hi (the (lo, hi) order), send
+  // loops past every such key, sort, and keep the first copy of each
+  // non-loop key: SNAP arc lists carry both directions of an
+  // undirected edge.  n <= 2^32 - 2, so n * n fits in 64 bits.
+  const std::uint64_t n64 = n;
+  const std::uint64_t loop_key = n64 * n64;
+  std::vector<std::uint64_t> keys(total);
+  ex.parallel_for(total, [&](std::size_t e) {
+    const vid u = dense[2 * e];
+    const vid v = dense[2 * e + 1];
+    keys[e] = u == v ? loop_key
+                     : std::uint64_t{std::min(u, v)} * n64 + std::max(u, v);
+  });
+  radix_sort_u64(ex, ws, keys);
+  std::vector<Edge> edges(total);
+  const std::size_t m = pack_into(
+      ex, ws, total,
+      [&](std::size_t i) {
+        return keys[i] != loop_key && (i == 0 || keys[i] != keys[i - 1]);
+      },
+      [&](std::size_t dst, std::size_t i) {
+        edges[dst] = {static_cast<vid>(keys[i] / n64),
+                      static_cast<vid>(keys[i] % n64)};
+      });
+  edges.resize(m);
+  edges.shrink_to_fit();
 
   EdgeList g;
   g.n = n;
-  std::vector<Edge> edges(packed.size());
-  ex.parallel_for(packed.size(), [&](std::size_t i) {
-    edges[i] = {static_cast<vid>(packed[i] >> 32),
-                static_cast<vid>(packed[i])};
-  });
   g.edges = EdgeStore(std::move(edges));
   return g;
 }
 
 EdgeList read_text_graph(Executor& ex, const std::string& path,
-                         TextFormat format) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = std::move(buf).str();
+                         TextFormat format, Trace* trace) {
+  TraceSpan read_span(trace, "io_read");
+  const std::string text = read_file(path);
+  read_span.close();
+  if (trace != nullptr) {
+    trace->counter("io_text_bytes", static_cast<double>(text.size()));
+  }
+  TraceSpan parse_span(trace, "io_parse");
 
   if (format == TextFormat::kAuto) {
     // DIMACS announces itself with c/p lines; a '#'-commented file
@@ -401,7 +485,7 @@ EdgeList read_text_graph(Executor& ex, const std::string& path,
     case TextFormat::kDimacs:
       return parse_dimacs(ex, text);
     case TextFormat::kSnap:
-      return parse_snap(ex, text);
+      return parse_snap(ex, text, trace);
     case TextFormat::kMetis: {
       std::istringstream stream(text);
       return read_metis(stream);

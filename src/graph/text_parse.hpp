@@ -5,6 +5,7 @@
 
 #include "graph/edge_list.hpp"
 #include "util/thread_pool.hpp"
+#include "util/trace.hpp"
 
 /// \file text_parse.hpp
 /// Chunked parallel parsing of text graph formats.
@@ -17,6 +18,15 @@
 /// integer scanner, and concatenate the buffers with a prefix-summed
 /// parallel copy, so edge order (and therefore edge ids) still matches
 /// the serial reader line for line.
+///
+/// SNAP input adds a densify and a dedupe, both sort-based and
+/// parallel: a radix sort of (raw id, endpoint position) pairs whose
+/// run heads are counted per block and prefix-summed into dense ids,
+/// then a radix sort of one (lo, hi) key per edge whose first copies
+/// are packed into the result.  Each is a few linear passes (the
+/// radix passes stop at the highest live byte): on a 1.2M-line,
+/// 150k-id file they take ~0.08 s at p = 4 and ~0.25 s at p = 1
+/// (4-vCPU Xeon), next to a 0.02 s / 0.07 s line parse.
 ///
 /// Inputs stay untrusted: the same caps the serial readers enforce
 /// (n/m within the 32-bit id space, endpoints < n, no oversized
@@ -47,12 +57,24 @@ EdgeList parse_dimacs(Executor& ex, std::string_view text);
 /// sparse, possibly 64-bit) ids densified by sorted order, one
 /// direction kept per undirected pair (SNAP ships directed arc lists;
 /// keeping both directions would double every edge and erase every
-/// bridge), self-loops dropped.  The result is a simple graph.
-EdgeList parse_snap(Executor& ex, std::string_view text);
+/// bridge), self-loops dropped.  The result is a simple graph with
+/// edges in ascending (lo, hi) order.  An id seen only in self-loops
+/// still gets a vertex.  Beyond the line parse, cost is two parallel
+/// radix sorts (2m endpoint pairs, then m edge keys of
+/// ceil(log2 n^2) bits) plus linear rank and pack passes; no
+/// comparison sort or binary search.  `trace` (orchestrator-only)
+/// receives an io_densify span covering densify and dedupe.
+EdgeList parse_snap(Executor& ex, std::string_view text,
+                    Trace* trace = nullptr);
 
 /// Read `path` and parse as `format` (kAuto sniffs).  Throws
-/// std::runtime_error on unreadable files and malformed input.
+/// std::runtime_error on unreadable files ("cannot open <path>: ..."
+/// / "cannot read <path>: ...", e.g. a directory) and malformed input.
+/// `trace` (orchestrator-only, like MapOptions::trace) receives
+/// io_read and io_parse spans, io_parse enclosing parse_snap's
+/// io_densify, and an io_text_bytes counter.
 EdgeList read_text_graph(Executor& ex, const std::string& path,
-                         TextFormat format = TextFormat::kAuto);
+                         TextFormat format = TextFormat::kAuto,
+                         Trace* trace = nullptr);
 
 }  // namespace parbcc::io

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <random>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +17,7 @@
 #include "graph/io.hpp"
 #include "graph/io_binary.hpp"
 #include "graph/text_parse.hpp"
+#include "util/trace.hpp"
 #include "test_util.hpp"
 
 namespace parbcc {
@@ -258,6 +260,183 @@ TEST(ParallelParse, ManyChunksPreserveOrder) {
     ASSERT_EQ(parsed.edges[e].u, e);
     ASSERT_EQ(parsed.edges[e].v, e + 1);
   }
+}
+
+/// The serial densify and dedupe parse_snap used before its sort-based
+/// parallel pipeline, kept as the oracle: sorted unique raw ids become
+/// [0, n) by binary search, then canonical (lo, hi) arcs minus loops
+/// are sorted and deduplicated.
+EdgeList serial_snap_oracle(
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& raw) {
+  std::vector<std::uint64_t> ids;
+  ids.reserve(2 * raw.size());
+  for (const auto& [u, v] : raw) {
+    ids.push_back(u);
+    ids.push_back(v);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  const auto remap = [&](std::uint64_t id) {
+    return static_cast<vid>(std::lower_bound(ids.begin(), ids.end(), id) -
+                            ids.begin());
+  };
+  std::vector<std::uint64_t> packed;
+  packed.reserve(raw.size());
+  for (const auto& [ru, rv] : raw) {
+    const vid u = remap(ru);
+    const vid v = remap(rv);
+    if (u == v) continue;
+    packed.push_back((std::uint64_t{std::min(u, v)} << 32) | std::max(u, v));
+  }
+  std::sort(packed.begin(), packed.end());
+  packed.erase(std::unique(packed.begin(), packed.end()), packed.end());
+  std::vector<Edge> edges;
+  edges.reserve(packed.size());
+  for (const std::uint64_t k : packed) {
+    edges.push_back({static_cast<vid>(k >> 32), static_cast<vid>(k)});
+  }
+  return EdgeList(static_cast<vid>(ids.size()), std::move(edges));
+}
+
+TEST(ParallelParse, SnapDensifyMatchesSerialOracle) {
+  // ~60k lines: every thread gets several chunks and both radix sorts
+  // run their parallel passes.  Ids span all 8 bytes; arcs repeat in
+  // both directions; loops (one id appears only in a loop) and
+  // comments, CRLF endings and a weight column are mixed in.
+  std::mt19937_64 rng(20230101);
+  std::vector<std::uint64_t> pool = {0, 1, ~std::uint64_t{0},
+                                     std::uint64_t{1} << 56,
+                                     (std::uint64_t{1} << 63) + 5};
+  while (pool.size() < 6000) {
+    const int bytes = static_cast<int>(rng() % 8) + 1;
+    pool.push_back(rng() >> (64 - 8 * bytes));
+  }
+  const std::uint64_t loop_only = (std::uint64_t{1} << 60) + 12345;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> raw;
+  std::string text = "# SNAP-style header\n# Nodes: ? Edges: ?\n";
+  const auto emit = [&](std::uint64_t u, std::uint64_t v) {
+    raw.push_back({u, v});
+    text += std::to_string(u) + '\t' + std::to_string(v);
+    switch (raw.size() % 7) {
+      case 0:
+        text += "\r\n";
+        break;
+      case 1:
+        text += "\t3.25\n";  // weight column
+        break;
+      case 2:
+        text += " 17\r\n";
+        break;
+      default:
+        text += '\n';
+    }
+    if (raw.size() % 997 == 0) text += "# interleaved comment\n";
+  };
+  while (raw.size() < 60000) {
+    const std::uint64_t r = rng() % 20;
+    if (r == 0 && !raw.empty()) {
+      const auto [u, v] = raw[rng() % raw.size()];
+      emit(v, u);  // the reverse arc
+    } else if (r == 1 && !raw.empty()) {
+      const auto [u, v] = raw[rng() % raw.size()];
+      emit(u, v);  // an exact repeat
+    } else if (r == 2) {
+      const std::uint64_t u = pool[rng() % pool.size()];
+      emit(u, u);
+    } else {
+      // Skew toward a few hubs so runs of equal ids cross blocks.
+      const std::size_t hub = rng() % 4 == 0 ? rng() % 8 : rng() % pool.size();
+      emit(pool[hub], pool[rng() % pool.size()]);
+    }
+  }
+  emit(loop_only, loop_only);
+
+  const EdgeList want = serial_snap_oracle(raw);
+  ASSERT_GT(want.n, 5000u);
+  ASSERT_LT(want.m(), raw.size());  // duplicates and loops were dropped
+  for (const int p : {1, 4, 12}) {
+    Executor ex(p);
+    const EdgeList got = io::parse_snap(ex, text);
+    ASSERT_EQ(got.n, want.n) << "p=" << p;
+    ASSERT_EQ(got.m(), want.m()) << "p=" << p;
+    for (eid e = 0; e < want.m(); ++e) {
+      ASSERT_EQ(got.edges[e].u, want.edges[e].u) << "p=" << p << " e=" << e;
+      ASSERT_EQ(got.edges[e].v, want.edges[e].v) << "p=" << p << " e=" << e;
+    }
+  }
+}
+
+constexpr io::TextFormat kAllFormats[] = {
+    io::TextFormat::kAuto, io::TextFormat::kEdgeList, io::TextFormat::kDimacs,
+    io::TextFormat::kSnap, io::TextFormat::kMetis};
+
+TEST(ReadTextGraph, DirectoryPathThrowsForEveryFormat) {
+  Executor ex(2);
+  const std::string dir = ::testing::TempDir();
+  for (const io::TextFormat format : kAllFormats) {
+    try {
+      io::read_text_graph(ex, dir, format);
+      FAIL() << "directory accepted, format " << static_cast<int>(format);
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("cannot read " + dir),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(io::read_text_graph(ex, dir + "no-such-file.txt"),
+               std::runtime_error);
+}
+
+TEST(ReadTextGraph, EmptyFileParsesAsEmptyText) {
+  Executor ex(2);
+  const std::string path = ::testing::TempDir() + "empty.txt";
+  { std::ofstream out(path, std::ios::binary | std::ios::trunc); }
+  for (const io::TextFormat format :
+       {io::TextFormat::kAuto, io::TextFormat::kSnap}) {
+    const EdgeList g = io::read_text_graph(ex, path, format);
+    EXPECT_EQ(g.n, 0u);
+    EXPECT_EQ(g.m(), 0u);
+  }
+  EXPECT_THROW(io::read_text_graph(ex, path, io::TextFormat::kEdgeList),
+               std::runtime_error);
+  EXPECT_THROW(io::read_text_graph(ex, path, io::TextFormat::kDimacs),
+               std::runtime_error);
+  EXPECT_THROW(io::read_text_graph(ex, path, io::TextFormat::kMetis),
+               std::runtime_error);
+}
+
+TEST(ReadTextGraph, TraceSpansNestUnderTheCaller) {
+  const std::string path = ::testing::TempDir() + "traced.txt";
+  std::string text = "# traced\n";
+  for (int i = 0; i < 5000; ++i) {
+    text += std::to_string(1000 + i) + ' ' +
+            std::to_string(1000 + (i * 7) % 5000) + '\n';
+  }
+  { std::ofstream(path, std::ios::binary | std::ios::trunc) << text; }
+
+  Executor ex(4);
+  Trace trace(ex.threads());
+  trace.begin("caller");
+  const EdgeList g =
+      io::read_text_graph(ex, path, io::TextFormat::kSnap, &trace);
+  trace.end("caller");
+  EXPECT_EQ(g.n, 5000u);
+
+  const TraceReport report = trace.report();
+  const TracePhase* caller = report.find_path("caller");
+  ASSERT_NE(caller, nullptr);
+  double self = caller->exclusive_seconds;
+  for (const char* path_name :
+       {"caller/io_read", "caller/io_parse", "caller/io_parse/io_densify"}) {
+    const TracePhase* phase = report.find_path(path_name);
+    ASSERT_NE(phase, nullptr) << path_name;
+    EXPECT_EQ(phase->calls, 1u) << path_name;
+    EXPECT_GE(phase->exclusive_seconds, 0.0) << path_name;
+    self += phase->exclusive_seconds;
+  }
+  EXPECT_LE(self, caller->inclusive_seconds * (1 + 1e-9) + 1e-9);
+  EXPECT_EQ(report.counter_total("io_text_bytes"),
+            static_cast<double>(text.size()));
 }
 
 // ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@
 /// row in refgraphs.tsv (regenerate with `pbgstat --tsv`).  The test
 /// loads every graph through BOTH ingestion paths — the parallel text
 /// parser and the zero-copy mmap loader — at p in {1, 4, 12}, and
-/// asserts the invariants match the table and the label partitions
-/// match each other.  A drift in either parser, the .pbg writer, the
+/// asserts the text parse equals the .pbg edge for edge, the
+/// invariants match the table, and the label partitions match each
+/// other.  A drift in either parser, the .pbg writer, the
 /// loader, or any solver shows up as a diff against numbers that are
 /// committed to the repo.
 
@@ -110,6 +111,15 @@ TEST_P(RealGraph, TextAndMmapMatchPinnedInvariants) {
   ASSERT_EQ(mapped->n, ref.n);
   ASSERT_EQ(mapped->m(), ref.m);
   ASSERT_TRUE(pg.csr().is_borrowed());
+  // The committed .pbg files were converted from these texts, so the
+  // parse must reproduce them edge for edge: this pins the SNAP
+  // densify order, not just the invariants.
+  for (eid e = 0; e < ref.m; ++e) {
+    ASSERT_EQ(text_graph.edges[e].u, mapped->edges[e].u)
+        << ref.name << " e=" << e;
+    ASSERT_EQ(text_graph.edges[e].v, mapped->edges[e].v)
+        << ref.name << " e=" << e;
+  }
   const BccResult from_map = biconnected_components(ctx, *mapped, opt);
   // The adopted CSR was keyed into the context's cache: a connected
   // solve must not have rebuilt adjacency.  (Disconnected fixtures —
