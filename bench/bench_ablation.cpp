@@ -260,9 +260,9 @@ bool fastbcc_section(Executor& ex, JsonWriter& json, const char* family,
     opt.algorithm = engines[i].alg;
     opt.compute_cut_info = false;
     // Engine-vs-engine cells stay on the paper's static schedule: the
-    // committed BENCH_fastbcc.json baselines and the fitted kAuto
-    // constants were measured under it, and the schedule comparison
-    // has its own section (f) with both engines as arms.
+    // committed BENCH_fastbcc.json baselines were measured under it,
+    // and the schedule comparison has its own section (f) with both
+    // engines as arms.
     opt.exec_mode = ExecMode::kSpmd;
     (void)biconnected_components(ctx, g, opt);  // warm conversion + arena
     BccResult r;
@@ -734,22 +734,22 @@ int main(int argc, char** argv) {
               "kAuto verdict\n");
   {
     // Same four cells as (d), now end to end through the dispatcher.
-    // The hard time bound applies at the dense full-width cell (the
-    // regime kAuto routes to FastBCC); the peak-scratch and
-    // label-equality bounds apply everywhere.  kAuto must pick TV-opt
-    // at m = 4n (the paper's fallback rule) and FastBCC at m = 20n.
+    // The hard time bound applies at the dense full-width cell; the
+    // peak-scratch and label-equality bounds apply everywhere.  kAuto
+    // must pick HT up to its edge cutoff and FastBCC above it.
     Executor ex1(1);
     const EdgeList g4 =
         gen::random_connected_gnm(n, 4 * static_cast<eid>(n), seed + 1);
     const EdgeList g20 =
         gen::random_connected_gnm(n, 20 * static_cast<eid>(n), seed + 2);
-    ok &= fastbcc_section(ex1, json, "gnm-4n", g4, false,
-                          BccAlgorithm::kTvOpt);
-    ok &= fastbcc_section(ex, json, "gnm-4n", g4, false, BccAlgorithm::kTvOpt);
-    ok &= fastbcc_section(ex1, json, "gnm-20n", g20, false,
-                          BccAlgorithm::kFastBcc);
-    ok &= fastbcc_section(ex, json, "gnm-20n", g20, true,
-                          BccAlgorithm::kFastBcc);
+    const auto auto_pick = [](const EdgeList& g) {
+      return g.m() <= kAutoSequentialMaxEdges ? BccAlgorithm::kSequential
+                                              : BccAlgorithm::kFastBcc;
+    };
+    ok &= fastbcc_section(ex1, json, "gnm-4n", g4, false, auto_pick(g4));
+    ok &= fastbcc_section(ex, json, "gnm-4n", g4, false, auto_pick(g4));
+    ok &= fastbcc_section(ex1, json, "gnm-20n", g20, false, auto_pick(g20));
+    ok &= fastbcc_section(ex, json, "gnm-20n", g20, true, auto_pick(g20));
   }
   }  // !sched_only && !dynamic_only
 

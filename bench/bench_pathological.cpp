@@ -1,10 +1,14 @@
 // Experiment T4 (paper §4, closing discussion): for very sparse graphs
 // the BFS tree's O(d) rounds dominate TV-filter — the pathological case
-// is a chain with d = O(n) — and the prescribed remedy is to fall back
-// to TV-opt whenever m <= 4n (our kAuto rule).
+// is a chain with d = O(n) — and the paper's remedy is to fall back to
+// TV-opt whenever m <= 4n.
 //
 // This bench runs the chain, a shallow star, and random graphs on both
-// sides of the m = 4n threshold, and shows which algorithm kAuto picks.
+// sides of the m = 4n threshold.  The TV-opt and TV-filter columns
+// reproduce the paper's T4; the FastBCC and HT columns show what kAuto
+// chooses between today (HT up to kAutoSequentialMaxEdges edges,
+// FastBCC above), and "auto->" names the engine it ran.  Every
+// engine's block count is checked against HT; a mismatch exits 1.
 
 #include <cstdio>
 
@@ -12,22 +16,38 @@
 #include "graph/csr.hpp"
 #include "spanning/bfs_tree.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 using namespace parbcc;
 using namespace parbcc::bench;
 
 namespace {
 
-double run(const EdgeList& g, BccAlgorithm algorithm, int p,
-           bool* used_filter = nullptr) {
+struct Run {
+  double seconds = 0;
+  vid blocks = 0;
+  const char* engine = "?";
+};
+
+/// Warm solves: one context per engine and graph, primed once, so the
+/// cell is the min over `reps` solves of the engine alone (no CSR
+/// conversion, no first-touch arena growth).
+Run run(Executor& ex, const EdgeList& g, BccAlgorithm algorithm, int reps) {
+  BccContext ctx(ex);
   BccOptions opt;
   opt.algorithm = algorithm;
-  opt.threads = p;
   opt.compute_cut_info = false;
-  const BccResult r = biconnected_components(g, opt);
-  if (used_filter) *used_filter = r.times.filtering > 0;
-  return r.times.total;
+  BccResult r = biconnected_components(ctx, g, opt);
+  Run out{r.times.total, r.num_components};
+  for (int rep = 0; rep < reps; ++rep) {
+    r = biconnected_components(ctx, g, opt);
+    out.seconds = std::min(out.seconds, r.times.total);
+  }
+  for (const BccAlgorithm alg :
+       {BccAlgorithm::kSequential, BccAlgorithm::kTvOpt,
+        BccAlgorithm::kTvFilter, BccAlgorithm::kFastBcc}) {
+    if (r.trace.find_path(to_string(alg)) != nullptr) out.engine = to_string(alg);
+  }
+  return out;
 }
 
 }  // namespace
@@ -36,10 +56,11 @@ int main() {
   const vid n = env_n(200000);
   const int p = env_threads();
   const std::uint64_t seed = env_seed();
+  const int reps = env_reps(3);
   Executor ex(p);
 
   print_header("T4 - pathological diameter and the m <= 4n fallback");
-  std::printf("n = %u, p = %d\n\n", n, p);
+  std::printf("n = %u, p = %d, warm min of %d reps\n\n", n, p, reps);
 
   struct Case {
     const char* name;
@@ -53,23 +74,34 @@ int main() {
       {"random m = 8n", gen::random_connected_gnm(n, 8 * n, seed + 2)},
   };
 
-  std::printf("%-18s %10s %12s %12s %12s %8s\n", "graph", "BFS d",
-              "TV-opt(s)", "TV-filter(s)", "auto(s)", "auto->");
+  std::printf("%-18s %8s %10s %10s %10s %10s %10s  %s\n", "graph", "BFS d",
+              "TV-opt(s)", "filter(s)", "FastBCC(s)", "HT(s)", "auto(s)",
+              "auto->");
+  bool ok = true;
   for (const Case& c : cases) {
     const Csr csr = Csr::build(ex, c.g);
     const vid depth = bfs_tree(ex, csr, 0).num_levels;
-    const double t_opt = run(c.g, BccAlgorithm::kTvOpt, p);
-    const double t_filter = run(c.g, BccAlgorithm::kTvFilter, p);
-    bool auto_used_filter = false;
-    const double t_auto = run(c.g, BccAlgorithm::kAuto, p, &auto_used_filter);
-    std::printf("%-18s %10u %12.3f %12.3f %12.3f %8s\n", c.name, depth,
-                t_opt, t_filter, t_auto,
-                auto_used_filter ? "filter" : "opt");
+    const Run ht = run(ex, c.g, BccAlgorithm::kSequential, reps);
+    const Run opt = run(ex, c.g, BccAlgorithm::kTvOpt, reps);
+    const Run filter = run(ex, c.g, BccAlgorithm::kTvFilter, reps);
+    const Run fast = run(ex, c.g, BccAlgorithm::kFastBcc, reps);
+    const Run autos = run(ex, c.g, BccAlgorithm::kAuto, reps);
+    std::printf("%-18s %8u %10.3f %10.3f %10.3f %10.3f %10.3f  %s\n", c.name,
+                depth, opt.seconds, filter.seconds, fast.seconds, ht.seconds,
+                autos.seconds, autos.engine);
+    for (const Run* r : {&opt, &filter, &fast, &autos}) {
+      if (r->blocks != ht.blocks) {
+        std::printf("!! %s found %u blocks on %s, HT found %u\n", r->engine,
+                    r->blocks, c.name, ht.blocks);
+        ok = false;
+      }
+    }
   }
   std::printf(
       "\nshape check: the chain maximizes BFS depth (the O(d) term in\n"
-      "Alg. 2), the m <= 4n rows route kAuto to TV-opt, the denser rows\n"
-      "to TV-filter.  'Almost all random graphs have diameter two'\n"
-      "(Palmer, cited in the paper) shows in the BFS-d column.\n");
-  return 0;
+      "Alg. 2); a round whose frontier fits in one grain runs inline, so\n"
+      "FastBCC and TV-filter pay O(d) cheap rounds, not O(d) forks.\n"
+      "'Almost all random graphs have diameter two' (Palmer, cited in\n"
+      "the paper) shows in the BFS-d column.\n");
+  return ok ? 0 : 1;
 }

@@ -49,6 +49,9 @@ PARBCC_N=20000 PARBCC_REPS=2 ./build/bench/bench_ablation --sched-only \
     --json build/bench_sched_smoke.json >/dev/null
 grep -q 'ablation-scheduler' build/bench_sched_smoke.json
 
+echo "==> bench smoke: pathological shapes, every engine's block count vs HT"
+PARBCC_N=20000 PARBCC_THREADS=4 ./build/bench/bench_pathological >/dev/null
+
 echo "==> trace smoke: one traced solve per algorithm"
 PARBCC_N=4000 PARBCC_REPS=1 ./build/bench/bench_fig4 \
     --trace-out=build/trace_smoke.json >/dev/null

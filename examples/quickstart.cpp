@@ -27,7 +27,7 @@ int main() {
                     });
 
   BccOptions options;
-  options.algorithm = BccAlgorithm::kAuto;  // paper rule: filter iff m > 4n
+  options.algorithm = BccAlgorithm::kAuto;  // HT if small, else FastBCC
   options.threads = 4;
 
   const BccResult result = biconnected_components(graph, options);

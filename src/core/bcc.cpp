@@ -1,8 +1,6 @@
 #include "core/bcc.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
 #include <optional>
 #include <stdexcept>
 
@@ -11,93 +9,14 @@
 #include "core/drivers.hpp"
 #include "core/hopcroft_tarjan.hpp"
 #include "graph/csr.hpp"
-#include "util/padded.hpp"
 #include "util/timer.hpp"
 
 namespace parbcc {
 namespace {
 
-/// Number of distinct non-loop undirected edges, counted off the
-/// adjacency with a per-thread stamp array: each edge {u, w} with
-/// u < w is counted at u, and a neighbour already stamped with u is a
-/// parallel copy.  O(n·p + m) work, arena scratch only.
-std::uint64_t count_unique_edges(Executor& ex, Workspace& ws, const Csr& g) {
-  const vid n = g.num_vertices();
-  if (n == 0) return 0;
-  const int p = ex.threads();
-  Workspace::Frame frame(ws);
-  std::span<vid> stamp =
-      ws.alloc<vid>(static_cast<std::size_t>(n) * static_cast<std::size_t>(p));
-  std::span<Padded<std::uint64_t>> count =
-      ws.alloc<Padded<std::uint64_t>>(static_cast<std::size_t>(p));
-  ex.parallel_blocks(n, [&](int tid, std::size_t begin, std::size_t end) {
-    std::span<vid> mine = stamp.subspan(
-        static_cast<std::size_t>(tid) * static_cast<std::size_t>(n), n);
-    for (std::size_t v = 0; v < n; ++v) mine[v] = kNoVertex;
-    std::uint64_t c = 0;
-    for (std::size_t u = begin; u < end; ++u) {
-      const vid stamp_u = static_cast<vid>(u);
-      for (const vid w : g.neighbors(static_cast<vid>(u))) {
-        if (w <= u) continue;  // count once at the smaller endpoint; skip loops
-        if (mine[w] != stamp_u) {
-          mine[w] = stamp_u;
-          ++c;
-        }
-      }
-    }
-    count[static_cast<std::size_t>(tid)].value = c;
-  });
-  std::uint64_t total = 0;
-  for (int t = 0; t < p; ++t) {
-    total += count[static_cast<std::size_t>(t)].value;
-  }
-  return total;
-}
-
-/// Maximum vertex degree, reduced per thread block off the CSR offsets.
-eid max_degree(Executor& ex, Workspace& ws, const Csr& g) {
-  const vid n = g.num_vertices();
-  if (n == 0) return 0;
-  const int p = ex.threads();
-  Workspace::Frame frame(ws);
-  std::span<Padded<eid>> best =
-      ws.alloc<Padded<eid>>(static_cast<std::size_t>(p));
-  ex.parallel_blocks(n, [&](int tid, std::size_t begin, std::size_t end) {
-    eid d = 0;
-    for (std::size_t v = begin; v < end; ++v) {
-      d = std::max(d, g.degree(static_cast<vid>(v)));
-    }
-    best[static_cast<std::size_t>(tid)].value = d;
-  });
-  eid out = 0;
-  for (int t = 0; t < p; ++t) {
-    out = std::max(out, best[static_cast<std::size_t>(t)].value);
-  }
-  return out;
-}
-
-/// kAuto's measured cost model.
-///
-/// Below the tiny cutoff any parallel pipeline loses to plain
-/// Hopcroft-Tarjan on barrier overhead alone.  At or above it the
-/// paper's §4 rule applies first (distinct m <= 4n -> TV-opt); in the
-/// genuinely dense regime the choice between FastBCC and TV-filter
-/// comes from per-element costs fitted to BENCH_fastbcc.json runs on
-/// the 12-way dev host (least squares over the n = 200k cells at
-/// m = 4n..20n; the ratio is what matters, and it is stable across
-/// p = 1 and p = 12 because both pipelines parallelize the same
-/// sweeps).  Degree skew taxes FastBCC: its union-find hook sweep
-/// serializes on hub roots, while TV-filter only ever runs the
-/// union-find on the 2(n-1)-edge graph H.
-inline constexpr std::uint64_t kTinySolveCutoff = 2048;  // n + m
-inline constexpr double kFastBccNsPerVertex = 330.0;
-inline constexpr double kFastBccNsPerEdge = 36.0;
-inline constexpr double kFilterNsPerVertex = 390.0;
-inline constexpr double kFilterNsPerEdge = 48.0;
-inline constexpr double kFastBccSkewPenalty = 0.05;  // per log2 of skew
-
-/// Solve a connected, loop-free graph, building adjacency on demand
-/// for the drivers that need it.
+/// Solve a connected, loop-free graph with one of the paper's TV
+/// pipelines, building adjacency on demand for the drivers that need
+/// it.
 BccResult run_connected(Executor& ex, Workspace& ws, const EdgeList& g,
                         const BccOptions& opt, BccAlgorithm algorithm) {
   switch (algorithm) {
@@ -111,10 +30,7 @@ BccResult run_connected(Executor& ex, Workspace& ws, const EdgeList& g,
       const PreparedGraph pg(ex, ws, g);
       return tv_filter_bcc(ex, ws, pg, opt);
     }
-    case BccAlgorithm::kFastBcc: {
-      const PreparedGraph pg(ex, ws, g);
-      return fast_bcc(ex, ws, pg, opt);
-    }
+    case BccAlgorithm::kFastBcc:
     case BccAlgorithm::kSequential:
     case BccAlgorithm::kAuto:
       break;
@@ -134,7 +50,6 @@ BccResult run_connected(Executor& ex, Workspace& ws, const PreparedGraph& pg,
     case BccAlgorithm::kTvFilter:
       return tv_filter_bcc(ex, ws, pg, opt);
     case BccAlgorithm::kFastBcc:
-      return fast_bcc(ex, ws, pg, opt);
     case BccAlgorithm::kSequential:
     case BccAlgorithm::kAuto:
       break;
@@ -142,9 +57,11 @@ BccResult run_connected(Executor& ex, Workspace& ws, const PreparedGraph& pg,
   throw std::logic_error("run_connected: unexpected algorithm");
 }
 
-/// Parallel path for general (possibly disconnected) inputs: decompose
-/// into connected components, relabel each as a compact subproblem, and
-/// solve them one after another (each solve is internally parallel).
+/// The TV pipelines' path for general (possibly disconnected) inputs:
+/// decompose into connected components, relabel each as a compact
+/// subproblem, and solve them one after another (each solve is
+/// internally parallel).  FastBCC spans forests itself and never comes
+/// here.
 /// `pg`, when non-null, is a conversion cache for `g` itself; it only
 /// applies on the connected fast path (subproblems are relabeled graphs
 /// with their own adjacency).  Otherwise that fast path takes `g`'s
@@ -333,46 +250,13 @@ BccResult biconnected_components(BccContext& ctx, const EdgeList& g,
     pg = &*built;
   }
 
-  // kAuto's decision cascade, cheapest probe first:
-  //  - degenerate (no effective edges) and tiny inputs go straight to
-  //    Hopcroft-Tarjan — no adjacency probe, no "dispatch" span;
-  //  - paper §4: "if m <= 4n, we can always fall back to TV-opt" — on
-  //    the *effective* edge count.  m <= 4n needs no adjacency
-  //    (duplicates only shrink the count); past it, distinct edges are
-  //    counted off the adjacency both candidate engines need anyway;
-  //  - genuinely dense inputs pick between FastBCC and TV-filter from
-  //    the measured per-element costs, with a degree-skew penalty on
-  //    FastBCC's hub-contended hook sweep.
+  // kAuto: inputs up to the cutoff (and degenerate ones) run
+  // Hopcroft-Tarjan, everything else FastBCC.  No probe, no span.
   BccAlgorithm algorithm = options.algorithm;
   if (algorithm == BccAlgorithm::kAuto) {
-    if (work.m() == 0 ||
-        static_cast<std::uint64_t>(work.n) + work.m() < kTinySolveCutoff) {
-      algorithm = BccAlgorithm::kSequential;
-    } else if (work.m() <= 4ull * work.n) {
-      algorithm = BccAlgorithm::kTvOpt;
-    } else {
-      TraceSpan span(tr, "dispatch");
-      if (!pg) pg = &ctx.prepare(work);
-      const std::uint64_t unique = count_unique_edges(ex, ws, pg->csr());
-      tr.counter("dispatch_unique_edges", static_cast<double>(unique));
-      if (unique <= 4ull * work.n) {
-        algorithm = BccAlgorithm::kTvOpt;
-      } else {
-        const double nn = static_cast<double>(work.n);
-        const double mm = static_cast<double>(work.m());
-        const eid dmax = max_degree(ex, ws, pg->csr());
-        const double skew = static_cast<double>(dmax) * nn / (2.0 * mm);
-        const double fast_ns =
-            (kFastBccNsPerVertex * nn + kFastBccNsPerEdge * mm) *
-            (1.0 + kFastBccSkewPenalty * std::log2(std::max(1.0, skew)));
-        const double filter_ns = kFilterNsPerVertex * nn + kFilterNsPerEdge * mm;
-        tr.counter("dispatch_max_degree", static_cast<double>(dmax));
-        tr.counter("dispatch_pred_fastbcc_ms", fast_ns * 1e-6);
-        tr.counter("dispatch_pred_filter_ms", filter_ns * 1e-6);
-        algorithm = fast_ns <= filter_ns ? BccAlgorithm::kFastBcc
-                                         : BccAlgorithm::kTvFilter;
-      }
-    }
+    algorithm = work.m() <= kAutoSequentialMaxEdges
+                    ? BccAlgorithm::kSequential
+                    : BccAlgorithm::kFastBcc;
   }
 
   BccOptions traced = options;
@@ -388,6 +272,8 @@ BccResult biconnected_components(BccContext& ctx, const EdgeList& g,
       }
       result = hopcroft_tarjan_bcc(ex, ws, work, pg->csr(),
                                    /*compute_cut_info=*/false, &tr);
+    } else if (algorithm == BccAlgorithm::kFastBcc) {
+      result = fast_bcc(ex, ws, pg ? *pg : ctx.prepare(work), traced);
     } else {
       result = run_general(ex, ws, work, traced, algorithm, pg, ctx);
     }
@@ -432,8 +318,8 @@ BccResult biconnected_components(BccContext& ctx, const EdgeList& g,
   tr.counter("arena_reuse_hits",
              static_cast<double>(result.arena_reuse_hits));
 
-  // One rollup covers the whole call — dispatch, the (possibly many)
-  // driver solves, loop scatter-back and cut info — so the derived
+  // One rollup covers the whole call — the (possibly many) driver
+  // solves, loop scatter-back and cut info — so the derived
   // steps and the dispatcher's own wall clock can no longer disagree.
   result.trace = tr.report_since(trace_mark);
   result.times = derive_step_times(result.trace, total.seconds());

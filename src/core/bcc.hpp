@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+
 #include "core/bcc_context.hpp"
 #include "core/bcc_result.hpp"
 #include "graph/edge_list.hpp"
@@ -17,17 +19,23 @@
 ///   // ...further solves on ctx reuse the thread pool, the scratch
 ///   // arena and (for the same graph object) the adjacency cache.
 ///
-/// The dispatcher accepts any undirected graph: disconnected inputs are
-/// decomposed into connected components first (each is solved with the
-/// selected algorithm), parallel edges are handled natively, and
-/// self-loops are split off as their own single-edge components.
-/// kAuto cascades: tiny inputs (n + m below a fixed cutoff) go to
-/// Hopcroft-Tarjan; inputs with at most 4n distinct edges go to TV-opt
-/// (the paper's §4 fallback rule); denser ones go to FastBCC or
-/// TV-filter, whichever a measured per-element cost model predicts is
-/// faster.
+/// The dispatcher accepts any undirected graph: parallel edges are
+/// handled natively, self-loops are split off as their own single-edge
+/// components, FastBCC spans disconnected inputs as a forest, and the
+/// paper's TV pipelines solve one connected component at a time.
+/// kAuto runs Hopcroft-Tarjan on inputs with at most
+/// kAutoSequentialMaxEdges loop-free edges and FastBCC on the rest;
+/// it probes nothing and opens no span of its own.  TV-SMP, TV-opt and
+/// TV-filter are selectable by name to reproduce the paper's figures.
 
 namespace parbcc {
+
+/// kAuto's one structural test: HT below 2^17 loop-free edges, FastBCC
+/// from there on.  The HT/FastBCC crossover of a G(n, m) sweep at
+/// m in {1.25n, 2n, 4n, 8n} and p = 4 on a 4-core host (EXPERIMENTS.md
+/// A11).
+inline constexpr std::uint64_t kAutoSequentialMaxEdges =
+    (std::uint64_t{1} << 17) - 1;
 
 /// Compute biconnected components inside a reusable solve session.
 /// All O(n + m) scratch is drawn from the context's arena; the result

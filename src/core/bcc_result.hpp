@@ -36,12 +36,8 @@ enum class BccAlgorithm {
   /// concurrent union-find over the skeleton — no auxiliary graph, no
   /// per-edge TV machinery.
   kFastBcc,
-  /// Measured cost model over cheap probes: Hopcroft-Tarjan for tiny
-  /// inputs, TV-opt when the distinct-edge count is at most 4n (the
-  /// paper's §4 fallback rule), and otherwise whichever of FastBCC /
-  /// TV-filter the fitted per-element costs predict faster (degree
-  /// skew penalizes FastBCC's union-find hooking).  Degenerate inputs
-  /// (no edges after self-loop stripping) dispatch without probing.
+  /// Hopcroft-Tarjan when the loop-free edge count is at most
+  /// kAutoSequentialMaxEdges (bcc.hpp), FastBCC otherwise.  No probe.
   kAuto,
 };
 

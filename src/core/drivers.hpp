@@ -8,10 +8,12 @@
 #include "util/workspace.hpp"
 
 /// \file drivers.hpp
-/// The four parallel biconnected-components drivers.  Each assumes a
-/// connected input without self-loops (enforced/arranged by the public
-/// dispatcher in bcc.hpp), fills edge_component with contiguous labels,
-/// num_components, and the per-step times of the paper's Fig. 4.
+/// The four parallel biconnected-components drivers.  Each assumes an
+/// input without self-loops, and the three TV drivers a connected one
+/// (enforced/arranged by the public dispatcher in bcc.hpp; FastBCC
+/// spans disconnected inputs itself).  Each fills edge_component with
+/// contiguous labels, num_components, and the per-step times of the
+/// paper's Fig. 4.
 /// Cut info (articulation points, bridges) is annotated by the caller.
 /// Every driver takes the caller's Workspace: all O(n + m) scratch
 /// along the pipeline is drawn from (and returned to) that arena.
@@ -84,6 +86,8 @@ BccResult tv_filter_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
 /// edges and cross edges hook, back edges are implied — and each edge
 /// is labeled by its deeper endpoint's cluster.  O(n) arena scratch
 /// beyond the tree structures; never materializes an auxiliary graph.
+/// A disconnected input costs one SV pass and a multi-source BFS; its
+/// forest hangs under a virtual root n.
 BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
                    const BccOptions& opt);
 

@@ -1,11 +1,11 @@
 #include <algorithm>
-#include <stdexcept>
 
 #include "connectivity/concurrent_union_find.hpp"
 #include "connectivity/shiloach_vishkin.hpp"
 #include "core/drivers.hpp"
 #include "eulertour/tree_computations.hpp"
 #include "graph/csr.hpp"
+#include "scan/compact.hpp"
 #include "spanning/bfs_tree.hpp"
 #include "util/padded.hpp"
 #include "util/timer.hpp"
@@ -99,26 +99,61 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
   const eid m = g.m();
   const int p = ex.threads();
 
-  // Step 1: BFS spanning tree (Beamer hybrid, as TV-filter).
+  if (n == 0) return result;
+
+  // Step 1: BFS spanning tree (Beamer hybrid, as TV-filter).  A BFS
+  // that reaches every vertex proves the graph connected for free.
+  // Otherwise one SV pass names a root per component (`root` stands in
+  // for its own component's) and a multi-source BFS spans the forest.
   BfsTree bfs;
+  vid num_roots = 0;
   {
     TraceSpan span(tr, steps::kSpanningTree);
     bfs = bfs_tree(ex, ws, csr, opt.root, opt.bfs_mode, &tr);
-  }
-  if (bfs.reached != n) {
-    throw std::invalid_argument("fast_bcc: graph must be connected");
+    if (bfs.reached != n) {
+      Workspace::Frame frame(ws);
+      std::span<vid> roots = ws.alloc<vid>(n);
+      {
+        TraceSpan roots_span(tr, "component_roots");
+        std::span<vid> label = ws.alloc<vid>(n);
+        connected_components_sv(ex, ws, n, g.edges, label);
+        // SV labels each component by its smallest vertex; `root`
+        // replaces that representative in its own component.
+        const vid root_label = label[opt.root];
+        num_roots = static_cast<vid>(pack_indices_span(
+            ex, ws, n,
+            [&](std::size_t v) {
+              return v == opt.root || (label[v] == v && v != root_label);
+            },
+            roots));
+      }
+      bfs = bfs_tree(ex, ws, csr, roots.first(num_roots), opt.bfs_mode, &tr);
+    }
   }
 
   // Step 2a: rooted-tree structure (child lists + level buckets), the
-  // compressed substitute for materializing the Euler circuit.
+  // compressed substitute for materializing the Euler circuit.  A
+  // forest hangs under a virtual root n with no adjacency: its children
+  // are the component roots, each tree edge to it is critical, and the
+  // interval tests, sweeps and hooks below run unchanged over n + 1
+  // tree vertices.
+  const bool forest = num_roots != 0;
+  const vid tn = forest ? n + 1 : n;
   RootedSpanningTree tree;
   ChildrenCsr children;
   LevelStructure levels;
   {
     TraceSpan span(tr, steps::kEulerTour);
-    tree.root = opt.root;
+    tree.root = forest ? n : opt.root;
     tree.parent = std::move(bfs.parent);
     tree.parent_edge = std::move(bfs.parent_edge);
+    if (forest) {
+      tree.parent.push_back(n);
+      tree.parent_edge.push_back(kNoEdge);
+      ex.parallel_for(n, [&](std::size_t v) {
+        if (tree.parent[v] == v) tree.parent[v] = n;
+      });
+    }
     children = build_children(ex, ws, tree.parent, tree.root, &tr);
     levels = build_levels(ex, children, tree.root, &tr);
   }
@@ -132,9 +167,9 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
   // the union-find parent array — 3n vids, the whole reason this
   // driver's high-water mark undercuts TV-filter's per-edge buffers.
   Workspace::Frame frame(ws);
-  std::span<vid> low = ws.alloc<vid>(n);
-  std::span<vid> high = ws.alloc<vid>(n);
-  std::span<vid> cluster = ws.alloc<vid>(n);
+  std::span<vid> low = ws.alloc<vid>(tn);
+  std::span<vid> high = ws.alloc<vid>(tn);
+  std::span<vid> cluster = ws.alloc<vid>(tn);
 
   // Step 2b: low/high tagging.  Tree neighbours may participate: their
   // preorders always lie inside the parent interval the criticality
@@ -168,6 +203,7 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
       low[v] = lo;
       high[v] = hi;
     });
+    if (forest) low[n] = high[n] = pre[n];
     subtree_min(ex, children, levels, low.data());
     subtree_max(ex, children, levels, high.data());
   }
@@ -201,10 +237,10 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
     // the SPMD blocks serialized on the unluckiest block.
     TraceSpan hook_span(tr, "skeleton_hook");
     constexpr std::size_t kHookGrain = 2048;
-    const std::size_t vchunks = (n + kHookGrain - 1) / kHookGrain;
+    const std::size_t vchunks = (tn + kHookGrain - 1) / kHookGrain;
     ex.parallel_for(0, vchunks, 1, [&](std::size_t c) {
       const std::size_t begin = c * kHookGrain;
-      const std::size_t end = std::min<std::size_t>(n, begin + kHookGrain);
+      const std::size_t end = std::min<std::size_t>(tn, begin + kHookGrain);
       std::uint64_t hooks = 0;
       std::uint64_t depth = 0;
       std::uint64_t critical = 0;

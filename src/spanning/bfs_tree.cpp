@@ -68,23 +68,25 @@ struct HubProbe {
 
 }  // namespace
 
-BfsTree bfs_tree(Executor& ex, Workspace& ws, const Csr& g, vid root,
-                 BfsMode mode, Trace* trace) {
+BfsTree bfs_tree(Executor& ex, Workspace& ws, const Csr& g,
+                 std::span<const vid> roots, BfsMode mode, Trace* trace) {
   const vid n = g.num_vertices();
   BfsTree out;
-  out.root = root;
+  out.root = roots.empty() ? 0 : roots[0];
   out.parent.assign(n, kNoVertex);
   out.parent_edge.assign(n, kNoEdge);
   out.level.assign(n, kNoVertex);
   out.slot_inspected.assign(static_cast<std::size_t>(ex.threads()), 0);
-  if (n == 0) return out;
+  if (n == 0 || roots.empty()) return out;
 
   // The output parent array doubles as the discovery array: top-down
   // claims are CAS-arbitrated through atomic_ref; bottom-up rounds
   // write each slot from its single owning thread.
   std::span<vid> parent(out.parent);
-  parent[root] = root;
-  out.level[root] = 0;
+  for (const vid r : roots) {
+    parent[r] = r;
+    out.level[r] = 0;
+  }
 
   const int p = ex.threads();
   const std::size_t num_words = BitSpan::words_for(n);
@@ -108,19 +110,20 @@ BfsTree bfs_tree(Executor& ex, Workspace& ws, const Csr& g, vid root,
   // state, which the single-orchestrator Workspace cannot hand out.
   std::vector<Padded<std::vector<vid>>> local(static_cast<std::size_t>(p));
 
-  frontier[0] = root;
-  std::size_t frontier_size = 1;
-  std::uint64_t frontier_degree = g.degree(root);
+  std::copy(roots.begin(), roots.end(), frontier.begin());
+  std::size_t frontier_size = roots.size();
+  std::uint64_t frontier_degree = 0;
+  for (const vid r : roots) frontier_degree += g.degree(r);
   std::uint64_t unexplored_arcs = num_arcs - frontier_degree;
 
   bool dense = mode == BfsMode::kBottomUp;
   if (dense) {
     ex.parallel_for(num_words, [&](std::size_t w) { cur_bits.words()[w] = 0; });
-    cur_bits.set(root);
+    for (const vid r : roots) cur_bits.set(r);
   }
 
   vid depth = 0;
-  vid reached = 1;
+  vid reached = static_cast<vid>(roots.size());
   while (frontier_size != 0) {
     ++depth;
 
@@ -301,6 +304,11 @@ BfsTree bfs_tree(Executor& ex, Workspace& ws, const Csr& g, vid root,
                    static_cast<double>(out.diameter_estimate));
   }
   return out;
+}
+
+BfsTree bfs_tree(Executor& ex, Workspace& ws, const Csr& g, vid root,
+                 BfsMode mode, Trace* trace) {
+  return bfs_tree(ex, ws, g, std::span<const vid>(&root, 1), mode, trace);
 }
 
 BfsTree bfs_tree(Executor& ex, const Csr& g, vid root, BfsMode mode,

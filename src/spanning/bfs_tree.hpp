@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -52,7 +53,8 @@ enum class BfsMode {
 };
 
 struct BfsTree {
-  /// parent[v]; parent[root] == root; kNoVertex if unreachable.
+  /// parent[v]; parent[r] == r for every root r; kNoVertex if
+  /// unreachable.
   std::vector<vid> parent;
   /// parent_edge[v] = edge index of (v, parent[v]); kNoEdge for root
   /// and unreachable vertices.
@@ -83,9 +85,8 @@ struct BfsTree {
   vid bottom_up_rounds = 0;
   /// Diameter estimate of the traversed component: the root's
   /// eccentricity (num_levels - 1), a lower bound within a factor 2 of
-  /// the true diameter.  Exposed so a cost model can recognize
-  /// high-diameter (torus/chain-like) inputs, whose O(d) round count
-  /// dominates the BFS term, without a second traversal.
+  /// the true diameter (for a forest, the largest over the roots).
+  /// The O(d) round count it measures is the BFS term of a solve.
   vid diameter_estimate = 0;
 };
 
@@ -96,6 +97,14 @@ struct BfsTree {
 /// emitted.
 BfsTree bfs_tree(Executor& ex, Workspace& ws, const Csr& g, vid root,
                  BfsMode mode = BfsMode::kAuto, Trace* trace = nullptr);
+/// Multi-source BFS forest: every vertex in `roots` (distinct) starts
+/// at level 0 as its own tree's root, and each other vertex hangs under
+/// whichever root's wave claims it first.  With one root per connected
+/// component this spans a disconnected graph in max-eccentricity
+/// rounds.  `BfsTree::root` reports roots[0].
+BfsTree bfs_tree(Executor& ex, Workspace& ws, const Csr& g,
+                 std::span<const vid> roots, BfsMode mode = BfsMode::kAuto,
+                 Trace* trace = nullptr);
 BfsTree bfs_tree(Executor& ex, const Csr& g, vid root,
                  BfsMode mode = BfsMode::kAuto, Trace* trace = nullptr);
 

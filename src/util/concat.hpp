@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <span>
 
-#include "scan/scan.hpp"
 #include "util/thread_pool.hpp"
 
 /// \file concat.hpp
@@ -18,9 +17,15 @@
 /// as many bytes as the expansion wrote.  Here the buffer sizes are
 /// prefix-summed into disjoint destination offsets and every thread
 /// scatters its own buffer — O(total/p) per thread, no overlap, no
-/// atomics.
+/// atomics.  A total that fits in one grain is copied on the calling
+/// thread instead: a high-diameter BFS runs one round per level with a
+/// handful of vertices each, and forking p workers per round would
+/// cost more than the whole traversal.
 
 namespace parbcc {
+
+/// Totals up to this many elements are concatenated serially.
+inline constexpr std::size_t kConcatSerialCutoff = 2048;
 
 /// Concatenate `ex.threads()` per-thread buffers into `dst` in tid
 /// order.  `buf_of(tid)` returns a container with contiguous
@@ -32,24 +37,23 @@ template <class T, class BufOf>
 std::size_t concat_thread_buffers(Executor& ex, BufOf&& buf_of,
                                   std::span<std::size_t> offset, T* dst) {
   const int p = ex.threads();
-  if (p == 1) {
-    const auto& buf = buf_of(0);
-    std::copy(buf.begin(), buf.end(), dst);
-    offset[0] = 0;
-    return buf.size();
-  }
-  for (int t = 0; t < p; ++t) {
-    offset[static_cast<std::size_t>(t)] = buf_of(t).size();
-  }
-  // p is tiny, so the scan runs on its serial fast path; the copies are
+  // p is tiny, so the offsets are scanned serially; the copies are
   // what matters and they run one-buffer-per-thread below.
-  const std::size_t total = exclusive_scan(
-      ex, offset.data(), offset.data(), static_cast<std::size_t>(p));
-  ex.run([&](int tid) {
+  std::size_t total = 0;
+  for (int t = 0; t < p; ++t) {
+    offset[static_cast<std::size_t>(t)] = total;
+    total += buf_of(t).size();
+  }
+  const auto copy = [&](int tid) {
     const auto& buf = buf_of(tid);
     std::copy(buf.begin(), buf.end(),
               dst + offset[static_cast<std::size_t>(tid)]);
-  });
+  };
+  if (p == 1 || total <= kConcatSerialCutoff) {
+    for (int t = 0; t < p; ++t) copy(t);
+  } else {
+    ex.run(copy);
+  }
   return total;
 }
 

@@ -206,85 +206,61 @@ TEST(BccParallel, StepTimesAccountingBalancesAgainstTotal) {
   }
 }
 
-TEST(BccParallel, AutoCostModelPicksPerRegime) {
-  Executor ex(2);
+TEST(BccParallel, AutoRunsSequentialUpToTheCutoffAndFastBccAbove) {
+  Executor ex(4);
   BccOptions opt;
   opt.algorithm = BccAlgorithm::kAuto;
-
-  // Tiny (n + m below the cutoff): parallel pipelines lose to plain
-  // Hopcroft-Tarjan on barrier overhead alone.
-  const EdgeList tiny = gen::random_connected_gnm(200, 1000, 1);
-  const BccResult rt = biconnected_components(ex, tiny, opt);
-  EXPECT_NE(rt.trace.find_path("sequential"), nullptr);
-  EXPECT_EQ(rt.trace.find_path("dispatch"), nullptr);  // no probing either
-
-  // Sparse: m <= 4n -> TV-opt (paper §4 rule), no adjacency probe.
-  const EdgeList sparse = gen::random_connected_gnm(3000, 9000, 1);
-  const BccResult rs = biconnected_components(ex, sparse, opt);
-  EXPECT_EQ(rs.times.filtering, 0.0);
-  EXPECT_NE(rs.trace.find_path("TV-opt"), nullptr);
-  EXPECT_EQ(rs.trace.find_path("dispatch"), nullptr);
-
-  // Dense, low skew: the measured cost model favours FastBCC (its
-  // per-edge cost is one interval test + amortized union-find hook;
-  // TV-filter still runs a spanning forest and the TV core over H).
-  const EdgeList dense = gen::random_connected_gnm(3000, 15000, 1);
-  const BccResult rd = biconnected_components(ex, dense, opt);
-  EXPECT_NE(rd.trace.find_path("dispatch"), nullptr);
-  EXPECT_NE(rd.trace.find_path("FastBCC"), nullptr);
-  EXPECT_GT(rd.trace.counter_total("dispatch_max_degree"), 0.0);
-  EXPECT_GT(rd.trace.counter_total("dispatch_pred_fastbcc_ms"), 0.0);
-  EXPECT_GT(rd.trace.counter_total("dispatch_pred_filter_ms"), 0.0);
-
-  // All three picks answer identically (as partitions).
   BccOptions seq;
   seq.algorithm = BccAlgorithm::kSequential;
-  for (const EdgeList* g : {&tiny, &sparse, &dense}) {
-    const BccResult a = biconnected_components(ex, *g, opt);
-    const BccResult b = biconnected_components(ex, *g, seq);
-    ASSERT_EQ(a.num_components, b.num_components);
-    EXPECT_TRUE(
-        testutil::same_partition(a.edge_component, b.edge_component));
-  }
+
+  const auto cutoff = static_cast<eid>(kAutoSequentialMaxEdges);
+  const EdgeList at_cutoff = gen::random_connected_gnm(cutoff / 4, cutoff, 1);
+  const EdgeList above =
+      gen::random_connected_gnm(cutoff / 4, cutoff + 1, 2);
+  const BccResult low = biconnected_components(ex, at_cutoff, opt);
+  const BccResult high = biconnected_components(ex, above, opt);
+  EXPECT_NE(low.trace.find_path("sequential"), nullptr);
+  EXPECT_EQ(low.trace.find_path("FastBCC"), nullptr);
+  EXPECT_NE(high.trace.find_path("FastBCC"), nullptr);
+  EXPECT_EQ(high.trace.find_path("sequential"), nullptr);
+  // No probe: kAuto opens no span of its own.
+  EXPECT_EQ(low.trace.find_path("dispatch"), nullptr);
+  EXPECT_EQ(high.trace.find_path("dispatch"), nullptr);
+  // A connected input pays for no connectivity pass at all.
+  EXPECT_EQ(high.trace.find_path("FastBCC/component_check"), nullptr);
+  EXPECT_EQ(high.trace.find_path("FastBCC/spanning_tree/component_roots"),
+            nullptr);
+  const BccResult base = biconnected_components(ex, above, seq);
+  ASSERT_EQ(high.num_components, base.num_components);
+  EXPECT_TRUE(
+      testutil::same_partition(high.edge_component, base.edge_component));
 }
 
-TEST(BccParallel, AutoDispatchIgnoresLoopsAndParallelEdges) {
+TEST(BccParallel, LoopsAndParallelEdgesMatchSequentialUnderAutoAndFastBcc) {
   // A ring of 300 vertices padded with 1500 copies of one edge and 300
-  // self-loops: the raw count (m = 2100) and even the loop-stripped
-  // count (1800) both clear the 4n = 1200 bar, but only 300 distinct
-  // edges exist — effectively a tree-like density where the paper's
-  // rule prescribes the TV-opt fallback, not TV-filter.
+  // self-loops: the copies fuse into the ring's single block and every
+  // loop is its own component.
   EdgeList g;
   g.n = 300;
   for (vid v = 0; v < g.n; ++v) g.edges.push_back({v, (v + 1) % g.n});
   for (int i = 0; i < 1500; ++i) g.edges.push_back({0, 1});
   for (vid v = 0; v < g.n; ++v) g.edges.push_back({v, v});
-  ASSERT_GT(g.m() - g.n, 4ull * g.n);  // still "dense" after loop strip
 
   Executor ex(4);
-  BccOptions opt;
-  opt.algorithm = BccAlgorithm::kAuto;
-  const BccResult r = biconnected_components(ex, g, opt);
-  EXPECT_EQ(r.times.filtering, 0.0);
-  EXPECT_NE(r.trace.find_path("TV-opt"), nullptr);
-  EXPECT_EQ(r.trace.find_path("TV-filter"), nullptr);
-  EXPECT_EQ(r.trace.counter_total("dispatch_unique_edges"), 300.0);
-
   BccOptions seq;
   seq.algorithm = BccAlgorithm::kSequential;
   const BccResult base = biconnected_components(ex, g, seq);
-  ASSERT_EQ(r.num_components, base.num_components);
-  EXPECT_TRUE(
-      testutil::same_partition(r.edge_component, base.edge_component));
-
-  // Control: a genuinely dense simple graph survives the probe and
-  // lands on a dense-regime engine (the cost model, not the fallback).
-  const EdgeList dense = gen::random_connected_gnm(2000, 12000, 3);
-  const BccResult rd = biconnected_components(ex, dense, opt);
-  EXPECT_NE(rd.trace.find_path("FastBCC"), nullptr);
-  EXPECT_EQ(rd.trace.find_path("TV-opt"), nullptr);
-  EXPECT_GT(rd.trace.counter_total("dispatch_unique_edges"),
-            4.0 * static_cast<double>(dense.n));
+  ASSERT_EQ(base.num_components, 301u);
+  for (const BccAlgorithm algorithm :
+       {BccAlgorithm::kAuto, BccAlgorithm::kFastBcc}) {
+    BccOptions opt;
+    opt.algorithm = algorithm;
+    const BccResult r = biconnected_components(ex, g, opt);
+    ASSERT_EQ(r.num_components, base.num_components) << to_string(algorithm);
+    EXPECT_TRUE(
+        testutil::same_partition(r.edge_component, base.edge_component))
+        << to_string(algorithm);
+  }
 }
 
 }  // namespace

@@ -121,8 +121,7 @@ TEST(EdgeCases, ManySmallComponents) {
 }
 
 TEST(EdgeCases, AutoSkipsProbeOnDegenerateInputs) {
-  // kAuto's probe (count_unique_edges) allocates n*p stamp scratch and
-  // scans the adjacency; degenerate inputs must short-circuit straight
+  // Degenerate inputs fall under kAuto's edge cutoff and go straight
   // to the sequential solver without opening a dispatch span at all.
   const EdgeList degenerates[] = {
       EdgeList(0, {}),                          // empty
@@ -132,7 +131,6 @@ TEST(EdgeCases, AutoSkipsProbeOnDegenerateInputs) {
   for (const EdgeList& g : degenerates) {
     const BccResult r = solve(g, BccAlgorithm::kAuto);
     EXPECT_EQ(r.trace.find_path("dispatch"), nullptr) << "n=" << g.n;
-    EXPECT_EQ(r.trace.counter_total("dispatch_unique_edges"), 0.0);
     if (g.n > 0) {  // n == 0 returns before any span opens
       EXPECT_NE(r.trace.find_path("sequential"), nullptr) << "n=" << g.n;
     }

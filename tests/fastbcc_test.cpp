@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 #include "core/bcc.hpp"
 #include "core/drivers.hpp"
 #include "core/validate.hpp"
@@ -10,9 +8,9 @@
 #include "util/thread_pool.hpp"
 
 /// FastBCC driver tests: the criticality rule on crafted trees, the
-/// cross-edge-only hooking discipline, determinism, full-width runs,
-/// and the workspace/trace contract the dispatcher's cost model and
-/// validate_trace.py rely on.
+/// cross-edge-only hooking discipline, disconnected inputs through the
+/// forest front end, determinism, full-width runs, and the
+/// workspace/trace contract validate_trace.py relies on.
 
 namespace parbcc {
 namespace {
@@ -148,15 +146,82 @@ TEST(FastBcc, TraceExposesSkeletonSpansAndCounters) {
   EXPECT_EQ(r.times.filtering, 0.0);
 }
 
-TEST(FastBcc, DirectDriverRequiresConnectedInput) {
-  // The raw driver is a single-component engine; the dispatcher owns
-  // the decomposition (covered by edge_cases_test's disconnected runs).
-  Executor ex(2);
-  Workspace ws;
-  const EdgeList g(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
-  const PreparedGraph pg(ex, ws, g);
-  EXPECT_THROW(fast_bcc(ex, ws, pg, {}), std::invalid_argument);
+/// Disconnected inputs straight into the driver, no dispatcher: the
+/// forest front end (one SV pass naming a root per component, a
+/// multi-source BFS, the forest hung under a virtual root) must give
+/// HT's partition at every width.
+class FastBccForest : public ::testing::TestWithParam<int> {};
+
+EdgeList giant_plus_dust() {
+  // A random giant on [0, 3000), then dust: isolated vertices, pairs
+  // and triangles interleaved over [3000, 4200).
+  EdgeList g = gen::random_connected_gnm(3000, 9000, 41);
+  g.n = 4200;
+  for (vid v = 3000; v + 6 <= g.n; v += 6) {
+    g.add_edge(v + 1, v + 2);
+    g.add_edge(v + 3, v + 4);
+    g.add_edge(v + 4, v + 5);
+    g.add_edge(v + 5, v + 3);
+  }
+  return g;
 }
+
+TEST_P(FastBccForest, DirectDriverMatchesHopcroftTarjan) {
+  const int p = GetParam();
+  Executor ex(p);
+  Workspace ws;
+
+  EdgeList isolated = gen::cycle(40);
+  isolated.n = 100;  // 60 isolated vertices, the cycle holds the root
+  EdgeList pairs(20000, {});
+  for (vid v = 0; v < pairs.n; v += 2) pairs.add_edge(v, v + 1);
+  EdgeList parallel(9, {{0, 1}, {0, 1}, {1, 2}, {4, 5}, {4, 5}, {4, 5},
+                        {5, 6}, {6, 4}, {7, 8}, {8, 7}});
+  const EdgeList none(50, {});
+  const EdgeList dust = giant_plus_dust();
+  const struct {
+    const char* name;
+    const EdgeList* g;
+    vid root;
+  } cases[] = {
+      {"isolated", &isolated, 0},
+      {"all_isolated", &none, 7},
+      {"10k_pairs", &pairs, 0},
+      {"giant_plus_dust", &dust, 0},
+      {"root_in_small_component", &dust, 3004},
+      {"root_isolated", &dust, 3000},
+      {"parallel_edges", &parallel, 5},
+  };
+  BccOptions ht_opt;
+  ht_opt.algorithm = BccAlgorithm::kSequential;
+  for (const auto& c : cases) {
+    const PreparedGraph pg(ex, ws, *c.g);
+    BccOptions opt;
+    opt.root = c.root;
+    Trace trace(p);
+    opt.trace = &trace;
+    const BccResult fast = fast_bcc(ex, ws, pg, opt);
+    const BccResult ht = biconnected_components(ex, *c.g, ht_opt);
+    ASSERT_EQ(fast.num_components, ht.num_components) << c.name;
+    EXPECT_TRUE(testutil::same_partition(fast.edge_component,
+                                         ht.edge_component))
+        << c.name << " p=" << p;
+    // Only a disconnected input pays for the connectivity pass.
+    EXPECT_NE(fast.trace.find_path("spanning_tree/component_roots"), nullptr)
+        << c.name;
+  }
+
+  // A connected input never runs it.
+  const EdgeList connected = gen::random_connected_gnm(2000, 6000, 43);
+  const PreparedGraph pg(ex, ws, connected);
+  Trace trace(p);
+  BccOptions opt;
+  opt.trace = &trace;
+  const BccResult r = fast_bcc(ex, ws, pg, opt);
+  EXPECT_EQ(r.trace.find_path("spanning_tree/component_roots"), nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, FastBccForest, ::testing::Values(1, 4, 12));
 
 TEST(FastBcc, DisconnectedThroughDispatcherMatchesReference) {
   Executor ex(4);

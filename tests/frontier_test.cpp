@@ -106,6 +106,55 @@ TEST(BfsDirection, HybridStaysSparseOnHighDiameterGraphs) {
   EXPECT_EQ(tree.bottom_up_rounds, 0u);
 }
 
+TEST(BfsDirection, LongPathAtFullWidthReachesEveryLevel) {
+  // One vertex per round for 200k rounds: each round's gather must run
+  // inline, not fork the whole pool.
+  Executor ex(4);
+  const vid n = 200000;
+  const Csr csr = Csr::build(ex, gen::path(n));
+  const BfsTree tree = bfs_tree(ex, csr, 0);
+  ASSERT_EQ(tree.reached, n);
+  EXPECT_EQ(tree.num_levels, n);
+  for (vid v = 0; v < n; ++v) ASSERT_EQ(tree.level[v], v);
+}
+
+TEST(BfsDirection, MultiSourceForestMatchesNearestRootDepths) {
+  // Three components (a torus, a path, an isolated vertex) and a
+  // fourth root inside the torus: every mode gives each vertex its
+  // distance to the nearest root.
+  EdgeList g = gen::grid_torus(20, 20);
+  const vid path_begin = g.n;
+  g.n += 50;
+  for (vid v = path_begin; v + 1 < g.n; ++v) g.add_edge(v, v + 1);
+  g.n += 1;
+  const std::vector<vid> roots = {0, 210, path_begin + 25, g.n - 1};
+  for (const int p : {1, 4, 12}) {
+    Executor ex(p);
+    const Csr csr = Csr::build(ex, g);
+    std::vector<vid> expected(g.n, kNoVertex);
+    for (const vid r : roots) {
+      const SeqBfsResult seq = sequential_bfs(csr, r);
+      for (vid v = 0; v < g.n; ++v) {
+        expected[v] = std::min(expected[v], seq.level[v]);
+      }
+    }
+    Workspace ws;
+    for (const BfsMode mode :
+         {BfsMode::kTopDown, BfsMode::kBottomUp, BfsMode::kAuto}) {
+      const BfsTree tree = bfs_tree(ex, ws, csr, roots, mode);
+      EXPECT_EQ(tree.reached, g.n);
+      EXPECT_EQ(tree.level, expected) << "p=" << p;
+      for (vid v = 0; v < g.n; ++v) {
+        if (tree.level[v] == 0) {
+          ASSERT_EQ(tree.parent[v], v);
+        } else {
+          ASSERT_EQ(tree.level[tree.parent[v]] + 1, tree.level[v]);
+        }
+      }
+    }
+  }
+}
+
 class SvModeParam : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(SvModeParam, ClassicAndFastSvAgreeWithSequentialUnionFind) {

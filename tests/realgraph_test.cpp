@@ -121,12 +121,25 @@ TEST_P(RealGraph, TextAndMmapMatchPinnedInvariants) {
         << ref.name << " e=" << e;
   }
   const BccResult from_map = biconnected_components(ctx, *mapped, opt);
-  // The adopted CSR was keyed into the context's cache: a connected
-  // solve must not have rebuilt adjacency.  (Disconnected fixtures —
-  // road-grid has three components — are decomposed into relabeled
-  // subproblems, where the mapped CSR legitimately cannot apply.)
-  if (testutil::component_count(*mapped) == 1) {
-    EXPECT_EQ(from_map.times.conversion, 0.0);
+  // The adopted CSR was keyed into the context's cache, and neither
+  // kAuto engine splits a disconnected input into relabeled
+  // subproblems: no solve rebuilds adjacency.
+  EXPECT_EQ(from_map.times.conversion, 0.0);
+
+  // kAuto and FastBCC against HT on the mapped graph.
+  BccOptions ht_opt;
+  ht_opt.algorithm = BccAlgorithm::kSequential;
+  const BccResult ht = biconnected_components(ctx, *mapped, ht_opt);
+  for (const BccAlgorithm algorithm :
+       {BccAlgorithm::kAuto, BccAlgorithm::kFastBcc}) {
+    BccOptions engine_opt;
+    engine_opt.algorithm = algorithm;
+    const BccResult r = biconnected_components(ctx, *mapped, engine_opt);
+    EXPECT_EQ(r.times.conversion, 0.0) << to_string(algorithm);
+    ASSERT_EQ(r.num_components, ht.num_components)
+        << ref.name << " " << to_string(algorithm);
+    EXPECT_TRUE(testutil::same_partition(r.edge_component, ht.edge_component))
+        << ref.name << " " << to_string(algorithm) << " p=" << p;
   }
 
   // Both paths match the committed table...

@@ -8,6 +8,7 @@
 
 #include "util/barrier.hpp"
 #include "util/bitvector.hpp"
+#include "util/concat.hpp"
 #include "util/padded.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -267,6 +268,43 @@ TEST(AtomicBitVector, ConcurrentClaimsAreExclusive) {
     }
   });
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(winners[i].load(), 1);
+}
+
+TEST(ConcatThreadBuffers, SerialAndForkedPathsMatchTheTidOrderConcat) {
+  // Totals on both sides of the serial cutoff, spread unevenly (buffer
+  // 1 empty) so the offsets are non-trivial.
+  for (const int p : {1, 4, 12}) {
+    Executor ex(p);
+    for (const std::size_t total :
+         {kConcatSerialCutoff - 1, kConcatSerialCutoff,
+          kConcatSerialCutoff + 1, 4 * kConcatSerialCutoff}) {
+      std::vector<std::vector<std::uint32_t>> bufs(
+          static_cast<std::size_t>(p));
+      for (std::size_t i = 0; i < total; ++i) {
+        std::size_t t = (i * 7) % static_cast<std::size_t>(p);
+        if (t == 1) t = 0;  // buffer 1 stays empty
+        bufs[t].push_back(static_cast<std::uint32_t>(i));
+      }
+      std::vector<std::uint32_t> expected;
+      std::vector<std::size_t> expected_offset;
+      for (const auto& b : bufs) {
+        expected_offset.push_back(expected.size());
+        expected.insert(expected.end(), b.begin(), b.end());
+      }
+      std::vector<std::uint32_t> out(total);
+      std::vector<std::size_t> offset(static_cast<std::size_t>(p) + 1);
+      const std::size_t written = concat_thread_buffers(
+          ex,
+          [&](int t) -> const std::vector<std::uint32_t>& {
+            return bufs[static_cast<std::size_t>(t)];
+          },
+          std::span<std::size_t>(offset), out.data());
+      EXPECT_EQ(written, total) << "p=" << p;
+      EXPECT_EQ(out, expected) << "p=" << p << " total=" << total;
+      offset.resize(static_cast<std::size_t>(p));
+      EXPECT_EQ(offset, expected_offset) << "p=" << p << " total=" << total;
+    }
+  }
 }
 
 }  // namespace
