@@ -1,6 +1,7 @@
 #include "core/batch_dynamic.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <stdexcept>
 #include <unordered_map>
@@ -9,8 +10,8 @@
 #include "connectivity/shiloach_vishkin.hpp"
 #include "core/articulation.hpp"
 #include "core/bcc.hpp"
+#include "core/hopcroft_tarjan.hpp"
 #include "graph/csr.hpp"
-#include "graph/subgraph.hpp"
 #include "spanning/certificate.hpp"
 
 namespace parbcc {
@@ -38,11 +39,21 @@ BatchDynamicBcc::BatchDynamicBcc(BccContext& ctx, EdgeList base,
     list.resize(nbrs.size());
     for (std::size_t i = 0; i < nbrs.size(); ++i) list[i] = {nbrs[i], eids[i]};
   });
+  arc_pos_.resize(g_.m());
+  ctx_.executor().parallel_for(g_.n, [&](std::size_t v) {
+    const auto& list = adj_[v];
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      const auto [y, e] = list[i];
+      arc_pos_[e][arc_side(static_cast<vid>(v), y)] =
+          static_cast<std::uint32_t>(i);
+    }
+  });
   touch_mark_.assign(g_.n, 0);
   mark_a_.assign(g_.n, 0);
   mark_b_.assign(g_.n, 0);
   par_a_.assign(g_.n, kNoEdge);
   par_b_.assign(g_.n, kNoEdge);
+  compact_.resize(g_.n);
 }
 
 void BatchDynamicBcc::full_solve() {
@@ -56,9 +67,16 @@ void BatchDynamicBcc::full_solve() {
 }
 
 void BatchDynamicBcc::reset_bookkeeping() {
+  // Bridges are the single-edge blocks; counted from the labels so the
+  // mask holds even when cut info is not published.
   next_label_ = result_.num_components;
-  bridge_mask_.assign(g_.m(), 0);
-  for (const eid b : result_.bridges) bridge_mask_[b] = 1;
+  const std::vector<vid>& lab = result_.edge_component;
+  sub_count_.assign(next_label_, 0);
+  for (const vid l : lab) ++sub_count_[l];
+  bridge_mask_.resize(g_.m());
+  for (eid e = 0; e < g_.m(); ++e) {
+    bridge_mask_[e] = static_cast<std::uint8_t>(sub_count_[lab[e]] == 1);
+  }
 }
 
 void BatchDynamicBcc::reseed_components() {
@@ -90,19 +108,25 @@ void BatchDynamicBcc::comp_join(vid u, vid v) {
   comp_size_[a] += comp_size_[b];
 }
 
-bool BatchDynamicBcc::split_check(vid u, vid v) {
+std::uint32_t BatchDynamicBcc::next_search_epoch() {
   if (++search_epoch_ == 0) {
+    // Epoch wrap: old stamps could alias the fresh epoch, so reset.
     std::fill(mark_a_.begin(), mark_a_.end(), 0u);
     std::fill(mark_b_.begin(), mark_b_.end(), 0u);
     search_epoch_ = 1;
   }
-  const std::uint32_t cur = search_epoch_;
+  return search_epoch_;
+}
+
+bool BatchDynamicBcc::split_check(vid u, vid v, bool was_bridge) {
+  const std::uint32_t cur = next_search_epoch();
   std::vector<std::uint32_t>* mark[2] = {&mark_a_, &mark_b_};
   std::vector<vid>* front[2] = {&front_a_, &front_b_};
   std::vector<vid>* next[2] = {&next_a_, &next_b_};
   std::vector<vid>* visits[2] = {&visits_a_, &visits_b_};
   const vid src[2] = {u, v};
   vid explored[2] = {1, 1};
+  std::size_t cost[2] = {adj_[u].size(), adj_[v].size()};
   for (int s = 0; s < 2; ++s) {
     front[s]->clear();
     front[s]->push_back(src[s]);
@@ -111,16 +135,18 @@ bool BatchDynamicBcc::split_check(vid u, vid v) {
     (*mark[s])[src[s]] = cur;
   }
 
-  // Expand the smaller live frontier until contact (still connected) or
-  // a side runs dry (that side is the detached component).  A deleted
-  // non-bridge edge lies on a cycle, so the meet arrives within that
-  // cycle's ball — small for the peripheral blocks churn targets.
+  // Expand the cheaper live frontier (fewer arcs to scan, so a hub
+  // endpoint waits) until contact (still connected) or a side runs dry
+  // (that side is the detached component).  A deleted non-bridge edge
+  // lies on a cycle, so the meet arrives within that cycle's ball —
+  // small for the peripheral blocks churn targets.  A deleted bridge
+  // can never meet; the sides only race to run dry.
   while (true) {
     const bool can0 = !front[0]->empty() && explored[0] <= opt_.search_cap;
     const bool can1 = !front[1]->empty() && explored[1] <= opt_.search_cap;
     int s;
     if (can0 && can1) {
-      s = front[0]->size() <= front[1]->size() ? 0 : 1;
+      s = cost[0] <= cost[1] ? 0 : 1;
     } else if (can0) {
       s = 0;
     } else if (can1) {
@@ -132,15 +158,19 @@ bool BatchDynamicBcc::split_check(vid u, vid v) {
     }
     const int o = 1 - s;
     next[s]->clear();
+    cost[s] = 0;
     for (const vid x : *front[s]) {
       for (const auto& [y, e] : adj_[x]) {
         (void)e;
-        if ((*mark[o])[y] == cur) return true;  // connected, no split
+        if (!was_bridge && (*mark[o])[y] == cur) {
+          return true;  // connected, no split
+        }
         if ((*mark[s])[y] == cur) continue;
         (*mark[s])[y] = cur;
         ++explored[s];
         next[s]->push_back(y);
         visits[s]->push_back(y);
+        cost[s] += adj_[y].size();
       }
     }
     std::swap(*front[s], *next[s]);
@@ -161,16 +191,85 @@ bool BatchDynamicBcc::split_check(vid u, vid v) {
   return true;
 }
 
-BatchDynamicBcc::Probe BatchDynamicBcc::search_pair(
-    vid u, vid v, std::vector<std::uint8_t>& label_in_region) {
+void BatchDynamicBcc::prefetch_batch(std::span<const Edge> insertions) {
+  const auto pf = [](const void* p) { __builtin_prefetch(p); };
   const std::vector<vid>& lab = result_.edge_component;
-  if (++search_epoch_ == 0) {
-    // Epoch wrap: old stamps could alias the fresh epoch, so reset.
-    std::fill(mark_a_.begin(), mark_a_.end(), 0u);
-    std::fill(mark_b_.begin(), mark_b_.end(), 0u);
-    search_epoch_ = 1;
+  const eid m = g_.m();
+  // The edges the deletions will move into their holes: the tail.
+  const eid tail = m - std::min<eid>(m, static_cast<eid>(del_scratch_.size()));
+  // Wave 1: per-edge entries of the deleted edges, per-vertex entries
+  // of the inserted endpoints.
+  for (const eid e : del_scratch_) {
+    pf(&g_.edges[e]);
+    pf(&lab[e]);
+    pf(&bridge_mask_[e]);
+    pf(&edge_slot_[e]);
+    pf(&arc_pos_[e]);
   }
-  const std::uint32_t cur = search_epoch_;
+  for (const Edge& e : insertions) {
+    for (const vid w : {e.u, e.v}) {
+      pf(&comp_id_[w]);
+      pf(&adj_[w]);
+      pf(&touch_mark_[w]);
+    }
+  }
+  // Wave 2: incidence-list headers of every endpoint the surgery and
+  // the split checks start from, the deleted blocks' flags; component
+  // ids and parents of the endpoints.
+  const auto endpoints = [&](const auto& visit) {
+    for (const eid e : del_scratch_) visit(g_.edges[e]);
+    for (eid e = tail; e < m; ++e) visit(g_.edges[e]);
+  };
+  endpoints([&](const Edge& e) {
+    pf(&adj_[e.u]);
+    pf(&adj_[e.v]);
+    pf(&mark_a_[e.u]);
+    pf(&mark_b_[e.v]);
+  });
+  for (const eid e : del_scratch_) {
+    pf(&label_flags_[lab[e]]);
+    pf(&comp_id_[g_.edges[e].u]);
+    pf(&comp_id_[g_.edges[e].v]);
+  }
+  for (eid e = tail; e < m; ++e) pf(&label_flags_[lab[e]]);
+  for (const Edge& e : insertions) {
+    pf(&comp_parent_[comp_id_[e.u]]);
+    pf(&comp_parent_[comp_id_[e.v]]);
+  }
+  // Wave 3: the arcs the surgery rewrites, the list tails it swaps in,
+  // the heads of the lists the split checks scan, and the component
+  // parents a split relabels under.
+  for (const eid e : del_scratch_) {
+    const Edge ed = g_.edges[e];
+    pf(adj_[ed.u].data());
+    pf(adj_[ed.v].data());
+    pf(&adj_[ed.u].back());
+    pf(&adj_[ed.v].back());
+    pf(&adj_[ed.u][arc_pos_[e][arc_side(ed.u, ed.v)]]);
+    pf(&adj_[ed.v][arc_pos_[e][arc_side(ed.v, ed.u)]]);
+    pf(&comp_parent_[comp_id_[ed.u]]);
+    pf(&comp_parent_[comp_id_[ed.v]]);
+  }
+  for (eid e = tail; e < m; ++e) {
+    const Edge ed = g_.edges[e];
+    pf(&adj_[ed.u][arc_pos_[e][arc_side(ed.u, ed.v)]]);
+    pf(&adj_[ed.v][arc_pos_[e][arc_side(ed.v, ed.u)]]);
+  }
+  for (const Edge& e : insertions) {
+    pf(adj_[e.u].data());
+    pf(adj_[e.v].data());
+  }
+}
+
+void BatchDynamicBcc::flag_block(eid e) {
+  const vid l = result_.edge_component[e];
+  if (label_flags_[l] & kFlagged) return;
+  label_flags_[l] |= kFlagged;
+  flagged_.push_back({l, e});
+}
+
+BatchDynamicBcc::Probe BatchDynamicBcc::search_pair(vid u, vid v) {
+  const std::uint32_t cur = next_search_epoch();
 
   // Side 0 explores from u, side 1 from v.
   std::vector<std::uint32_t>* mark[2] = {&mark_a_, &mark_b_};
@@ -179,6 +278,7 @@ BatchDynamicBcc::Probe BatchDynamicBcc::search_pair(
   std::vector<vid>* next[2] = {&next_a_, &next_b_};
   const vid src[2] = {u, v};
   vid explored[2] = {1, 1};
+  std::size_t cost[2] = {adj_[u].size(), adj_[v].size()};
   for (int s = 0; s < 2; ++s) {
     front[s]->clear();
     front[s]->push_back(src[s]);
@@ -186,27 +286,25 @@ BatchDynamicBcc::Probe BatchDynamicBcc::search_pair(
     (*par[s])[src[s]] = kNoEdge;
   }
 
-  // Flag the labels of the discovery path from side s's source to x.
+  // Flag the blocks of the discovery path from side s's source to x.
   const auto flag_chain = [&](int s, vid x) {
     while ((*par[s])[x] != kNoEdge) {
       const eid e = (*par[s])[x];
-      if (!label_in_region[lab[e]]) {
-        label_in_region[lab[e]] = 1;
-        ++flagged_count_;
-      }
+      flag_block(e);
       const Edge& ed = g_.edges[e];
       x = ed.u == x ? ed.v : ed.u;
     }
   };
 
   while (true) {
-    // Expand the smaller live frontier; a capped side is frozen but
-    // keeps its marks, so the other side can still meet it.
+    // Expand the cheaper live frontier (fewer arcs to scan); a capped
+    // side is frozen but keeps its marks, so the other side can still
+    // meet it.
     const bool can0 = !front[0]->empty() && explored[0] <= opt_.search_cap;
     const bool can1 = !front[1]->empty() && explored[1] <= opt_.search_cap;
     int s;
     if (can0 && can1) {
-      s = front[0]->size() <= front[1]->size() ? 0 : 1;
+      s = cost[0] <= cost[1] ? 0 : 1;
     } else if (can0) {
       s = 0;
     } else if (can1) {
@@ -222,6 +320,7 @@ BatchDynamicBcc::Probe BatchDynamicBcc::search_pair(
     }
     const int o = 1 - s;
     next[s]->clear();
+    cost[s] = 0;
     for (const vid x : *front[s]) {
       for (const auto& [y, e] : adj_[x]) {
         if ((*mark[o])[y] == cur) {
@@ -229,10 +328,7 @@ BatchDynamicBcc::Probe BatchDynamicBcc::search_pair(
           // visits exactly the block-cut-tree path's blocks (plus at
           // worst the meeting balls' blocks when the two discovery
           // chains overlap — a sound over-flag).
-          if (!label_in_region[lab[e]]) {
-            label_in_region[lab[e]] = 1;
-            ++flagged_count_;
-          }
+          flag_block(e);
           flag_chain(s, x);
           flag_chain(o, y);
           return Probe::kMeet;
@@ -242,6 +338,7 @@ BatchDynamicBcc::Probe BatchDynamicBcc::search_pair(
         (*par[s])[y] = e;
         ++explored[s];
         next[s]->push_back(y);
+        cost[s] += adj_[y].size();
       }
     }
     std::swap(*front[s], *next[s]);
@@ -249,21 +346,29 @@ BatchDynamicBcc::Probe BatchDynamicBcc::search_pair(
 }
 
 vid BatchDynamicBcc::probe_damage(std::span<const Edge> insertions,
-                                  std::span<const eid> deletions,
-                                  std::vector<std::uint8_t>& label_in_region) {
+                                  std::span<const eid> deletions) {
   TraceSpan span(trace_, "damage_probe");
-  const eid m = g_.m();
   const std::vector<vid>& lab = result_.edge_component;
   force_full_ = false;
-  flagged_count_ = 0;
+
+  // Clear the previous batch's flags entry by entry; labels only ever
+  // index below label_bound(), so the array just grows with it.
+  for (const auto& [l, seed] : flagged_) {
+    (void)seed;
+    label_flags_[l] = 0;
+  }
+  flagged_.clear();
+  if (label_flags_.size() < next_label_) label_flags_.resize(next_label_, 0);
+  if (edge_slot_.size() < g_.m()) edge_slot_.resize(g_.m());
+  prefetch_batch(insertions);
 
   // A deletion can only split the block that holds the deleted edge.
-  label_in_region.assign(next_label_, 0);
+  // The deletion count per block lets rebuild_edges skip the split
+  // check of a block's only deletion.
   for (const eid e : deletions) {
-    if (!label_in_region[lab[e]]) {
-      label_in_region[lab[e]] = 1;
-      ++flagged_count_;
-    }
+    std::uint8_t& f = label_flags_[lab[e]];
+    f |= (f & kDeleted) ? kMultiDeleted : kDeleted;
+    flag_block(e);
   }
 
   if (++epoch_ == 0) {
@@ -282,77 +387,86 @@ vid BatchDynamicBcc::probe_damage(std::span<const Edge> insertions,
     // every added path iff it stays a bridge).  A cross-component
     // insertion merges nothing by itself (the new edge becomes its own
     // bridge block); it feeds the component multigraph below.
-    struct CrossEnd {
-      vid w, key;
-    };
-    std::vector<CrossEnd> cross_ends;
-    std::unordered_map<vid, vid> uf;  // per-batch, over component ids
-    std::unordered_map<vid, std::uint8_t> cyc;
-    const auto find = [&](vid c) {
-      vid r = c;
-      auto it = uf.find(r);
-      while (it != uf.end() && it->second != r) {
-        r = it->second;
-        it = uf.find(r);
-      }
-      while (c != r) {
-        auto next = uf.find(c);
-        const vid parent = next->second;
-        next->second = r;
-        c = parent;
-      }
-      return r;
-    };
-    bool any_cycle = false;
+    // Cross-component insertions as (component, endpoint) pairs, two
+    // per edge; the per-batch union-find runs over their components'
+    // dense ranks.
+    cross_ends_.clear();
     for (const Edge& e : insertions) {
       const vid cu = comp_of(e.u);
       const vid cv = comp_of(e.v);
-      if (cu == cv) {
-        if (search_pair(e.u, e.v, label_in_region) == Probe::kUndecided) {
-          force_full_ = true;
-          break;
-        }
-        continue;
-      }
-      cross_ends.push_back({e.u, cu});
-      cross_ends.push_back({e.v, cv});
-      uf.try_emplace(cu, cu);
-      uf.try_emplace(cv, cv);
-      const vid ru = find(cu);
-      const vid rv = find(cv);
-      if (ru == rv) {
-        cyc[ru] = 1;
-        any_cycle = true;
-      } else {
-        const std::uint8_t c = static_cast<std::uint8_t>(cyc[ru] | cyc[rv]);
-        uf[ru] = rv;
-        cyc[rv] = c;
+      if (cu != cv) {
+        cross_ends_.push_back({cu, e.u});
+        cross_ends_.push_back({cv, e.v});
+      } else if (search_pair(e.u, e.v) == Probe::kUndecided) {
+        force_full_ = true;
+        break;
       }
     }
 
-    if (any_cycle && !force_full_) {
-      // Cross insertions whose multigraph class closed a cycle can
-      // merge blocks along the tree paths between each component's
-      // endpoints.  Flag, per endpoint group, the paths from one
-      // representative to every other member — pairwise paths factor
-      // through the representative.  Keys are exact, so same-key
-      // members really share a component and every search meets.
-      std::unordered_map<vid, std::vector<vid>> groups;
-      for (const CrossEnd& ce : cross_ends) {
-        if (cyc[find(ce.key)]) groups[ce.key].push_back(ce.w);
+    if (!cross_ends_.empty() && !force_full_) {
+      // Ranks by first appearance, parked in comp_rank_ (kNoVertex
+      // outside a batch) and reset below.
+      if (comp_rank_.size() < comp_parent_.size()) {
+        comp_rank_.resize(comp_parent_.size(), kNoVertex);
       }
-      for (auto& [key, members] : groups) {
-        std::sort(members.begin(), members.end());
-        members.erase(std::unique(members.begin(), members.end()),
-                      members.end());
-        for (std::size_t i = 1; i < members.size(); ++i) {
-          if (search_pair(members[0], members[i], label_in_region) ==
-              Probe::kUndecided) {
-            force_full_ = true;
-            break;
+      cross_parent_.clear();
+      cross_cycle_.clear();
+      const auto rank = [&](vid key) {
+        vid& r = comp_rank_[key];
+        if (r == kNoVertex) {
+          r = static_cast<vid>(cross_parent_.size());
+          cross_parent_.push_back(r);
+          cross_cycle_.push_back(0);
+        }
+        return r;
+      };
+      const auto find = [&](vid c) {
+        while (cross_parent_[c] != c) {
+          cross_parent_[c] = cross_parent_[cross_parent_[c]];
+          c = cross_parent_[c];
+        }
+        return c;
+      };
+      bool any_cycle = false;
+      for (std::size_t i = 0; i < cross_ends_.size(); i += 2) {
+        const vid ru = find(rank(cross_ends_[i].first));
+        const vid rv = find(rank(cross_ends_[i + 1].first));
+        if (ru == rv) {
+          cross_cycle_[ru] = 1;
+          any_cycle = true;
+        } else {
+          cross_parent_[ru] = rv;
+          cross_cycle_[rv] |= cross_cycle_[ru];
+        }
+      }
+
+      if (any_cycle) {
+        // Cross insertions whose multigraph class closed a cycle can
+        // merge blocks along the tree paths between each component's
+        // endpoints.  Flag, per endpoint group, the paths from one
+        // representative to every other member — pairwise paths
+        // factor through the representative.  Keys are exact, so
+        // same-key members really share a component and every search
+        // meets.
+        std::sort(cross_ends_.begin(), cross_ends_.end());
+        cross_ends_.erase(std::unique(cross_ends_.begin(), cross_ends_.end()),
+                          cross_ends_.end());
+        for (std::size_t i = 0; i < cross_ends_.size() && !force_full_;) {
+          const auto [key, rep] = cross_ends_[i];
+          const bool cyclic = cross_cycle_[find(rank(key))] != 0;
+          for (++i; i < cross_ends_.size() && cross_ends_[i].first == key;
+               ++i) {
+            if (cyclic &&
+                search_pair(rep, cross_ends_[i].second) == Probe::kUndecided) {
+              force_full_ = true;
+              break;
+            }
           }
         }
-        if (force_full_) break;
+      }
+      for (const auto& [key, w] : cross_ends_) {
+        (void)w;
+        comp_rank_[key] = kNoVertex;
       }
     }
   }
@@ -362,97 +476,168 @@ vid BatchDynamicBcc::probe_damage(std::span<const Edge> insertions,
   // endpoints count through their flagged label).  The touched list
   // doubles as the cut-info patch set: only these vertices can change
   // articulation status.
+  for (const Edge& e : insertions) {
+    for (const vid w : {e.u, e.v}) {
+      if (touch_mark_[w] != epoch_) {
+        touch_mark_[w] = epoch_;
+        touched_.push_back(w);
+      }
+    }
+  }
+  if (!force_full_) {
+    collect_region(opt_.damage_threshold * static_cast<double>(g_.n));
+  }
+  return static_cast<vid>(touched_.size());
+}
+
+void BatchDynamicBcc::collect_region(double touch_limit) {
+  const std::vector<vid>& lab = result_.edge_component;
+  const eid m = g_.m();
+  region_.clear();
   const auto touch = [&](vid v) {
     if (touch_mark_[v] != epoch_) {
       touch_mark_[v] = epoch_;
       touched_.push_back(v);
     }
   };
+  const auto take = [&](eid e) {
+    edge_slot_[e] = static_cast<eid>(region_.size());
+    region_.push_back(e);
+  };
+
+  // Flood each flagged block from its seed along its own label.  Every
+  // vertex of the block is scanned, so each block edge is taken once,
+  // from its smaller endpoint.  A single-edge block is its seed alone.
+  const std::uint64_t arc_budget = m / 2;
+  std::uint64_t arcs = 0;
+  for (const auto& [l, seed] : flagged_) {
+    const Edge se = g_.edges[seed];
+    if (bridge_mask_[seed]) {
+      take(seed);
+      touch(se.u);
+      touch(se.v);
+    } else {
+      const std::uint32_t cur = next_search_epoch();
+      front_a_.clear();
+      front_a_.push_back(se.u);
+      mark_a_[se.u] = cur;
+      for (std::size_t head = 0; head < front_a_.size(); ++head) {
+        const vid x = front_a_[head];
+        touch(x);
+        arcs += adj_[x].size();
+        for (const auto& [y, e] : adj_[x]) {
+          if (lab[e] != l) continue;
+          if (x < y) take(e);
+          if (mark_a_[y] != cur) {
+            mark_a_[y] = cur;
+            front_a_.push_back(y);
+          }
+        }
+      }
+    }
+    if (static_cast<double>(touched_.size()) > touch_limit) return;
+    if (arcs > arc_budget) break;
+  }
+  if (arcs <= arc_budget) return;
+
+  // Hubs made the flood dearer than a sweep: one pass over the labels.
+  region_.clear();
   for (eid e = 0; e < m; ++e) {
-    if (!label_in_region[lab[e]]) continue;
+    if (!(label_flags_[lab[e]] & kFlagged)) continue;
+    take(e);
     touch(g_.edges[e].u);
     touch(g_.edges[e].v);
   }
-  for (const Edge& e : insertions) {
-    touch(e.u);
-    touch(e.v);
-  }
-  return static_cast<vid>(touched_.size());
 }
 
-void BatchDynamicBcc::rebuild_edges(
-    std::span<const Edge> insertions, std::span<const eid> deletions,
-    const std::vector<std::uint8_t>& label_in_region,
-    std::vector<eid>& region_ids, bool maintain_components) {
+void BatchDynamicBcc::rebuild_edges(std::span<const Edge> insertions,
+                                    bool maintain_components) {
   auto& lab = result_.edge_component;
 
   // Swap-with-last compaction, ids descending so the hole is always
-  // filled by a live edge: O(degree) incidence surgery at the affected
-  // endpoints instead of an O(n + m) rebuild.  Degrees are small on
-  // the streams this serves; a hub-incident edit pays its hub's list.
-  del_scratch_.assign(deletions.begin(), deletions.end());
-  std::sort(del_scratch_.begin(), del_scratch_.end(),
-            [](eid a, eid b) { return a > b; });
-  const auto drop_arc = [&](vid x, eid e) {
+  // filled by a live edge: O(1) incidence surgery at the affected
+  // endpoints through arc_pos_ instead of an O(n + m) rebuild, hubs
+  // included.
+  const auto drop_arc = [&](vid x, vid y, eid e) {
     auto& list = adj_[x];
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      if (list[i].second != e) continue;
-      list[i] = list.back();
-      list.pop_back();
-      return;
-    }
-    assert(false && "adjacency out of sync with the edge list");
+    const std::uint32_t pos = arc_pos_[e][arc_side(x, y)];
+    assert(list[pos].second == e &&
+           "adjacency out of sync with the edge list");
+    const auto back = list.back();
+    list[pos] = back;
+    arc_pos_[back.second][arc_side(x, back.first)] = pos;
+    list.pop_back();
   };
-  const auto rewrite_arc = [&](vid x, eid from, eid to) {
-    for (auto& entry : adj_[x]) {
-      if (entry.second != from) continue;
-      entry.second = to;
-      return;
-    }
-    assert(false && "adjacency out of sync with the edge list");
-  };
-  for (const eid e : del_scratch_) {
+  moved_bridges_.clear();
+  for (auto it = del_scratch_.rbegin(); it != del_scratch_.rend(); ++it) {
+    const eid e = *it;
     const Edge dead = g_.edges[e];
-    drop_arc(dead.u, e);
-    drop_arc(dead.v, e);
+    // Position e still holds its own edge: only higher positions have
+    // been vacated or refilled so far.
+    const bool was_bridge = bridge_mask_[e] != 0;
+    const bool lone = !(label_flags_[lab[e]] & kMultiDeleted);
+    if (maintain_components) region_[edge_slot_[e]] = kNoEdge;
+    drop_arc(dead.u, dead.v, e);
+    drop_arc(dead.v, dead.u, e);
     const eid last = g_.m() - 1;
     if (e != last) {
       const Edge moved = g_.edges[last];
       g_.edges[e] = moved;
       lab[e] = lab[last];
       bridge_mask_[e] = bridge_mask_[last];
-      rewrite_arc(moved.u, last, e);
-      rewrite_arc(moved.v, last, e);
+      arc_pos_[e] = arc_pos_[last];
+      adj_[moved.u][arc_pos_[e][arc_side(moved.u, moved.v)]].second = e;
+      adj_[moved.v][arc_pos_[e][arc_side(moved.v, moved.u)]].second = e;
+      if (maintain_components) {
+        if (label_flags_[lab[e]] & kFlagged) {
+          const eid slot = edge_slot_[last];
+          region_[slot] = e;
+          edge_slot_[e] = slot;
+        } else if (bridge_mask_[e]) {
+          moved_bridges_.push_back(e);
+        }
+      }
     }
     g_.edges.pop_back();
     lab.pop_back();
     bridge_mask_.pop_back();
+    arc_pos_.pop_back();
     // Sequential semantics keep the component ids exact at every step:
     // the split check runs on the incidence lists with this deletion
-    // (and every earlier one) applied.  Once a check is undecidable
-    // the ids are due for a reseed anyway, so stop paying for them.
-    if (maintain_components && !force_full_ && !split_check(dead.u, dead.v)) {
+    // (and every earlier one) applied.  The only deletion of a
+    // non-bridge block cannot split: the rest of the block still joins
+    // its endpoints.  Once a check is undecidable the ids are due for a
+    // reseed anyway, so stop paying for them.
+    if (maintain_components && !force_full_ && (was_bridge || !lone) &&
+        !split_check(dead.u, dead.v, was_bridge)) {
       force_full_ = true;
     }
   }
 
-  // Region membership reads the surviving labels (one sequential sweep
-  // of the label array — the only whole-graph pass the splice path
-  // keeps, a few hundred microseconds at millions of edges).
-  region_ids.clear();
   const eid base = g_.m();
-  for (eid e = 0; e < base; ++e) {
-    if (label_in_region[lab[e]]) region_ids.push_back(e);
+  if (maintain_components) {
+    // Drop the deleted entries; a moved bridge that a later deletion
+    // moved again left a stale position past the new end.
+    region_.erase(std::remove(region_.begin(), region_.end(), kNoEdge),
+                  region_.end());
+    moved_bridges_.erase(
+        std::remove_if(moved_bridges_.begin(), moved_bridges_.end(),
+                       [&](eid b) { return b >= base; }),
+        moved_bridges_.end());
   }
   for (std::size_t i = 0; i < insertions.size(); ++i) {
     const Edge& e = insertions[i];
     const eid id = base + static_cast<eid>(i);
-    region_ids.push_back(id);
+    region_.push_back(id);
     g_.edges.push_back(e);
     // Placeholder; insertions are always in the region, so the splice
     // overwrites this before anyone reads it.
     lab.push_back(kNoVertex);
     bridge_mask_.push_back(0);
+    std::array<std::uint32_t, 2> pos;
+    pos[arc_side(e.u, e.v)] = static_cast<std::uint32_t>(adj_[e.u].size());
+    pos[arc_side(e.v, e.u)] = static_cast<std::uint32_t>(adj_[e.v].size());
+    arc_pos_.push_back(pos);
     adj_[e.u].push_back({e.v, id});
     adj_[e.v].push_back({e.u, id});
     if (maintain_components && !force_full_) comp_join(e.u, e.v);
@@ -466,22 +651,29 @@ std::vector<vid> BatchDynamicBcc::solve_region(const EdgeList& region) {
   // The region is a union of scattered peripheral blocks — hundreds of
   // tiny connected components.  The dispatcher's per-component loop
   // would pay a parallel pipeline's fixed costs (spans, barriers,
-  // arena frames) on every few-edge piece, so below a generous cutoff
-  // force the sequential driver for the whole region; parallel solves
-  // only pay off on regions big enough to flirt with the damage
-  // threshold anyway.
+  // arena frames) on every few-edge piece, and even its sequential
+  // path pays a trace rollup, a fingerprint and a conversion-cache
+  // entry per call, so below a generous cutoff the region goes
+  // straight to Hopcroft-Tarjan; parallel solves only pay off on
+  // regions big enough to flirt with the damage threshold anyway.
   constexpr std::uint64_t kSequentialRegionCutoff = 1u << 16;
-  if (static_cast<std::uint64_t>(region.n) + region.m() <
-      kSequentialRegionCutoff) {
-    o.algorithm = BccAlgorithm::kSequential;
-  }
+  const bool sequential = static_cast<std::uint64_t>(region.n) + region.m() <
+                          kSequentialRegionCutoff;
+  const auto solve = [&](const EdgeList& g) {
+    if (!sequential) return biconnected_components(ctx_, g, o).edge_component;
+    Executor& ex = ctx_.executor();
+    const Csr csr = Csr::build(ex, ctx_.workspace(), g);
+    return hopcroft_tarjan_bcc(ex, ctx_.workspace(), g, csr,
+                               /*compute_cut_info=*/false)
+        .edge_component;
+  };
 
   const double density = region.n == 0
                              ? 0.0
                              : static_cast<double>(region.m()) /
                                    static_cast<double>(region.n);
   if (density <= opt_.certificate_density) {
-    return biconnected_components(ctx_, region, o).edge_component;
+    return solve(region);
   }
 
   // Dense region: solve the k = 2 BFS certificate (Theorem 2 — T u F
@@ -494,11 +686,11 @@ std::vector<vid> BatchDynamicBcc::solve_region(const EdgeList& region) {
       sparse_certificate_vertex(ctx_.executor(), region, 2);
   const EdgeList cert_graph = cert.subgraph(region);
   stats_.certificate_edges = cert_graph.m();
-  const BccResult cert_result = biconnected_components(ctx_, cert_graph, o);
+  const std::vector<vid> cert_labels = solve(cert_graph);
 
   std::vector<vid> labels(region.m(), kNoVertex);
   for (std::size_t i = 0; i < cert.edges.size(); ++i) {
-    labels[cert.edges[i]] = cert_result.edge_component[i];
+    labels[cert.edges[i]] = cert_labels[i];
   }
   for (eid e = 0; e < region.m(); ++e) {
     if (labels[e] != kNoVertex) continue;
@@ -526,9 +718,9 @@ const BccResult& BatchDynamicBcc::apply_batch(
       throw std::invalid_argument("apply_batch: self-loop insertion");
     }
   }
-  if (!deletions.empty()) {
-    del_scratch_.assign(deletions.begin(), deletions.end());
-    std::sort(del_scratch_.begin(), del_scratch_.end());
+  del_scratch_.assign(deletions.begin(), deletions.end());
+  std::sort(del_scratch_.begin(), del_scratch_.end());
+  if (!del_scratch_.empty()) {
     if (del_scratch_.back() >= m) {
       throw std::invalid_argument("apply_batch: deletion id out of range");
     }
@@ -540,8 +732,7 @@ const BccResult& BatchDynamicBcc::apply_batch(
 
   stats_ = {};
   ++version_;  // the batch is validated; everything below republishes
-  std::vector<std::uint8_t> label_in_region;
-  const vid touched = probe_damage(insertions, deletions, label_in_region);
+  const vid touched = probe_damage(insertions, deletions);
   stats_.touched_vertices = touched;
   if (trace_) {
     trace_->counter("batch_touched_vertices", static_cast<double>(touched));
@@ -550,12 +741,21 @@ const BccResult& BatchDynamicBcc::apply_batch(
       force_full_ || static_cast<double>(touched) >
                          opt_.damage_threshold * static_cast<double>(n);
 
-  std::vector<eid> region_ids;
-  rebuild_edges(insertions, deletions, label_in_region, region_ids,
-                /*maintain_components=*/!fall_back);
+  if (!fall_back && opt_.compute_cut_info) {
+    // The standing bridges the region swallows are the seeds of its
+    // single-edge blocks; read in the pre-batch numbering, before any
+    // edge moves.
+    region_bridges_.clear();
+    for (const auto& [l, seed] : flagged_) {
+      (void)l;
+      if (bridge_mask_[seed]) region_bridges_.push_back(seed);
+    }
+    std::sort(region_bridges_.begin(), region_bridges_.end());
+  }
+
+  rebuild_edges(insertions, /*maintain_components=*/!fall_back);
   // A split check may have been undecidable within the search cap.
   if (force_full_) fall_back = true;
-  stats_.region_edges = static_cast<eid>(region_ids.size());
   if (trace_) trace_->counter("batch_fallbacks", fall_back ? 1.0 : 0.0);
   // g_.edges was rebuilt in place, so the context's conversion and
   // strip caches keyed on (&g_, n, m) are stale.
@@ -569,13 +769,31 @@ const BccResult& BatchDynamicBcc::apply_batch(
     reseed_components();
     return result_;
   }
+  stats_.region_edges = static_cast<eid>(region_.size());
 
   {
     TraceSpan solve_span(trace_, "certificate_solve");
     vid region_blocks = 0;
-    if (!region_ids.empty()) {
-      const Subgraph sub = extract_edges(g_, region_ids);
-      const std::vector<vid> sub_labels = solve_region(sub.graph);
+    if (!region_.empty()) {
+      // Compact vertex ids by first appearance, stamped in mark_b_ so
+      // the extraction costs O(region), not O(n).
+      const std::uint32_t cur = next_search_epoch();
+      region_graph_.edges.clear();
+      vid rn = 0;
+      const auto compact = [&](vid v) {
+        if (mark_b_[v] != cur) {
+          mark_b_[v] = cur;
+          compact_[v] = rn++;
+        }
+        return compact_[v];
+      };
+      for (const eid e : region_) {
+        const Edge& ed = g_.edges[e];
+        const vid cu = compact(ed.u);
+        region_graph_.edges.push_back({cu, compact(ed.v)});
+      }
+      region_graph_.n = rn;
+      const std::vector<vid> sub_labels = solve_region(region_graph_);
       // Splice: the region's blocks take fresh label values past every
       // standing one, so unchanged blocks keep their labels and the
       // published array stays partition-equal to a from-scratch solve
@@ -588,10 +806,11 @@ const BccResult& BatchDynamicBcc::apply_batch(
       sub_count_.assign(region_blocks, 0);
       for (const vid l : sub_labels) ++sub_count_[l];
       const vid offset = next_label_;
-      for (std::size_t i = 0; i < region_ids.size(); ++i) {
-        result_.edge_component[region_ids[i]] = offset + sub_labels[i];
-        bridge_mask_[region_ids[i]] =
-            static_cast<std::uint8_t>(sub_count_[sub_labels[i]] == 1);
+      for (std::size_t i = 0; i < region_.size(); ++i) {
+        const bool bridge = sub_count_[sub_labels[i]] == 1;
+        result_.edge_component[region_[i]] = offset + sub_labels[i];
+        bridge_mask_[region_[i]] = static_cast<std::uint8_t>(bridge);
+        if (bridge) moved_bridges_.push_back(region_[i]);
       }
       next_label_ += region_blocks;
       // Drop cache entries keyed on the batch's temporary subgraphs.
@@ -600,10 +819,11 @@ const BccResult& BatchDynamicBcc::apply_batch(
     // The flagged blocks vanished with the region (every edge of a
     // flagged label was a region member or deleted); the region solve's
     // blocks replaced them.
-    result_.num_components =
-        result_.num_components - flagged_count_ + region_blocks;
+    result_.num_components = result_.num_components -
+                             static_cast<vid>(flagged_.size()) +
+                             region_blocks;
   }
-  patch_cut_info();
+  patch_cut_info(m - static_cast<eid>(del_scratch_.size()));
 
   // Opportunistic renormalization: splices only grow the label space,
   // so when the ids outrun ~2(n + m), pay one first-appearance pass to
@@ -647,7 +867,7 @@ const BccResult& BatchDynamicBcc::apply_batch(
   return result_;
 }
 
-void BatchDynamicBcc::patch_cut_info() {
+void BatchDynamicBcc::patch_cut_info(eid base) {
   if (!opt_.compute_cut_info) {
     result_.is_articulation.clear();
     result_.bridges.clear();
@@ -671,13 +891,44 @@ void BatchDynamicBcc::patch_cut_info() {
     }
     result_.is_articulation[v] = art;
   }
-  // Ascending bridge ids, re-emitted from the patched mask (ids move
-  // under swap compaction, so patching the sorted list in place would
-  // cost more than this sequential sweep).
-  result_.bridges.clear();
-  for (eid e = 0; e < g_.m(); ++e) {
-    if (bridge_mask_[e]) result_.bridges.push_back(e);
+  // Ascending bridge ids in one pass over the standing list: a standing
+  // bridge below `base` keeps its id unless the region swallowed it;
+  // the ones past `base` moved into holes and are among the added
+  // ones, with the region's new bridges.  The unchanged runs between
+  // edits are found by a forward scan (sequential, so the hardware
+  // prefetcher keeps it streaming) and copied whole.
+  std::sort(moved_bridges_.begin(), moved_bridges_.end());
+  const std::vector<eid>& old = result_.bridges;
+  const std::vector<eid>& removed = region_bridges_;
+  const std::vector<eid>& added = moved_bridges_;
+  const std::size_t end = static_cast<std::size_t>(
+      std::lower_bound(old.begin(), old.end(), base) - old.begin());
+  std::vector<eid>& out = bridge_scratch_;
+  out.clear();
+  std::size_t r = 0;
+  const auto copy_below = [&](eid key) {
+    std::size_t pos = r;
+    while (pos < end && old[pos] < key) ++pos;
+    out.insert(out.end(), old.begin() + r, old.begin() + pos);
+    r = pos;
+  };
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < removed.size() || j < added.size()) {
+    if (i < removed.size() && (j == added.size() || removed[i] <= added[j])) {
+      if (removed[i] < base) {
+        copy_below(removed[i]);
+        assert(r < end && old[r] == removed[i]);
+        ++r;
+      }
+      ++i;
+    } else {
+      copy_below(added[j]);
+      out.push_back(added[j++]);
+    }
   }
+  out.insert(out.end(), old.begin() + r, old.begin() + end);
+  std::swap(result_.bridges, out);
 }
 
 }  // namespace parbcc

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -58,11 +59,16 @@
 /// the region's fresh labels back with previously unused label values,
 /// patching the cut info only where it can change.
 ///
-/// Everything the splice path touches is O(batch + region) plus a few
-/// sequential O(m) sweeps with tiny constants (region collection, the
-/// damage numerator, the ascending bridge list) — never an O(n + m)
-/// rebuild, re-normalization, or full cut-info recomputation:
+/// Everything the splice path touches is O(batch + region + bridges)
+/// — never an O(n + m) rebuild, re-normalization, or full cut-info
+/// recomputation:
 ///
+///  - the region is collected by flooding each flagged block from a
+///    seed edge along its own label over the incidence lists (one
+///    label sweep over all edges only when hubs make the flood cost
+///    more than half of one);
+///  - a deletion that is the only one in its (non-bridge) block cannot
+///    disconnect anything, so it skips the split check;
 ///  - deletions compact `graph().edges` by swapping the last edge into
 ///    the hole, so the incidence lists need only O(degree) surgery at
 ///    the four affected endpoints (ids of unaffected edges never move
@@ -77,7 +83,8 @@
 ///  - `is_articulation` is recomputed only for vertices incident to the
 ///    region or the batch (no other vertex's incident label multiset
 ///    changed), and bridges are maintained as a per-edge mask patched
-///    by the splice, from which the ascending id list is re-emitted.
+///    by the splice; the ascending id list keeps its unmoved standing
+///    bridges and merges in the moved and region ones.
 ///
 /// Region growth is the damage model: when the touched-vertex fraction
 /// passes `BatchDynamicOptions::damage_threshold`, patching would cost
@@ -145,7 +152,8 @@ struct BatchDynamicOptions {
 struct BatchStats {
   /// Vertices incident to the affected region (the damage numerator).
   vid touched_vertices = 0;
-  /// Edges of the extracted region subgraph (insertions included).
+  /// Edges of the extracted region subgraph (insertions included); 0
+  /// when the batch fell back.
   eid region_edges = 0;
   /// Edges of the sparse certificate the region solve ran on; 0 when
   /// the region was solved directly or the batch fell back.
@@ -221,50 +229,71 @@ class BatchDynamicBcc {
   /// Did deleting {u, v} disconnect them?  Bidirectional BFS over the
   /// post-deletion incidence lists: a meet proves them still connected;
   /// the first side to exhaust is the detached component and is
-  /// relabeled under a fresh id (cost = its size).  Returns false —
-  /// component ids unreliable — when both sides hit opt_.search_cap;
-  /// the caller must then force a full re-solve, which reseeds.
-  bool split_check(vid u, vid v);
+  /// relabeled under a fresh id (cost = its size).  `was_bridge` skips
+  /// the contact test: a deleted bridge always disconnects.  Returns
+  /// false — component ids unreliable — when both sides hit
+  /// opt_.search_cap; the caller must then force a full re-solve,
+  /// which reseeds.
+  bool split_check(vid u, vid v, bool was_bridge);
+  /// Bumps search_epoch_ (resetting the stamp arrays on wrap) and
+  /// returns the fresh stamp.
+  std::uint32_t next_search_epoch();
+  /// Prefetches the scattered entries the batch will touch one miss at
+  /// a time — deleted edges, the tail edges their holes take, the
+  /// endpoints' incidence lists and component ids — in three waves of
+  /// independent loads, so the misses overlap instead of queueing.
+  void prefetch_batch(std::span<const Edge> insertions);
+  /// Flags the block holding edge e (once per label; e seeds the
+  /// region flood of that block).
+  void flag_block(eid e);
   /// Flags the labels of every block a batch edge can touch: deleted
   /// edges flag their own block; each same-component insertion flags
   /// the blocks met by its bidirectional-search path (exactly the
   /// block-cut-tree path plus at most the meeting balls); and
   /// component-joining insertions that close a cycle over standing
   /// components flag representative paths inside each endpoint group.
-  /// Returns the region's touched-vertex count (the touched vertices
-  /// are also collected into touched_ for the cut-info patch); counts
-  /// distinct flagged labels in flagged_count_; sets force_full_ when a
-  /// search was undecidable.
+  /// Then collects the flagged blocks' edges into region_ (see
+  /// collect_region).  Returns the region's touched-vertex count (the
+  /// touched vertices are also collected into touched_ for the
+  /// cut-info patch); sets force_full_ when a search was undecidable.
   vid probe_damage(std::span<const Edge> insertions,
-                   std::span<const eid> deletions,
-                   std::vector<std::uint8_t>& label_in_region);
+                   std::span<const eid> deletions);
   /// Capped bidirectional BFS between u and v (same component by the
   /// exact ids) over adj_.  On kMeet the labels of a simple u-v path
-  /// have been flagged into label_in_region.  kUndecided means the cap
-  /// was hit first — or a side exhausted without contact, which would
-  /// contradict the ids and is treated as undecidable for safety.
-  Probe search_pair(vid u, vid v, std::vector<std::uint8_t>& label_in_region);
+  /// have been flagged.  kUndecided means the cap was hit first — or a
+  /// side exhausted without contact, which would contradict the ids
+  /// and is treated as undecidable for safety.
+  Probe search_pair(vid u, vid v);
+  /// Edge ids (pre-batch numbering) of every flagged block into
+  /// region_, their endpoints into touched_.  Each block is flooded
+  /// from its seed edge over adj_ along its own label, so the cost is
+  /// the degree sum of the region's vertices, not m; a flood whose arc
+  /// count passes m / 2 (hub-heavy regions) gives way to one label
+  /// sweep over all edges.  Stops early once more than `touch_limit`
+  /// vertices are touched — the batch falls back and needs no region.
+  void collect_region(double touch_limit);
   /// Applies the batch to g_.edges, the aligned label / bridge-mask
-  /// arrays and the incidence lists: deletions swap-compact (O(degree)
-  /// surgery per affected endpoint), insertions append with fresh ids.
-  /// With maintain_components, each deletion runs its split check right
+  /// arrays and the incidence lists: deletions (del_scratch_, sorted
+  /// ascending) swap-compact with O(degree) surgery per affected
+  /// endpoint, insertions append with fresh ids.  With
+  /// maintain_components, each deletion runs its split check right
   /// after its arcs are dropped and each insertion joins its endpoints'
   /// components — sequential semantics, so the ids stay exact at every
-  /// step; pass false when a fallback re-solve (which reseeds) is
-  /// already decided.  Fills `region_ids` with the region's edge ids in
-  /// the new numbering (insertions get a placeholder label; they are
-  /// always in the region).
+  /// step — and region_ follows every moved edge into the new
+  /// numbering (insertions appended; they get a placeholder label and
+  /// are always in the region).  Pass false when a fallback re-solve
+  /// (which reseeds) is already decided.
   void rebuild_edges(std::span<const Edge> insertions,
-                     std::span<const eid> deletions,
-                     const std::vector<std::uint8_t>& label_in_region,
-                     std::vector<eid>& region_ids, bool maintain_components);
+                     bool maintain_components);
   /// Labels of a compact region subgraph, by a direct solve or (when
   /// dense enough) a sparse-certificate solve plus the F1 scatter rule.
   std::vector<vid> solve_region(const EdgeList& region);
   /// Recompute is_articulation for the touched vertices (no other
-  /// vertex's incident label multiset changed) and re-emit the
-  /// ascending bridge list from the patched mask.
-  void patch_cut_info();
+  /// vertex's incident label multiset changed) and patch the ascending
+  /// bridge list: drop the region's standing bridges and those past
+  /// `base` (the edge count after the deletions, before the
+  /// insertions), merge in the moved and region ones.
+  void patch_cut_info(eid base);
 
   BccContext& ctx_;
   BatchDynamicOptions opt_;
@@ -282,6 +311,12 @@ class BatchDynamicBcc {
   /// Incidence lists (neighbor, edge id) of the standing graph, kept
   /// current across batches by rebuild_edges' per-endpoint surgery.
   std::vector<std::vector<std::pair<vid, eid>>> adj_;
+  /// Per edge, the positions of its two arcs: [arc_side(x, y)] is the
+  /// index of edge {x, y} in adj_[x] (side 0 is the smaller endpoint's
+  /// list; loop-free, so the sides never collide).  Aligned with
+  /// g_.edges, so deleting or renumbering an arc is O(1) even at a hub.
+  std::vector<std::array<std::uint32_t, 2>> arc_pos_;
+  static int arc_side(vid x, vid y) { return x < y ? 0 : 1; }
 
   /// Exact connected-component ids, maintained across batches: splits
   /// relabel the detached (smaller) side under a fresh id appended to
@@ -296,13 +331,35 @@ class BatchDynamicBcc {
   /// splice labels are drawn from here so unchanged blocks keep their
   /// values (which is what makes the cut-info patch local).
   vid next_label_ = 0;
-  /// Distinct labels flagged by the last probe == blocks that vanish
-  /// with the region (every flagged label's edges are region members or
-  /// deleted), which keeps num_components exact without a scan.
-  vid flagged_count_ = 0;
+  /// Per-label probe flags (kFlagged, kDeleted, kMultiDeleted), sized
+  /// by label_bound() and cleared entry by entry through flagged_, so a
+  /// batch never pays for the whole label space.
+  static constexpr std::uint8_t kFlagged = 1;
+  static constexpr std::uint8_t kDeleted = 2;
+  static constexpr std::uint8_t kMultiDeleted = 4;
+  std::vector<std::uint8_t> label_flags_;
+  /// (label, seed edge) per block flagged by the last probe.  Its size
+  /// is the number of blocks that vanish with the region (every flagged
+  /// label's edges are region members or deleted), which keeps
+  /// num_components exact without a scan.
+  std::vector<std::pair<vid, eid>> flagged_;
+  /// Region edge ids: pre-batch numbering after the probe, the new one
+  /// after rebuild_edges (deleted entries dropped, moved ones followed,
+  /// insertions appended).  edge_slot_[e] is e's index in region_,
+  /// meaningful only while e's label is flagged.
+  std::vector<eid> region_;
+  std::vector<eid> edge_slot_;
   /// Per-edge bridge flags, aligned with g_.edges across swaps and
-  /// splices; the ascending result_.bridges list is re-emitted from it.
+  /// splices.  Single-edge blocks are bridges whether or not cut info
+  /// is published: the probe and the split checks read it.
   std::vector<std::uint8_t> bridge_mask_;
+  /// Standing bridges the region swallows (pre-batch ids), and the
+  /// final positions of moved non-region bridges plus the region's new
+  /// bridges — the two edits patch_cut_info makes to the sorted list,
+  /// which it rebuilds into bridge_scratch_ and swaps in.
+  std::vector<eid> region_bridges_;
+  std::vector<eid> moved_bridges_;
+  std::vector<eid> bridge_scratch_;
 
   // Search scratch, persistent across batches and epoch-stamped so a
   // batch initializes O(visited), not O(n).  touch_mark_ de-duplicates
@@ -320,6 +377,17 @@ class BatchDynamicBcc {
   std::vector<vid> visits_a_, visits_b_;
   std::vector<eid> del_scratch_;
   std::vector<vid> sub_count_;
+  /// Per-batch component multigraph of the cross-component insertions:
+  /// (component, endpoint) pairs, each component id's rank (kNoVertex
+  /// between batches), and a union-find with cycle flags over ranks.
+  std::vector<std::pair<vid, vid>> cross_ends_;
+  std::vector<vid> comp_rank_;
+  std::vector<vid> cross_parent_;
+  std::vector<std::uint8_t> cross_cycle_;
+  /// Region extraction: compact id per vertex, valid where mark_b_
+  /// carries the extraction's stamp.
+  std::vector<vid> compact_;
+  EdgeList region_graph_;
 };
 
 }  // namespace parbcc

@@ -165,6 +165,66 @@ TEST(BatchDynamic, BridgeDeletionDisconnects) {
   expect_matches_static(dyn);
 }
 
+TEST(BatchDynamic, ChainedMovesKeepBridgeList) {
+  // A path is all bridges.  Deleting ids 6 and 7 of 9 moves edge 8 into
+  // hole 7, then on into hole 6: the bridge list must follow the edge
+  // to its final id and drop the stale one.
+  BccContext ctx(1);
+  BatchDynamicOptions opt;
+  opt.damage_threshold = 1.0;
+  BatchDynamicBcc dyn(ctx, gen::path(10), opt);
+  const std::vector<eid> dels = {6, 7};
+  dyn.apply_batch({}, dels);
+  expect_matches_static(dyn);
+  ASSERT_EQ(dyn.result().bridges.size(), 7u);
+  ASSERT_FALSE(dyn.last_batch().fell_back);
+
+  // A cycle's only deletion cannot split it (no split check runs); two
+  // deletions in one cycle do split it.
+  const Edge close{0, 6};
+  dyn.apply_batch({&close, 1}, {});
+  expect_matches_static(dyn);
+  const std::vector<eid> one = {0};  // {0, 1}
+  dyn.apply_batch({}, one);
+  expect_matches_static(dyn);
+  const Edge reclose{0, 1};
+  dyn.apply_batch({&reclose, 1}, {});
+  expect_matches_static(dyn);
+  const std::vector<eid> two = {1, 3};  // {1, 2} and {3, 4}
+  dyn.apply_batch({}, two);
+  expect_matches_static(dyn);
+  ASSERT_EQ(dyn.result().num_components, 6u);
+  // {2, 3} split off; only exact component ids let the rejoin splice
+  // without a search that would run dry and force a fallback.
+  const Edge rejoin{2, 0};
+  dyn.apply_batch({&rejoin, 1}, {});
+  expect_matches_static(dyn);
+  ASSERT_FALSE(dyn.last_batch().fell_back);
+}
+
+TEST(BatchDynamic, HubRegionFallsBackToLabelSweep) {
+  // Friendship graph: 60 triangles sharing hub 0.  Flooding any
+  // flagged triangle scans the hub's 120 arcs, past half of m = 180,
+  // so the region is collected by the label sweep instead.
+  constexpr vid kTriangles = 60;
+  EdgeList g(1 + 2 * kTriangles, {});
+  for (vid t = 0; t < kTriangles; ++t) {
+    const vid a = 1 + 2 * t;
+    g.edges.push_back({0, a});
+    g.edges.push_back({0, a + 1});
+    g.edges.push_back({a, a + 1});
+  }
+  BccContext ctx(4);
+  BatchDynamicOptions opt;
+  opt.damage_threshold = 1.0;
+  BatchDynamicBcc dyn(ctx, g, opt);
+  const std::vector<eid> dels = {2, 5, 8};  // three rims
+  const std::vector<Edge> ins = {{1, 3}, {7, 9}};
+  dyn.apply_batch(ins, dels);
+  expect_matches_static(dyn);
+  ASSERT_FALSE(dyn.last_batch().fell_back);
+}
+
 TEST(BatchDynamic, FallbackReseedKeepsComponentIdsExact) {
   // Components: A = triangles {0,1,2} and {3,4,5} joined by the bridge
   // {2,3}; B = triangle {6,7,8}; C = triangle {9,10,11}; D = a 40-cycle

@@ -492,6 +492,12 @@ TEST(Service, ConcurrentReadersNeverBlockOnWriter) {
     });
   }
 
+  // Ten batches on 200 vertices finish in well under a millisecond, so
+  // on a loaded host the writer could be done before any reader was
+  // scheduled; start writing once the readers are reading.
+  while (reads.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
   Xoshiro256 rng(17);
   for (int round = 0; round < 10; ++round) {
     std::vector<Edge> ins;
