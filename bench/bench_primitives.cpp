@@ -10,10 +10,8 @@
 #include <numeric>
 #include <random>
 
-#include "connectivity/hcs.hpp"
 #include "connectivity/shiloach_vishkin.hpp"
 #include "core/bcc.hpp"
-#include "eulertour/tree_contraction.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "listrank/list_ranking.hpp"
@@ -224,44 +222,6 @@ void BM_BfsTree(benchmark::State& state) {
                           static_cast<std::int64_t>(g.m()));
 }
 BENCHMARK(BM_BfsTree)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_ConnectedComponentsHCS(benchmark::State& state) {
-  Executor ex(static_cast<int>(state.range(0)));
-  const EdgeList& g = graph_fixture();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(connected_components_hcs(ex, g));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.m()));
-}
-BENCHMARK(BM_ConnectedComponentsHCS)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_TreeContraction(benchmark::State& state) {
-  Executor ex(static_cast<int>(state.range(0)));
-  static const ExpressionTree tree = random_expression_tree(1 << 20, 5);
-  const std::uint64_t expect = evaluate_sequential(tree);
-  for (auto _ : state) {
-    const std::uint64_t got = evaluate_tree_contraction(ex, tree);
-    if (got != expect) state.SkipWithError("wrong value");
-    benchmark::DoNotOptimize(got);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(tree.size()));
-}
-BENCHMARK(BM_TreeContraction)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_TreeEvalSequential(benchmark::State& state) {
-  static const ExpressionTree tree = random_expression_tree(1 << 20, 5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluate_sequential(tree));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(tree.size()));
-}
-BENCHMARK(BM_TreeEvalSequential)->Unit(benchmark::kMillisecond);
 
 void BM_CsrBuild(benchmark::State& state) {
   Executor ex(static_cast<int>(state.range(0)));

@@ -23,8 +23,8 @@ cd "$(dirname "$0")"
 
 JOBS="${JOBS:-$(nproc)}"
 
-echo "==> tier-1: configure (build/)"
-cmake -B build -S . >/dev/null
+echo "==> tier-1: configure (build/, warnings as errors)"
+cmake -B build -S . -DPARBCC_WERROR=ON >/dev/null
 
 echo "==> tier-1: build"
 cmake --build build -j "$JOBS"

@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/augmentation.hpp"
+#include "augmentation.hpp"
 #include "core/bcc.hpp"
 #include "core/block_cut_tree.hpp"
 #include "graph/generators.hpp"

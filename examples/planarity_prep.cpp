@@ -16,9 +16,9 @@
 #include <map>
 
 #include "core/bcc.hpp"
-#include "core/ear_decomposition.hpp"
-#include "core/st_numbering.hpp"
+#include "ear_decomposition.hpp"
 #include "graph/generators.hpp"
+#include "st_numbering.hpp"
 
 int main(int argc, char** argv) {
   using namespace parbcc;

@@ -13,7 +13,7 @@
 /// articulation vertices, with a tree edge whenever a cut vertex lies
 /// in a block.  This is the structure behind the paper's motivating
 /// application — fault-tolerant network design — and drives the
-/// biconnectivity augmentation in augmentation.hpp.
+/// biconnectivity augmentation of the network_resilience example.
 
 namespace parbcc {
 

@@ -6,8 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "augmentation.hpp"
 #include "connectivity/union_find.hpp"
-#include "core/augmentation.hpp"
 #include "core/bcc.hpp"
 #include "core/block_cut_tree.hpp"
 #include "graph/generators.hpp"

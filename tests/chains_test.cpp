@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "chains.hpp"
 #include "core/bcc.hpp"
-#include "core/chains.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
 #include "util/thread_pool.hpp"
@@ -77,13 +77,14 @@ TEST(Chains, DisconnectedComponentsIndependent) {
 
 TEST(Chains, CrossChecksTheParallelPipelinesAtScale) {
   // Chains are an O(n + m) oracle, so this runs at sizes the deletion
-  // brute force cannot: compare cut reports against all three parallel
-  // algorithms on a 50k-vertex graph.
+  // brute force cannot: compare cut reports against every engine on a
+  // 50k-vertex graph.
   const EdgeList g = gen::random_connected_gnm(50000, 120000, 4);
   const ChainDecomposition cd = chain_decomposition(g);
   Executor ex(4);
   for (const BccAlgorithm algorithm :
-       {BccAlgorithm::kTvSmp, BccAlgorithm::kTvOpt, BccAlgorithm::kTvFilter}) {
+       {BccAlgorithm::kSequential, BccAlgorithm::kTvSmp, BccAlgorithm::kTvOpt,
+        BccAlgorithm::kTvFilter, BccAlgorithm::kFastBcc}) {
     BccOptions opt;
     opt.algorithm = algorithm;
     const BccResult r = biconnected_components(ex, g, opt);

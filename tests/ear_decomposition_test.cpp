@@ -3,7 +3,7 @@
 #include <set>
 
 #include "core/bcc.hpp"
-#include "core/ear_decomposition.hpp"
+#include "ear_decomposition.hpp"
 #include "graph/generators.hpp"
 #include "util/thread_pool.hpp"
 

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
+#include "core/batch_dynamic.hpp"
 #include "core/bcc.hpp"
-#include "core/incremental.hpp"
+#include "core/bcc_context.hpp"
 #include "core/validate.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
@@ -98,6 +101,26 @@ struct Builder {
   }
 };
 
+/// Connected components (isolated vertices included) read off a
+/// labeling: the block-cut forest has blocks + cuts nodes and one edge
+/// per (cut vertex, block at it) pair, and a non-cut vertex sits in
+/// exactly one block, so components = n + blocks - sum over vertices of
+/// the distinct block labels at each.
+vid components_from_blocks(const EdgeList& g, const BccResult& r) {
+  std::vector<std::vector<vid>> labels_at(g.n);
+  for (eid e = 0; e < g.m(); ++e) {
+    labels_at[g.edges[e].u].push_back(r.edge_component[e]);
+    labels_at[g.edges[e].v].push_back(r.edge_component[e]);
+  }
+  vid count = g.n + r.num_components;
+  for (auto& labels : labels_at) {
+    std::sort(labels.begin(), labels.end());
+    count -= static_cast<vid>(
+        std::unique(labels.begin(), labels.end()) - labels.begin());
+  }
+  return count;
+}
+
 class FuzzParam : public ::testing::TestWithParam<int> {};
 
 TEST_P(FuzzParam, TrackedStructureMatchesEveryAlgorithm) {
@@ -136,16 +159,29 @@ TEST_P(FuzzParam, TrackedStructureMatchesEveryAlgorithm) {
     ASSERT_TRUE(validate_bcc(ex, b.g, r).ok) << to_string(algorithm);
   }
 
-  // The incremental structure, fed the edges in shuffled order, must
-  // land on the same final answers.
+  // The batch-dynamic engine, grown from the bare vertex set by a few
+  // insertion batches of the shuffled edges, must land on the same
+  // final answers.  No damage fallback: every batch is spliced, so the
+  // engine's own merge path is what gets checked, not another solve.
   auto edges = b.g.edges;
   std::shuffle(edges.begin(), edges.end(), b.rng);
-  IncrementalBiconnectivity inc(b.g.n);
-  for (const Edge& e : edges) inc.insert_edge(e.u, e.v);
-  EXPECT_EQ(inc.num_blocks(), b.blocks);
-  EXPECT_EQ(inc.num_bridges(), b.bridges);
-  EXPECT_EQ(inc.num_cut_vertices(), b.expected_cuts());
-  EXPECT_EQ(inc.num_components(), b.components);
+  BccContext ctx(ex);
+  BatchDynamicOptions dyn_opt;
+  dyn_opt.damage_threshold = 1.0;
+  BatchDynamicBcc dyn(ctx, EdgeList(b.g.n, {}), dyn_opt);
+  const std::span<const Edge> all(edges);
+  const std::size_t step = all.size() / 4 + 1;
+  for (std::size_t at = 0; at < all.size(); at += step) {
+    dyn.apply_batch(all.subspan(at, std::min(step, all.size() - at)), {});
+  }
+  ASSERT_EQ(dyn.fallbacks(), 0u);
+  const BccResult& r = dyn.result();
+  EXPECT_EQ(r.num_components, b.blocks);
+  EXPECT_EQ(r.bridges.size(), b.bridges);
+  vid cuts = 0;
+  for (const auto a : r.is_articulation) cuts += a;
+  EXPECT_EQ(cuts, b.expected_cuts());
+  EXPECT_EQ(components_from_blocks(dyn.graph(), r), b.components);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FuzzParam, ::testing::Range(0, 25));

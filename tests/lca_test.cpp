@@ -4,7 +4,7 @@
 
 #include "eulertour/tree_computations.hpp"
 #include "graph/generators.hpp"
-#include "rmq/lca.hpp"
+#include "lca.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "core/bcc.hpp"
-#include "core/st_numbering.hpp"
 #include "graph/generators.hpp"
+#include "st_numbering.hpp"
 #include "util/thread_pool.hpp"
 
 namespace parbcc {
