@@ -44,14 +44,15 @@
 #include "connectivity/shiloach_vishkin.hpp"
 #include "core/bcc.hpp"
 #include "dynamic_churn.hpp"
-#include "core/lowhigh.hpp"
-#include "core/tv_core.hpp"
-#include "eulertour/euler_tour.hpp"
+#include "engines.hpp"
 #include "eulertour/tree_computations.hpp"
 #include "graph/csr.hpp"
+#include "paper/euler_tour.hpp"
+#include "paper/lowhigh.hpp"
+#include "paper/traversal_tree.hpp"
+#include "paper/tv_core.hpp"
 #include "spanning/bfs_tree.hpp"
 #include "spanning/sv_tree.hpp"
-#include "spanning/traversal_tree.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -247,27 +248,28 @@ bool fastbcc_section(Executor& ex, JsonWriter& json, const char* family,
               "peak scratch");
 
   const struct {
-    BccAlgorithm alg;
+    Engine alg;
     const char* name;
-  } engines[] = {{BccAlgorithm::kTvFilter, "tv-filter"},
+  } engines[] = {{paper::Algorithm::kTvFilter, "tv-filter"},
                  {BccAlgorithm::kFastBcc, "fastbcc"}};
   double best[2] = {0, 0};
   std::size_t peak[2] = {0, 0};
   std::vector<vid> labels[2];
+  // Engine-vs-engine cells (and the kAuto pick below) stay on the
+  // paper's static schedule: the committed BENCH_fastbcc.json baselines
+  // were measured under it, and the schedule comparison has its own
+  // section (f) with both engines as arms.
+  const ExecMode prev_mode = ex.mode();
+  ex.set_mode(ExecMode::kSpmd);
+  SolveOptions opt;
+  opt.compute_cut_info = false;
   for (int i = 0; i < 2; ++i) {
     BccContext ctx(ex);
-    BccOptions opt;
-    opt.algorithm = engines[i].alg;
-    opt.compute_cut_info = false;
-    // Engine-vs-engine cells stay on the paper's static schedule: the
-    // committed BENCH_fastbcc.json baselines were measured under it,
-    // and the schedule comparison has its own section (f) with both
-    // engines as arms.
-    opt.exec_mode = ExecMode::kSpmd;
-    (void)biconnected_components(ctx, g, opt);  // warm conversion + arena
+    // Warm conversion + arena.
+    (void)solve(ctx, g, engines[i].alg, opt);
     BccResult r;
     const RepStats st =
-        timed_reps([&] { r = biconnected_components(ctx, g, opt); });
+        timed_reps([&] { r = solve(ctx, g, engines[i].alg, opt); });
     best[i] = st.min;
     peak[i] = r.peak_workspace_bytes;
     labels[i] = std::move(r.edge_component);
@@ -301,15 +303,12 @@ bool fastbcc_section(Executor& ex, JsonWriter& json, const char* family,
   // The dispatcher's own verdict for this cell, read off the rollup
   // span it opened.
   BccContext auto_ctx(ex);
-  BccOptions auto_opt;
-  auto_opt.algorithm = BccAlgorithm::kAuto;
-  auto_opt.compute_cut_info = false;
-  auto_opt.exec_mode = ExecMode::kSpmd;
-  const BccResult ra = biconnected_components(auto_ctx, g, auto_opt);
+  const BccResult ra = solve(auto_ctx, g, BccAlgorithm::kAuto, opt);
+  ex.set_mode(prev_mode);
   const char* picked = "?";
-  for (const BccAlgorithm alg :
-       {BccAlgorithm::kSequential, BccAlgorithm::kTvOpt,
-        BccAlgorithm::kTvFilter, BccAlgorithm::kFastBcc}) {
+  for (const Engine alg :
+       {Engine(BccAlgorithm::kSequential), Engine(paper::Algorithm::kTvOpt),
+        Engine(paper::Algorithm::kTvFilter), Engine(BccAlgorithm::kFastBcc)}) {
     if (ra.trace.find_path(to_string(alg)) != nullptr) picked = to_string(alg);
   }
   std::printf("    auto pick: %s (expected %s)\n", picked,
@@ -459,7 +458,7 @@ bool bfs_kernel_section(Executor& ex, JsonWriter& json, const char* family,
 /// the busy profiles for real-SMP runs without gating them (see
 /// part 1 for why whole-solve profiles are not attributable here).
 bool scheduler_section(Executor& ex, JsonWriter& json, const char* family,
-                       const EdgeList& g, BccAlgorithm alg) {
+                       const EdgeList& g, Engine alg) {
   bool ok = true;
   std::printf("  %s/%s (n = %u, m = %u, p = %d)\n", family, to_string(alg),
               g.n, g.m(), ex.threads());
@@ -476,16 +475,16 @@ bool scheduler_section(Executor& ex, JsonWriter& json, const char* family,
   SchedulerStats stats[2];
   std::vector<vid> labels[2];
   ex.set_busy_accounting(true);
+  const ExecMode prev_mode = ex.mode();
+  SolveOptions opt;
+  opt.compute_cut_info = false;
   for (int i = 0; i < 2; ++i) {
     BccContext ctx(ex);
-    BccOptions opt;
-    opt.algorithm = alg;
-    opt.compute_cut_info = false;
-    opt.exec_mode = modes[i].mode;
-    (void)biconnected_components(ctx, g, opt);  // warm conversion + arena
+    ex.set_mode(modes[i].mode);
+    (void)solve(ctx, g, alg, opt);  // warm conversion + arena
     BccResult r;
-    const RepStats st = timed_reps(
-        [&] { r = biconnected_components(ctx, g, opt); }, /*min_reps=*/3);
+    const RepStats st = timed_reps([&] { r = solve(ctx, g, alg, opt); },
+                                   /*min_reps=*/3);
     // The dispatcher resets the counters per solve, so this snapshot
     // is exactly the last rep's schedule.
     stats[i] = ex.scheduler_stats();
@@ -510,6 +509,7 @@ bool scheduler_section(Executor& ex, JsonWriter& json, const char* family,
                {"splits", static_cast<double>(stats[i].splits)},
                {"steals", static_cast<double>(stats[i].steals)}}});
   }
+  ex.set_mode(prev_mode);
   ex.set_busy_accounting(false);
   ex.reset_scheduler_stats();
 
@@ -621,7 +621,7 @@ int main(int argc, char** argv) {
   // (SV round counts, bottom-up probe totals) and their committed
   // baselines predate the work-stealing default.  Section (f) is the
   // schedule ablation — it flips this per arm itself, and the
-  // dispatcher-driven solves in (e)/(f) pin exec_mode per solve.
+  // whole-solve cells of (e)/(f) set and restore the mode they need.
   ex.set_mode(ExecMode::kSpmd);
   bool ok = true;
   if (!fastbcc_only && !sched_only && !dynamic_only) {
@@ -771,10 +771,11 @@ int main(int argc, char** argv) {
     ok &= bfs_kernel_section(ex, json, "powerlaw-5n", plaw, true);
     ok &= bfs_kernel_section(ex, json, "gnm-5n", uni, false);
     ok &= scheduler_section(ex, json, "powerlaw-5n", plaw,
-                            BccAlgorithm::kTvFilter);
+                            paper::Algorithm::kTvFilter);
     ok &= scheduler_section(ex, json, "powerlaw-5n", plaw,
                             BccAlgorithm::kFastBcc);
-    ok &= scheduler_section(ex, json, "gnm-5n", uni, BccAlgorithm::kTvFilter);
+    ok &= scheduler_section(ex, json, "gnm-5n", uni,
+                            paper::Algorithm::kTvFilter);
     ok &= scheduler_section(ex, json, "torus", torus, BccAlgorithm::kFastBcc);
   }
 

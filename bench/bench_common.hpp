@@ -113,6 +113,13 @@ inline RepStats rep_stats(std::vector<double> samples) {
   return out;
 }
 
+/// A cold solve: a fresh context of opt.threads workers, the full bill
+/// of a one-shot caller (thread spawn, arena growth, conversion).
+inline BccResult solve(const EdgeList& g, const BccOptions& opt) {
+  BccContext ctx(opt.threads);
+  return biconnected_components(ctx, g, opt);
+}
+
 /// The paper's density sweep: multipliers of n, with 20n standing in
 /// for n log n at n = 1M.
 inline std::vector<eid> density_multipliers() { return {4, 10, 20}; }

@@ -9,18 +9,19 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "engines.hpp"
 
 using namespace parbcc;
 using namespace parbcc::bench;
 
 namespace {
 
-double run(const EdgeList& g, BccAlgorithm algorithm, int p, vid expect) {
-  BccOptions opt;
-  opt.algorithm = algorithm;
+double run(const EdgeList& g, paper::Algorithm algorithm, int p,
+           vid expect) {
+  SolveOptions opt;
   opt.threads = p;
   opt.compute_cut_info = false;
-  const BccResult r = biconnected_components(g, opt);
+  const BccResult r = solve(g, algorithm, opt);
   if (r.num_components != expect) {
     std::printf("!! mismatch for %s\n", to_string(algorithm));
     std::exit(1);
@@ -44,12 +45,12 @@ int main() {
       BccOptions opt;
       opt.algorithm = BccAlgorithm::kSequential;
       opt.compute_cut_info = false;
-      const BccResult seq = biconnected_components(g, opt);
-      const double t_smp = run(g, BccAlgorithm::kTvSmp, p,
+      const BccResult seq = solve(g, opt);
+      const double t_smp = run(g, paper::Algorithm::kTvSmp, p,
                                seq.num_components);
-      const double t_opt = run(g, BccAlgorithm::kTvOpt, p,
+      const double t_opt = run(g, paper::Algorithm::kTvOpt, p,
                                seq.num_components);
-      const double t_filter = run(g, BccAlgorithm::kTvFilter, p,
+      const double t_filter = run(g, paper::Algorithm::kTvFilter, p,
                                   seq.num_components);
       std::printf("%6u %6u %10u %12.4f %12.4f %12.4f %12.4f\n", n,
                   permille / 10, g.m(), seq.times.total, t_smp, t_opt,

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "engines.hpp"
 #include "graph/io_binary.hpp"
 
 using namespace parbcc;
@@ -18,14 +19,14 @@ using namespace parbcc::bench;
 
 namespace {
 
-double run(const EdgeList& g, BccAlgorithm algorithm, int p, vid* blocks) {
-  BccOptions opt;
-  opt.algorithm = algorithm;
+double run(const EdgeList& g, paper::Algorithm algorithm, int p,
+           vid* blocks) {
+  SolveOptions opt;
   opt.threads = p;
   opt.compute_cut_info = false;
   double best = 1e30;
   for (int rep = 0; rep < 2; ++rep) {
-    const BccResult r = biconnected_components(g, opt);
+    const BccResult r = solve(g, algorithm, opt);
     best = std::min(best, r.times.total);
     *blocks = r.num_components;
   }
@@ -64,9 +65,9 @@ int main(int argc, char** argv) {
               "blocks", "TV-SMP(s)", "TV-opt(s)", "TV-filter(s)");
   for (const Family& f : families) {
     vid blocks = 0;
-    const double t_smp = run(f.g, BccAlgorithm::kTvSmp, p, &blocks);
-    const double t_opt = run(f.g, BccAlgorithm::kTvOpt, p, &blocks);
-    const double t_filter = run(f.g, BccAlgorithm::kTvFilter, p, &blocks);
+    const double t_smp = run(f.g, paper::Algorithm::kTvSmp, p, &blocks);
+    const double t_opt = run(f.g, paper::Algorithm::kTvOpt, p, &blocks);
+    const double t_filter = run(f.g, paper::Algorithm::kTvFilter, p, &blocks);
     std::printf("%-20s %10u %10u %8u %12.3f %12.3f %12.3f\n", f.name, f.g.n,
                 f.g.m(), blocks, t_smp, t_opt, t_filter);
   }
@@ -74,9 +75,9 @@ int main(int argc, char** argv) {
     const io::MappedGraph mapped = io::MappedGraph::map(path);
     const EdgeList& g = mapped.graph();
     vid blocks = 0;
-    const double t_smp = run(g, BccAlgorithm::kTvSmp, p, &blocks);
-    const double t_opt = run(g, BccAlgorithm::kTvOpt, p, &blocks);
-    const double t_filter = run(g, BccAlgorithm::kTvFilter, p, &blocks);
+    const double t_smp = run(g, paper::Algorithm::kTvSmp, p, &blocks);
+    const double t_opt = run(g, paper::Algorithm::kTvOpt, p, &blocks);
+    const double t_filter = run(g, paper::Algorithm::kTvFilter, p, &blocks);
     std::printf("%-20s %10u %10u %8u %12.3f %12.3f %12.3f\n", path.c_str(),
                 g.n, g.m(), blocks, t_smp, t_opt, t_filter);
   }

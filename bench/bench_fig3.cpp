@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "engines.hpp"
 
 using namespace parbcc;
 using namespace parbcc::bench;
@@ -27,18 +28,17 @@ vid expected_components(const EdgeList& g) {
   BccOptions o;
   o.algorithm = BccAlgorithm::kSequential;
   o.compute_cut_info = false;
-  return biconnected_components(g, o).num_components;
+  return solve(g, o).num_components;
 }
 
-RepStats run_reps(const EdgeList& g, BccAlgorithm algorithm, int threads,
+RepStats run_reps(const EdgeList& g, Engine algorithm, int threads,
                   vid expect) {
-  BccOptions opt;
-  opt.algorithm = algorithm;
+  SolveOptions opt;
   opt.threads = threads;
   opt.compute_cut_info = false;
   std::vector<double> samples;
   for (int rep = 0; rep < env_reps(); ++rep) {
-    const BccResult r = biconnected_components(g, opt);
+    const BccResult r = solve(g, algorithm, opt);
     if (r.num_components != expect) {
       std::printf("!! component mismatch for %s\n", to_string(algorithm));
       std::exit(1);
@@ -90,20 +90,20 @@ int main() {
     }
 
     double smp_best = 1e30, opt_best = 1e30, filter_best = 1e30;
-    for (const BccAlgorithm algorithm :
-         {BccAlgorithm::kTvSmp, BccAlgorithm::kTvOpt,
-          BccAlgorithm::kTvFilter}) {
+    for (const paper::Algorithm algorithm :
+         {paper::Algorithm::kTvSmp, paper::Algorithm::kTvOpt,
+          paper::Algorithm::kTvFilter}) {
       std::vector<RepStats> row;
       for (const int p : threads) {
         const RepStats s = run_reps(g, algorithm, p, expect);
         row.push_back(s);
-        if (algorithm == BccAlgorithm::kTvSmp) {
+        if (algorithm == paper::Algorithm::kTvSmp) {
           smp_best = std::min(smp_best, s.min);
         }
-        if (algorithm == BccAlgorithm::kTvOpt) {
+        if (algorithm == paper::Algorithm::kTvOpt) {
           opt_best = std::min(opt_best, s.min);
         }
-        if (algorithm == BccAlgorithm::kTvFilter) {
+        if (algorithm == paper::Algorithm::kTvFilter) {
           filter_best = std::min(filter_best, s.min);
         }
       }

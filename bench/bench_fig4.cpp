@@ -14,6 +14,7 @@
 #include <cstdlib>
 
 #include "bench_common.hpp"
+#include "engines.hpp"
 
 using namespace parbcc;
 using namespace parbcc::bench;
@@ -27,16 +28,15 @@ struct RepRun {
   RepStats total;
 };
 
-RepRun run(const EdgeList& g, BccAlgorithm algorithm, int threads) {
-  BccOptions opt;
-  opt.algorithm = algorithm;
+RepRun run(const EdgeList& g, Engine algorithm, int threads) {
+  SolveOptions opt;
   opt.threads = threads;
   opt.compute_cut_info = false;
   RepRun out;
   out.best.total = 1e30;
   std::vector<double> totals;
   for (int rep = 0; rep < env_reps(); ++rep) {
-    const BccResult r = biconnected_components(g, opt);
+    const BccResult r = solve(g, algorithm, opt);
     totals.push_back(r.times.total);
     if (r.times.total < out.best.total) out.best = r.times;
   }
@@ -64,9 +64,9 @@ int main(int argc, char** argv) {
     const eid m = mult * static_cast<eid>(n);
     const EdgeList g = gen::random_connected_gnm(n, m, seed + mult);
 
-    const RepRun smp_run = run(g, BccAlgorithm::kTvSmp, p);
-    const RepRun opt_run = run(g, BccAlgorithm::kTvOpt, p);
-    const RepRun filter_run = run(g, BccAlgorithm::kTvFilter, p);
+    const RepRun smp_run = run(g, paper::Algorithm::kTvSmp, p);
+    const RepRun opt_run = run(g, paper::Algorithm::kTvOpt, p);
+    const RepRun filter_run = run(g, paper::Algorithm::kTvFilter, p);
     const RepRun fast_run = run(g, BccAlgorithm::kFastBcc, p);
     const StepTimes& smp = smp_run.best;
     const StepTimes& opt = opt_run.best;
@@ -109,17 +109,16 @@ int main(int argc, char** argv) {
   if (trace_out.enabled()) {
     const EdgeList g =
         gen::random_connected_gnm(n, 4 * static_cast<eid>(n), seed + 4);
-    for (const BccAlgorithm alg :
-         {BccAlgorithm::kSequential, BccAlgorithm::kTvSmp,
-          BccAlgorithm::kTvOpt, BccAlgorithm::kTvFilter,
-          BccAlgorithm::kFastBcc}) {
+    for (const Engine alg :
+         {Engine(BccAlgorithm::kSequential), Engine(paper::Algorithm::kTvSmp),
+          Engine(paper::Algorithm::kTvOpt), Engine(paper::Algorithm::kTvFilter),
+          Engine(BccAlgorithm::kFastBcc)}) {
       Trace trace(p);
-      BccOptions opt;
-      opt.algorithm = alg;
+      SolveOptions opt;
       opt.threads = p;
       opt.compute_cut_info = false;
       opt.trace = &trace;
-      const BccResult r = biconnected_components(g, opt);
+      const BccResult r = solve(g, alg, opt);
       std::printf("trace: %s solved n=%u m=%u into %u components\n",
                   to_string(alg), g.n, g.m(), r.num_components);
       trace_out.add(to_string(alg), trace);
@@ -129,13 +128,13 @@ int main(int argc, char** argv) {
     // smoke asserts both directions of that contract.
     {
       Trace trace(p);
-      BccOptions opt;
-      opt.algorithm = BccAlgorithm::kTvFilter;
-      opt.threads = p;
+      BccContext ctx(p);
+      ctx.executor().set_mode(ExecMode::kSpmd);
+      paper::PaperOptions opt;
+      opt.algorithm = paper::Algorithm::kTvFilter;
       opt.compute_cut_info = false;
-      opt.exec_mode = ExecMode::kSpmd;
       opt.trace = &trace;
-      const BccResult r = biconnected_components(g, opt);
+      const BccResult r = paper::solve(ctx, g, opt);
       std::printf("trace: TV-filter-spmd solved n=%u m=%u into %u "
                   "components\n",
                   g.n, g.m(), r.num_components);

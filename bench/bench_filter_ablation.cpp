@@ -15,6 +15,7 @@
 
 #include "bench_common.hpp"
 #include "graph/csr.hpp"
+#include "paper/solve.hpp"
 #include "scan/compact.hpp"
 #include "spanning/bfs_tree.hpp"
 #include "spanning/sv_tree.hpp"
@@ -40,20 +41,20 @@ int main() {
     const EdgeList g = gen::random_connected_gnm(n, m, seed + mult);
 
     // Filtering pipeline pieces, timed via the driver's own steps.
-    BccOptions opt;
-    opt.threads = p;
+    paper::PaperOptions opt;
     opt.compute_cut_info = false;
-    const auto fastest_of = [&](BccAlgorithm algorithm) {
+    const auto fastest_of = [&](paper::Algorithm algorithm) {
       opt.algorithm = algorithm;
       BccResult best;
       for (int rep = 0; rep < env_reps(); ++rep) {
-        BccResult r = biconnected_components(ex, g, opt);
+        BccContext ctx(ex);
+        BccResult r = paper::solve(ctx, g, opt);
         if (rep == 0 || r.times.total < best.times.total) best = std::move(r);
       }
       return best;
     };
-    const BccResult filt = fastest_of(BccAlgorithm::kTvFilter);
-    const BccResult tvopt = fastest_of(BccAlgorithm::kTvOpt);
+    const BccResult filt = fastest_of(paper::Algorithm::kTvFilter);
+    const BccResult tvopt = fastest_of(paper::Algorithm::kTvOpt);
 
     // Count kept edges exactly (T plus F).
     const Csr csr = Csr::build(ex, g);

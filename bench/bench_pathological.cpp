@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "engines.hpp"
 #include "graph/csr.hpp"
 #include "spanning/bfs_tree.hpp"
 #include "util/thread_pool.hpp"
@@ -31,20 +32,19 @@ struct Run {
 /// Warm solves: one context per engine and graph, primed once, so the
 /// cell is the min over `reps` solves of the engine alone (no CSR
 /// conversion, no first-touch arena growth).
-Run run(Executor& ex, const EdgeList& g, BccAlgorithm algorithm, int reps) {
+Run run(Executor& ex, const EdgeList& g, Engine algorithm, int reps) {
   BccContext ctx(ex);
-  BccOptions opt;
-  opt.algorithm = algorithm;
+  SolveOptions opt;
   opt.compute_cut_info = false;
-  BccResult r = biconnected_components(ctx, g, opt);
+  BccResult r = solve(ctx, g, algorithm, opt);
   Run out{r.times.total, r.num_components};
   for (int rep = 0; rep < reps; ++rep) {
-    r = biconnected_components(ctx, g, opt);
+    r = solve(ctx, g, algorithm, opt);
     out.seconds = std::min(out.seconds, r.times.total);
   }
-  for (const BccAlgorithm alg :
-       {BccAlgorithm::kSequential, BccAlgorithm::kTvOpt,
-        BccAlgorithm::kTvFilter, BccAlgorithm::kFastBcc}) {
+  for (const Engine alg :
+       {Engine(BccAlgorithm::kSequential), Engine(paper::Algorithm::kTvOpt),
+        Engine(paper::Algorithm::kTvFilter), Engine(BccAlgorithm::kFastBcc)}) {
     if (r.trace.find_path(to_string(alg)) != nullptr) out.engine = to_string(alg);
   }
   return out;
@@ -82,8 +82,8 @@ int main() {
     const Csr csr = Csr::build(ex, c.g);
     const vid depth = bfs_tree(ex, csr, 0).num_levels;
     const Run ht = run(ex, c.g, BccAlgorithm::kSequential, reps);
-    const Run opt = run(ex, c.g, BccAlgorithm::kTvOpt, reps);
-    const Run filter = run(ex, c.g, BccAlgorithm::kTvFilter, reps);
+    const Run opt = run(ex, c.g, paper::Algorithm::kTvOpt, reps);
+    const Run filter = run(ex, c.g, paper::Algorithm::kTvFilter, reps);
     const Run fast = run(ex, c.g, BccAlgorithm::kFastBcc, reps);
     const Run autos = run(ex, c.g, BccAlgorithm::kAuto, reps);
     std::printf("%-18s %8u %10.3f %10.3f %10.3f %10.3f %10.3f  %s\n", c.name,

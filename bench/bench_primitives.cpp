@@ -14,13 +14,14 @@
 #include "core/bcc.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
-#include "listrank/list_ranking.hpp"
+#include "paper/list_ranking.hpp"
+#include "paper/sample_sort.hpp"
+#include "paper/solve.hpp"
+#include "paper/traversal_tree.hpp"
 #include "scan/scan.hpp"
 #include "sort/radix_sort.hpp"
-#include "sort/sample_sort.hpp"
 #include "spanning/bfs_tree.hpp"
 #include "spanning/sv_tree.hpp"
-#include "spanning/traversal_tree.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/workspace.hpp"
@@ -284,13 +285,13 @@ void BM_BccSolveColdContext(benchmark::State& state) {
   // page faults, and the edge-list -> CSR conversion.
   const int p = static_cast<int>(state.range(0));
   const EdgeList& g = graph_fixture();
-  BccOptions opt;
-  opt.algorithm = BccAlgorithm::kTvOpt;
+  paper::PaperOptions opt;
+  opt.algorithm = paper::Algorithm::kTvOpt;
   opt.compute_cut_info = false;
   std::size_t peak = 0;
   for (auto _ : state) {
     BccContext ctx(p);
-    const BccResult r = biconnected_components(ctx, g, opt);
+    const BccResult r = paper::solve(ctx, g, opt);
     peak = r.peak_workspace_bytes;
     benchmark::DoNotOptimize(r.num_components);
   }
@@ -310,15 +311,15 @@ void BM_BccSolveWarmContext(benchmark::State& state) {
   // the arena performs zero growth and the conversion cache hits.
   const int p = static_cast<int>(state.range(0));
   const EdgeList& g = graph_fixture();
-  BccOptions opt;
-  opt.algorithm = BccAlgorithm::kTvOpt;
+  paper::PaperOptions opt;
+  opt.algorithm = paper::Algorithm::kTvOpt;
   opt.compute_cut_info = false;
   BccContext ctx(p);
-  biconnected_components(ctx, g, opt);  // prime
+  paper::solve(ctx, g, opt);  // prime
   const std::uint64_t growth = ctx.workspace().growth_count();
   std::size_t peak = 0;
   for (auto _ : state) {
-    const BccResult r = biconnected_components(ctx, g, opt);
+    const BccResult r = paper::solve(ctx, g, opt);
     peak = r.peak_workspace_bytes;
     benchmark::DoNotOptimize(r.num_components);
   }

@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "engines.hpp"
 
 using namespace parbcc;
 using namespace parbcc::bench;
@@ -25,23 +26,20 @@ struct ColdWarm {
   std::size_t peak_bytes = 0;
 };
 
-ColdWarm run(const EdgeList& g, BccAlgorithm algorithm, int p, int reps) {
-  BccOptions opt;
-  opt.algorithm = algorithm;
-  opt.threads = p;
+ColdWarm run(const EdgeList& g, Engine algorithm, int p, int reps) {
+  SolveOptions opt;
   opt.compute_cut_info = false;
   ColdWarm out;
   for (int rep = 0; rep < reps; ++rep) {
     BccContext fresh(p);
-    out.cold = std::min(out.cold,
-                        biconnected_components(fresh, g, opt).times.total);
+    out.cold =
+        std::min(out.cold, solve(fresh, g, algorithm, opt).times.total);
   }
   BccContext ctx(p);
-  const BccResult primed = biconnected_components(ctx, g, opt);
+  const BccResult primed = solve(ctx, g, algorithm, opt);
   out.peak_bytes = primed.peak_workspace_bytes;
   for (int rep = 0; rep < reps; ++rep) {
-    out.warm = std::min(out.warm,
-                        biconnected_components(ctx, g, opt).times.total);
+    out.warm = std::min(out.warm, solve(ctx, g, algorithm, opt).times.total);
   }
   return out;
 }
@@ -66,9 +64,9 @@ int main() {
     const eid m = 8 * static_cast<eid>(n);
     const EdgeList g = gen::random_connected_gnm(n, m, seed + n);
     const ColdWarm seq = run(g, BccAlgorithm::kSequential, 1, reps);
-    const ColdWarm smp = run(g, BccAlgorithm::kTvSmp, p, reps);
-    const ColdWarm opt = run(g, BccAlgorithm::kTvOpt, p, reps);
-    const ColdWarm flt = run(g, BccAlgorithm::kTvFilter, p, reps);
+    const ColdWarm smp = run(g, paper::Algorithm::kTvSmp, p, reps);
+    const ColdWarm opt = run(g, paper::Algorithm::kTvOpt, p, reps);
+    const ColdWarm flt = run(g, paper::Algorithm::kTvFilter, p, reps);
     // TV-SMP touches the most scratch (full Euler tour on all m edges),
     // so its arena peak is the table's memory column.
     std::printf(

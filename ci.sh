@@ -29,6 +29,23 @@ cmake -B build -S . -DPARBCC_WERROR=ON >/dev/null
 echo "==> tier-1: build"
 cmake --build build -j "$JOBS"
 
+# The paper's TV pipelines are reproduction code in src/paper/
+# (parbcc_paper): no production source includes its headers, and no
+# production binary carries its entry point or its drivers.
+echo "==> fence: production code and binaries stay free of parbcc_paper"
+if grep -rn --include='*.cpp' --include='*.hpp' '#include "paper/' \
+    src tools bench/e2e | grep -v '^src/paper/'; then
+  echo "fence: a production source includes a paper/ header" >&2
+  exit 1
+fi
+for bin in build/bench/e2e/bench_e2e build/tools/pbgstat \
+           build/tools/edgelist2pbg; do
+  if nm -C "$bin" | grep -E 'parbcc::paper::|tv_[a-z]+_bcc'; then
+    echo "fence: $bin links parbcc_paper code" >&2
+    exit 1
+  fi
+done
+
 # The full ctest includes bench_e2e_smoke: every end-to-end workload at
 # 1/50 scale with its oracles.
 echo "==> tier-1: ctest"

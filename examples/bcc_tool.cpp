@@ -14,12 +14,14 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "core/bcc.hpp"
 #include "core/validate.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "paper/solve.hpp"
 
 namespace {
 
@@ -46,21 +48,27 @@ EdgeList read_input(const std::string& path, const std::string& format) {
   usage();
 }
 
-BccAlgorithm parse_algo(const std::string& s) {
-  if (s == "seq") return BccAlgorithm::kSequential;
-  if (s == "smp") return BccAlgorithm::kTvSmp;
-  if (s == "opt") return BccAlgorithm::kTvOpt;
-  if (s == "filter") return BccAlgorithm::kTvFilter;
-  if (s == "auto") return BccAlgorithm::kAuto;
+/// An --algo value: one of the library's engines, or (tv set) one of
+/// the paper's TV pipelines.
+struct Algo {
+  BccAlgorithm algorithm = BccAlgorithm::kAuto;
+  std::optional<paper::Algorithm> tv;
+};
+
+Algo parse_algo(const std::string& s) {
+  if (s == "seq") return {BccAlgorithm::kSequential, {}};
+  if (s == "auto") return {BccAlgorithm::kAuto, {}};
+  if (s == "smp") return {{}, paper::Algorithm::kTvSmp};
+  if (s == "opt") return {{}, paper::Algorithm::kTvOpt};
+  if (s == "filter") return {{}, paper::Algorithm::kTvFilter};
   usage();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  BccOptions options;
-  options.algorithm = BccAlgorithm::kAuto;
-  options.threads = 4;
+  Algo algo;
+  int threads = 4;
   bool run_validator = false;
   std::string gen_spec;
   std::string input;
@@ -70,9 +78,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--algo" && i + 1 < argc) {
-      options.algorithm = parse_algo(argv[++i]);
+      algo = parse_algo(argv[++i]);
     } else if (arg == "--threads" && i + 1 < argc) {
-      options.threads = std::atoi(argv[++i]);
+      threads = std::atoi(argv[++i]);
     } else if (arg == "--validate") {
       run_validator = true;
     } else if (arg == "--format" && i + 1 < argc) {
@@ -106,17 +114,27 @@ int main(int argc, char** argv) {
     g = read_input(input, format);
   }
 
-  Executor ex(options.threads < 1 ? 1 : options.threads);
-  const BccResult result = biconnected_components(ex, g, options);
+  BccContext ctx(threads);
+  BccResult result;
+  if (algo.tv) {
+    paper::PaperOptions options;
+    options.algorithm = *algo.tv;
+    result = paper::solve(ctx, g, options);
+  } else {
+    BccOptions options;
+    options.algorithm = algo.algorithm;
+    result = biconnected_components(ctx, g, options);
+  }
 
   std::fprintf(stderr, "n=%u m=%u algorithm=%s threads=%d\n", g.n, g.m(),
-               to_string(options.algorithm), options.threads);
+               algo.tv ? paper::to_string(*algo.tv) : to_string(algo.algorithm),
+               ctx.executor().threads());
   std::fprintf(stderr, "components=%u bridges=%zu total=%.3fs\n",
                result.num_components, result.bridges.size(),
                result.times.total);
 
   if (run_validator) {
-    const ValidationReport report = validate_bcc(ex, g, result);
+    const ValidationReport report = validate_bcc(ctx.executor(), g, result);
     if (!report.ok) {
       std::fprintf(stderr, "VALIDATION FAILED: %s\n", report.message.c_str());
       return 1;

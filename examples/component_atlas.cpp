@@ -23,10 +23,10 @@ int main(int argc, char** argv) {
                               : gen::random_connected_gnm(5000, 9000, 99);
   std::printf("graph: %u vertices, %u edges\n", g.n, g.m());
 
+  BccContext ctx(/*threads=*/4);
   BccOptions options;
   options.algorithm = BccAlgorithm::kAuto;
-  options.threads = 4;
-  const BccResult r = biconnected_components(g, options);
+  const BccResult r = biconnected_components(ctx, g, options);
 
   // Edge count per component.
   std::vector<eid> size(r.num_components, 0);

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "eulertour/tree_computations.hpp"
-#include "rmq/sparse_table.hpp"
+#include "paper/sparse_table.hpp"
 #include "util/thread_pool.hpp"
 
 /// \file lca.hpp

@@ -52,6 +52,7 @@ int main(int argc, char** argv) {
   Executor ex(4);
   BccContext ctx(ex);
   server::BccService service(ctx, EdgeList(n, {}));
+  BccContext check_ctx(ex);  // the monitor's own recomputes
   Xoshiro256 rng(7);
 
   std::printf("%10s %10s %12s %12s\n", "links", "blocks", "cut routers",
@@ -69,7 +70,7 @@ int main(int argc, char** argv) {
     // Cross-check the published epoch against a fresh recompute of the
     // links provisioned so far.
     const EdgeList current(n, {plan.edges.begin(), plan.edges.begin() + done});
-    const BccResult fresh = biconnected_components(ex, current, {});
+    const BccResult fresh = biconnected_components(check_ctx, current);
     vid fresh_cuts = 0;
     for (const auto a : fresh.is_articulation) fresh_cuts += a;
     if (fresh.num_components != snap->num_blocks() ||

@@ -42,10 +42,11 @@ int main(int argc, char** argv) {
   EdgeList net = argc > 1 ? io::read_edge_list_file(argv[1]) : demo_topology();
   std::printf("network: %u routers, %u links\n", net.n, net.m());
 
-  Executor ex(4);
+  BccContext ctx(4);
+  Executor& ex = ctx.executor();
   BccOptions options;
   options.algorithm = BccAlgorithm::kAuto;
-  const BccResult analysis = biconnected_components(ex, net, options);
+  const BccResult analysis = biconnected_components(ctx, net, options);
 
   std::printf("biconnected zones: %u\n", analysis.num_components);
 
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
 
   // Verify the proposal.
   for (const Edge& e : proposal) net.edges.push_back(e);
-  const BccResult after = biconnected_components(ex, net, options);
+  const BccResult after = biconnected_components(ctx, net, options);
   vid cuts_after = 0;
   for (vid v = 0; v < net.n; ++v) cuts_after += after.is_articulation[v];
   std::printf(

@@ -30,10 +30,11 @@ int main(int argc, char** argv) {
   const EdgeList g = gen::random_connected_gnm(n, m, seed);
   std::printf("input: n=%u m=%u\n", g.n, g.m());
 
-  Executor ex(4);
+  BccContext ctx(4);
+  Executor& ex = ctx.executor();
   BccOptions opt;
   opt.algorithm = BccAlgorithm::kAuto;
-  const BccResult bcc = biconnected_components(ex, g, opt);
+  const BccResult bcc = biconnected_components(ctx, g, opt);
   std::printf("blocks: %u, bridges: %zu\n", bcc.num_components,
               bcc.bridges.size());
 

@@ -26,11 +26,11 @@ int main() {
                         {5, 3},
                     });
 
+  BccContext ctx(/*threads=*/4);  // thread pool + scratch arena, reusable
   BccOptions options;
   options.algorithm = BccAlgorithm::kAuto;  // HT if small, else FastBCC
-  options.threads = 4;
 
-  const BccResult result = biconnected_components(graph, options);
+  const BccResult result = biconnected_components(ctx, graph, options);
 
   std::printf("vertices: %u, edges: %u\n", graph.n, graph.m());
   std::printf("biconnected components: %u\n", result.num_components);

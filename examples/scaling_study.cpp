@@ -1,6 +1,6 @@
-// Scaling study: run all four algorithms over a thread sweep on one
-// random instance and print a speedup table — a miniature of the
-// paper's Fig. 3 you can point at any graph size.
+// Scaling study: run the paper's three TV pipelines over a thread sweep
+// on one random instance and print their speedups over Hopcroft-Tarjan —
+// a miniature of the paper's Fig. 3 you can point at any graph size.
 //
 //   ./examples/scaling_study [n] [m] [max_threads]
 //   ./examples/scaling_study 200000 2000000 8
@@ -10,7 +10,7 @@
 
 #include "core/bcc.hpp"
 #include "graph/generators.hpp"
-#include "util/timer.hpp"
+#include "paper/solve.hpp"
 
 int main(int argc, char** argv) {
   using namespace parbcc;
@@ -23,21 +23,25 @@ int main(int argc, char** argv) {
   const EdgeList g = gen::random_connected_gnm(n, m, /*seed=*/7);
 
   // Sequential baseline.
-  BccOptions opt;
-  opt.algorithm = BccAlgorithm::kSequential;
-  opt.compute_cut_info = false;
-  const BccResult seq = biconnected_components(g, opt);
+  BccOptions seq_opt;
+  seq_opt.algorithm = BccAlgorithm::kSequential;
+  seq_opt.compute_cut_info = false;
+  BccContext seq_ctx(1);
+  const BccResult seq = biconnected_components(seq_ctx, g, seq_opt);
   std::printf("sequential (Hopcroft-Tarjan): %.3fs, %u components\n\n",
               seq.times.total, seq.num_components);
 
   std::printf("%-10s %8s %12s %10s\n", "algorithm", "threads", "time(s)",
               "speedup");
-  for (const BccAlgorithm algorithm :
-       {BccAlgorithm::kTvSmp, BccAlgorithm::kTvOpt, BccAlgorithm::kTvFilter}) {
+  paper::PaperOptions opt;
+  opt.compute_cut_info = false;
+  for (const paper::Algorithm algorithm :
+       {paper::Algorithm::kTvSmp, paper::Algorithm::kTvOpt,
+        paper::Algorithm::kTvFilter}) {
     for (int p = 1; p <= max_threads; p *= 2) {
       opt.algorithm = algorithm;
-      opt.threads = p;
-      const BccResult r = biconnected_components(g, opt);
+      BccContext ctx(p);
+      const BccResult r = paper::solve(ctx, g, opt);
       if (r.num_components != seq.num_components) {
         std::printf("MISMATCH: %s gave %u components, expected %u\n",
                     to_string(algorithm), r.num_components,

@@ -1,148 +1,51 @@
 #include "core/bcc.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 
-#include "connectivity/shiloach_vishkin.hpp"
 #include "core/articulation.hpp"
 #include "core/drivers.hpp"
 #include "core/hopcroft_tarjan.hpp"
-#include "graph/csr.hpp"
+#include "core/solve_frame.hpp"
 #include "util/timer.hpp"
 
 namespace parbcc {
 namespace {
 
-/// Solve a connected, loop-free graph with one of the paper's TV
-/// pipelines, building adjacency on demand for the drivers that need
-/// it.
-BccResult run_connected(Executor& ex, Workspace& ws, const EdgeList& g,
-                        const BccOptions& opt, BccAlgorithm algorithm) {
-  switch (algorithm) {
-    case BccAlgorithm::kTvSmp:
-      return tv_smp_bcc(ex, ws, g, opt);
-    case BccAlgorithm::kTvOpt: {
-      const PreparedGraph pg(ex, ws, g);
-      return tv_opt_bcc(ex, ws, pg, opt);
-    }
-    case BccAlgorithm::kTvFilter: {
-      const PreparedGraph pg(ex, ws, g);
-      return tv_filter_bcc(ex, ws, pg, opt);
-    }
-    case BccAlgorithm::kFastBcc:
-    case BccAlgorithm::kSequential:
-    case BccAlgorithm::kAuto:
-      break;
-  }
-  throw std::logic_error("run_connected: unexpected algorithm");
+BccAlgorithm resolve(BccAlgorithm algorithm, const EdgeList& work) {
+  // kAuto: inputs up to the cutoff (and degenerate ones) run
+  // Hopcroft-Tarjan, everything else FastBCC.  No probe, no span.
+  if (algorithm != BccAlgorithm::kAuto) return algorithm;
+  return work.m() <= kAutoSequentialMaxEdges ? BccAlgorithm::kSequential
+                                             : BccAlgorithm::kFastBcc;
 }
 
-/// As run_connected, but with a shared conversion cache for the
-/// adjacency-hungry drivers; TV-SMP never needs (or pays for) it.
-BccResult run_connected(Executor& ex, Workspace& ws, const PreparedGraph& pg,
-                        const BccOptions& opt, BccAlgorithm algorithm) {
-  switch (algorithm) {
-    case BccAlgorithm::kTvSmp:
-      return tv_smp_bcc(ex, ws, pg.graph(), opt);
-    case BccAlgorithm::kTvOpt:
-      return tv_opt_bcc(ex, ws, pg, opt);
-    case BccAlgorithm::kTvFilter:
-      return tv_filter_bcc(ex, ws, pg, opt);
-    case BccAlgorithm::kFastBcc:
-    case BccAlgorithm::kSequential:
-    case BccAlgorithm::kAuto:
-      break;
-  }
-  throw std::logic_error("run_connected: unexpected algorithm");
-}
+/// The library's engines: Hopcroft-Tarjan and FastBCC, both over the
+/// context's cached adjacency.
+class LibraryEngine final : public BccEngine {
+ public:
+  explicit LibraryEngine(BccAlgorithm algorithm) : algorithm_(algorithm) {}
 
-/// The TV pipelines' path for general (possibly disconnected) inputs:
-/// decompose into connected components, relabel each as a compact
-/// subproblem, and solve them one after another (each solve is
-/// internally parallel).  FastBCC spans forests itself and never comes
-/// here.
-/// `pg`, when non-null, is a conversion cache for `g` itself; it only
-/// applies on the connected fast path (subproblems are relabeled graphs
-/// with their own adjacency).  Otherwise that fast path takes `g`'s
-/// adjacency from `ctx`'s conversion cache.  Per-step times are not
-/// assembled here: every driver records into opt.trace, and the
-/// dispatcher derives StepTimes from the combined rollup once.
-BccResult run_general(Executor& ex, Workspace& ws, const EdgeList& g,
-                      const BccOptions& opt, BccAlgorithm algorithm,
-                      const PreparedGraph* pg, BccContext& ctx) {
-  const vid n = g.n;
-  const eid m = g.m();
-
-  std::vector<vid> comp;
-  vid k = 0;
-  {
-    TraceSpan span(opt.trace, "component_check");
-    comp = connected_components_sv(ex, ws, n, g.edges);
-    k = normalize_labels(comp);
+  const char* name(const EdgeList& work) const override {
+    return to_string(resolve(algorithm_, work));
   }
 
-  if (k <= 1) {
-    BccOptions connected_opt = opt;
-    if (connected_opt.root >= n) connected_opt.root = 0;
-    if (algorithm == BccAlgorithm::kTvSmp) {
-      // TV-SMP runs on the raw edge list; never build adjacency for it.
-      return run_connected(ex, ws, g, connected_opt, algorithm);
+  BccResult run(BccContext& ctx, const EdgeList& work, vid root,
+                Trace& tr) const override {
+    const PreparedGraph& pg = ctx.prepare(work);
+    if (pg.conversion_seconds() > 0) {
+      tr.charge(steps::kConversion, pg.conversion_seconds());
     }
-    return run_connected(ex, ws, pg ? *pg : ctx.prepare(g), connected_opt,
-                         algorithm);
+    if (resolve(algorithm_, work) == BccAlgorithm::kSequential) {
+      return hopcroft_tarjan_bcc(ctx.executor(), ctx.workspace(), work,
+                                 pg.csr(), /*compute_cut_info=*/false, &tr);
+    }
+    return fast_bcc(ctx.executor(), ctx.workspace(), pg, root, tr);
   }
 
-  // Bucket vertices and edges by component (counting sort).  This path
-  // is sequential bookkeeping over a rare input shape; the subproblem
-  // solves below still draw their scratch from the shared arena.
-  std::vector<vid> vertex_offset(k + 1, 0);
-  std::vector<vid> new_id(n);
-  for (vid v = 0; v < n; ++v) ++vertex_offset[comp[v] + 1];
-  for (vid c = 0; c < k; ++c) vertex_offset[c + 1] += vertex_offset[c];
-  {
-    std::vector<vid> cursor(vertex_offset.begin(), vertex_offset.end() - 1);
-    for (vid v = 0; v < n; ++v) {
-      new_id[v] = cursor[comp[v]]++ - vertex_offset[comp[v]];
-    }
-  }
-  std::vector<eid> edge_offset(k + 1, 0);
-  std::vector<eid> edge_bucket(m);
-  for (eid e = 0; e < m; ++e) ++edge_offset[comp[g.edges[e].u] + 1];
-  for (vid c = 0; c < k; ++c) edge_offset[c + 1] += edge_offset[c];
-  {
-    std::vector<eid> cursor(edge_offset.begin(), edge_offset.end() - 1);
-    for (eid e = 0; e < m; ++e) edge_bucket[cursor[comp[g.edges[e].u]]++] = e;
-  }
-
-  BccResult result;
-  result.edge_component.assign(m, kNoVertex);
-  vid label_base = 0;
-
-  for (vid c = 0; c < k; ++c) {
-    const eid e_begin = edge_offset[c];
-    const eid e_end = edge_offset[c + 1];
-    if (e_begin == e_end) continue;  // isolated vertex: nothing to label
-    EdgeList sub;
-    sub.n = vertex_offset[c + 1] - vertex_offset[c];
-    sub.edges.reserve(e_end - e_begin);
-    for (eid j = e_begin; j < e_end; ++j) {
-      const Edge& e = g.edges[edge_bucket[j]];
-      sub.edges.push_back({new_id[e.u], new_id[e.v]});
-    }
-    BccOptions sub_opt = opt;
-    sub_opt.root = 0;
-    sub_opt.compute_cut_info = false;
-    BccResult sub_result = run_connected(ex, ws, sub, sub_opt, algorithm);
-    for (eid j = e_begin; j < e_end; ++j) {
-      result.edge_component[edge_bucket[j]] =
-          label_base + sub_result.edge_component[j - e_begin];
-    }
-    label_base += sub_result.num_components;
-  }
-  result.num_components = label_base;
-  return result;
-}
+ private:
+  BccAlgorithm algorithm_;
+};
 
 }  // namespace
 
@@ -150,12 +53,6 @@ const char* to_string(BccAlgorithm algorithm) {
   switch (algorithm) {
     case BccAlgorithm::kSequential:
       return "sequential";
-    case BccAlgorithm::kTvSmp:
-      return "TV-SMP";
-    case BccAlgorithm::kTvOpt:
-      return "TV-opt";
-    case BccAlgorithm::kTvFilter:
-      return "TV-filter";
     case BccAlgorithm::kFastBcc:
       return "FastBCC";
     case BccAlgorithm::kAuto:
@@ -180,8 +77,8 @@ StepTimes derive_step_times(const TraceReport& report, double total_seconds) {
   return out;
 }
 
-BccResult biconnected_components(BccContext& ctx, const EdgeList& g,
-                                 const BccOptions& options) {
+BccResult solve_frame(BccContext& ctx, const EdgeList& g,
+                      const SolveOptions& opt, const BccEngine& engine) {
   Executor& ex = ctx.executor();
   Workspace& ws = ctx.workspace();
 
@@ -191,7 +88,7 @@ BccResult biconnected_components(BccContext& ctx, const EdgeList& g,
           "biconnected_components: edge endpoint out of range");
     }
   }
-  if (options.root >= g.n && g.n > 0) {
+  if (opt.root >= g.n && g.n > 0) {
     throw std::invalid_argument("biconnected_components: root out of range");
   }
 
@@ -199,21 +96,12 @@ BccResult biconnected_components(BccContext& ctx, const EdgeList& g,
   BccResult result;
   if (g.n == 0) return result;
 
-  // Apply the requested loop scheduling model for this solve only and
-  // zero the scheduler counters, so the sched_* telemetry below
+  // Zero the scheduler counters, so the sched_* telemetry below
   // describes exactly this call.
-  struct ModeGuard {
-    Executor& ex;
-    ExecMode prev;
-    ModeGuard(Executor& e, ExecMode m) : ex(e), prev(e.mode()) {
-      ex.set_mode(m);
-    }
-    ~ModeGuard() { ex.set_mode(prev); }
-  } mode_guard(ex, options.exec_mode);
   ex.reset_scheduler_stats();
 
   Trace local_trace(ex.threads());
-  Trace& tr = options.trace != nullptr ? *options.trace : local_trace;
+  Trace& tr = opt.trace != nullptr ? *opt.trace : local_trace;
   const Trace::Mark trace_mark = tr.mark();
 
   // Arena telemetry: peak is measured per solve, reuse hits as a delta
@@ -236,47 +124,9 @@ BccResult biconnected_components(BccContext& ctx, const EdgeList& g,
       has_loops ? &ctx.strip(g) : nullptr;
   const EdgeList& work = stripped != nullptr ? stripped->graph : g;
 
-  // A caller-supplied adjacency applies only when `work` is the exact
-  // graph it was built from (stripping self-loops renumbers edges).
-  // Otherwise adjacency comes from ctx.prepare(work): both the raw and
-  // the stripped graph live long enough to key the context's conversion
-  // cache (the stripped copy is context-owned).
-  std::optional<PreparedGraph> built;
-  const PreparedGraph* pg = nullptr;
-  if (options.prebuilt_csr && !has_loops &&
-      options.prebuilt_csr->num_vertices() == work.n &&
-      options.prebuilt_csr->num_edges() == work.m()) {
-    built.emplace(work, *options.prebuilt_csr);
-    pg = &*built;
-  }
-
-  // kAuto: inputs up to the cutoff (and degenerate ones) run
-  // Hopcroft-Tarjan, everything else FastBCC.  No probe, no span.
-  BccAlgorithm algorithm = options.algorithm;
-  if (algorithm == BccAlgorithm::kAuto) {
-    algorithm = work.m() <= kAutoSequentialMaxEdges
-                    ? BccAlgorithm::kSequential
-                    : BccAlgorithm::kFastBcc;
-  }
-
-  BccOptions traced = options;
-  traced.trace = &tr;
-
   {
-    TraceSpan root_span(tr, to_string(algorithm));
-
-    if (algorithm == BccAlgorithm::kSequential) {
-      if (!pg) pg = &ctx.prepare(work);
-      if (pg->conversion_seconds() > 0) {
-        tr.charge(steps::kConversion, pg->conversion_seconds());
-      }
-      result = hopcroft_tarjan_bcc(ex, ws, work, pg->csr(),
-                                   /*compute_cut_info=*/false, &tr);
-    } else if (algorithm == BccAlgorithm::kFastBcc) {
-      result = fast_bcc(ex, ws, pg ? *pg : ctx.prepare(work), traced);
-    } else {
-      result = run_general(ex, ws, work, traced, algorithm, pg, ctx);
-    }
+    TraceSpan root_span(tr, engine.name(work));
+    result = engine.run(ctx, work, opt.root, tr);
 
     if (has_loops) {
       TraceSpan span(tr, "loop_components");
@@ -293,7 +143,7 @@ BccResult biconnected_components(BccContext& ctx, const EdgeList& g,
       result.num_components = next;
     }
 
-    if (options.compute_cut_info) {
+    if (opt.compute_cut_info) {
       TraceSpan span(tr, "cut_info");
       annotate_cut_info(ex, ws, g, result);
     }
@@ -302,7 +152,7 @@ BccResult biconnected_components(BccContext& ctx, const EdgeList& g,
   // Scheduler telemetry: populated only when the work-stealing model
   // actually forked (kSpmd solves and pure-serial paths emit nothing,
   // which is what validate_trace.py asserts per segment).
-  if (options.exec_mode == ExecMode::kWorkSteal) {
+  if (ex.mode() == ExecMode::kWorkSteal) {
     const SchedulerStats sched = ex.scheduler_stats();
     if (sched.tasks > 0) {
       tr.counter("sched_tasks", static_cast<double>(sched.tasks));
@@ -318,24 +168,17 @@ BccResult biconnected_components(BccContext& ctx, const EdgeList& g,
   tr.counter("arena_reuse_hits",
              static_cast<double>(result.arena_reuse_hits));
 
-  // One rollup covers the whole call — the (possibly many) driver
-  // solves, loop scatter-back and cut info — so the derived
-  // steps and the dispatcher's own wall clock can no longer disagree.
+  // One rollup covers the whole call — the engine's (possibly many)
+  // driver solves, loop scatter-back and cut info — so the derived
+  // steps and the frame's own wall clock can no longer disagree.
   result.trace = tr.report_since(trace_mark);
   result.times = derive_step_times(result.trace, total.seconds());
   return result;
 }
 
-BccResult biconnected_components(Executor& ex, const EdgeList& g,
+BccResult biconnected_components(BccContext& ctx, const EdgeList& g,
                                  const BccOptions& options) {
-  BccContext ctx(ex);
-  return biconnected_components(ctx, g, options);
-}
-
-BccResult biconnected_components(const EdgeList& g,
-                                 const BccOptions& options) {
-  BccContext ctx(options.threads < 1 ? 1 : options.threads);
-  return biconnected_components(ctx, g, options);
+  return solve_frame(ctx, g, options, LibraryEngine(options.algorithm));
 }
 
 }  // namespace parbcc

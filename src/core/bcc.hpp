@@ -5,7 +5,6 @@
 #include "core/bcc_context.hpp"
 #include "core/bcc_result.hpp"
 #include "graph/edge_list.hpp"
-#include "util/thread_pool.hpp"
 
 /// \file bcc.hpp
 /// Public entry point of parbcc: biconnected components of an
@@ -14,19 +13,19 @@
 ///   #include "core/bcc.hpp"
 ///   parbcc::BccContext ctx(/*threads=*/8);
 ///   parbcc::BccOptions opt;
-///   opt.algorithm = parbcc::BccAlgorithm::kTvFilter;
+///   opt.algorithm = parbcc::BccAlgorithm::kFastBcc;
 ///   parbcc::BccResult r = parbcc::biconnected_components(ctx, graph, opt);
 ///   // ...further solves on ctx reuse the thread pool, the scratch
 ///   // arena and (for the same graph object) the adjacency cache.
 ///
-/// The dispatcher accepts any undirected graph: parallel edges are
-/// handled natively, self-loops are split off as their own single-edge
-/// components, FastBCC spans disconnected inputs as a forest, and the
-/// paper's TV pipelines solve one connected component at a time.
+/// The solver accepts any undirected graph: parallel edges are handled
+/// natively, self-loops are split off as their own single-edge
+/// components, and both engines span disconnected inputs themselves.
 /// kAuto runs Hopcroft-Tarjan on inputs with at most
 /// kAutoSequentialMaxEdges loop-free edges and FastBCC on the rest;
-/// it probes nothing and opens no span of its own.  TV-SMP, TV-opt and
-/// TV-filter are selectable by name to reproduce the paper's figures.
+/// it probes nothing and opens no span of its own.  The paper's TV-SMP,
+/// TV-opt and TV-filter pipelines are reproduction code in the
+/// parbcc_paper library (paper/solve.hpp).
 
 namespace parbcc {
 
@@ -39,18 +38,9 @@ inline constexpr std::uint64_t kAutoSequentialMaxEdges =
 
 /// Compute biconnected components inside a reusable solve session.
 /// All O(n + m) scratch is drawn from the context's arena; the result
-/// reports the arena high-water mark and reuse telemetry.
+/// reports the arena high-water mark and reuse telemetry.  The width
+/// and loop scheduling model are the context executor's.
 BccResult biconnected_components(BccContext& ctx, const EdgeList& g,
-                                 const BccOptions& options = {});
-
-/// Compute biconnected components using a caller-provided executor
-/// (its thread count wins over options.threads).  Owns a transient
-/// context per call.
-BccResult biconnected_components(Executor& ex, const EdgeList& g,
-                                 const BccOptions& options = {});
-
-/// Convenience overload creating an Executor(options.threads).
-BccResult biconnected_components(const EdgeList& g,
                                  const BccOptions& options = {});
 
 }  // namespace parbcc

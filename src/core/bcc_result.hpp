@@ -4,11 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "connectivity/shiloach_vishkin.hpp"
-#include "core/aux_graph.hpp"
-#include "eulertour/euler_tour.hpp"
-#include "spanning/bfs_tree.hpp"
-#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 #include "util/types.hpp"
 
@@ -17,19 +12,10 @@
 
 namespace parbcc {
 
-class Csr;
-
 /// Which implementation to run (paper nomenclature).
 enum class BccAlgorithm {
   /// Hopcroft-Tarjan DFS, the paper's "best sequential implementation".
   kSequential,
-  /// Direct SMP emulation of Tarjan-Vishkin (paper §3.1).
-  kTvSmp,
-  /// Engineered TV: merged spanning/root steps, level-sweep tree
-  /// computations (paper §3.2).
-  kTvOpt,
-  /// The paper's new edge-filtering algorithm (Alg. 2, §4).
-  kTvFilter,
   /// Connectivity-first skeleton algorithm (Dong, Wang, Gu & Sun 2023):
   /// BFS spanning tree, compressed Euler-tour tagging (preorder
   /// intervals + subtree low/high), and BCC labels straight out of a
@@ -65,7 +51,8 @@ struct StepTimes {
   /// Input-representation conversion (edge list -> adjacency): the
   /// cost the paper highlights as "the discrepancy among the input
   /// representations ... brings non-negligible conversion cost".
-  /// Charged by TV-opt and TV-filter, whose traversals need adjacency.
+  /// Charged by every engine whose traversal needs adjacency (all but
+  /// TV-SMP); 0 on a conversion-cache hit.
   double conversion = 0;
   double spanning_tree = 0;
   double euler_tour = 0;
@@ -94,53 +81,25 @@ struct StepTimes {
 /// exceed the measured wall by clock granularity).
 StepTimes derive_step_times(const TraceReport& report, double total_seconds);
 
-struct BccOptions {
-  BccAlgorithm algorithm = BccAlgorithm::kAuto;
-  /// SPMD width for the parallel algorithms (>= 1).
+/// What every solve takes, whichever engine runs it.
+struct SolveOptions {
+  /// Width of a context built from these options (>= 1); a solve runs
+  /// at its context's width.
   int threads = 1;
   /// Root vertex for spanning trees (only its component's numbering
   /// changes; results are root-independent as partitions).
   vid root = 0;
   /// Also compute per-vertex articulation flags and the bridge list.
   bool compute_cut_info = true;
-  /// List-ranking algorithm for TV-SMP's Root-tree step.
-  ListRanker ranker = ListRanker::kHelmanJaja;
-  /// Arc-sorting strategy for TV-SMP's Euler-tour step.  The bucket
-  /// scatter is the default everywhere; the paper-faithful sample sort
-  /// stays opt-in (paper_fidelity_test pins it).
-  ArcSort arc_sort = ArcSort::kCountingSort;
-  /// Frontier policy for TV-filter's BFS tree (kAuto = Beamer's
-  /// direction-optimizing hybrid; forced modes for the ablation bench).
-  BfsMode bfs_mode = BfsMode::kAuto;
-  /// Hooking/shortcut scheme for every Shiloach-Vishkin use — the
-  /// spanning forests of TV-SMP/TV-opt/TV-filter and, under
-  /// kMaterialized aux_mode, the auxiliary-graph components of all
-  /// three (kAuto = FastSV).
-  SvMode sv_mode = SvMode::kAuto;
-  /// Alg. 1 route for the TV drivers: kFused hooks aux pairs into a
-  /// concurrent union-find as they are generated (no staged 3m buffer,
-  /// no compaction); kMaterialized builds G' explicitly and solves it
-  /// with Shiloach-Vishkin — the paper-faithful reference kept for
-  /// fidelity tests and the ablation bench.
-  AuxMode aux_mode = AuxMode::kFused;
-  /// Loop scheduling model for the solve.  kWorkSteal (default) runs
-  /// the parallel loops on the lazy-splitting fork-join scheduler with
-  /// nested per-vertex regions in the skew-sensitive hot paths; kSpmd
-  /// pins the paper's flat static-partition/shared-counter schedule
-  /// (the printed algorithm — paper_fidelity_test runs under it).
-  ExecMode exec_mode = ExecMode::kWorkSteal;
-  /// Adjacency the caller already holds for the input graph, so the
-  /// dispatcher never rebuilds it (StepTimes::conversion then reports
-  /// 0).  Must be the Csr::build of exactly the edge list passed in;
-  /// ignored when it cannot apply (size mismatch, input with
-  /// self-loops, or a disconnected input that is decomposed into
-  /// relabeled subproblems).
-  const Csr* prebuilt_csr = nullptr;
-  /// Event sink for the solve.  When null each driver records into a
+  /// Event sink for the solve.  When null the solve records into a
   /// private Trace just long enough to derive StepTimes; point this at
   /// a caller-owned Trace to keep the raw events (Chrome export, span
   /// inspection across repeated solves).
   Trace* trace = nullptr;
+};
+
+struct BccOptions : SolveOptions {
+  BccAlgorithm algorithm = BccAlgorithm::kAuto;
 };
 
 /// Biconnected components of a graph, as a labeling of its edges.

@@ -8,15 +8,9 @@
 #include "util/workspace.hpp"
 
 /// \file drivers.hpp
-/// The four parallel biconnected-components drivers.  Each assumes an
-/// input without self-loops, and the three TV drivers a connected one
-/// (enforced/arranged by the public dispatcher in bcc.hpp; FastBCC
-/// spans disconnected inputs itself).  Each fills edge_component with
-/// contiguous labels, num_components, and the per-step times of the
-/// paper's Fig. 4.
-/// Cut info (articulation points, bridges) is annotated by the caller.
-/// Every driver takes the caller's Workspace: all O(n + m) scratch
-/// along the pipeline is drawn from (and returned to) that arena.
+/// The adjacency cache every adjacency-hungry engine shares, and the
+/// library's parallel driver, FastBCC.  (The paper's three TV drivers
+/// are in paper/tv_core.hpp.)
 
 namespace parbcc {
 
@@ -62,24 +56,6 @@ class PreparedGraph {
   double conversion_seconds_ = 0;
 };
 
-/// Direct SMP emulation of Tarjan-Vishkin (paper §3.1): SV spanning
-/// tree, sort-built Euler tour, list-ranked rooting, RMQ low/high.
-/// Works on the raw edge list; it never needs (or charges) adjacency.
-BccResult tv_smp_bcc(Executor& ex, Workspace& ws, const EdgeList& g,
-                     const BccOptions& opt);
-
-/// Optimized adaptation (paper §3.2): work-stealing rooted spanning
-/// tree (merging Spanning-tree and Root-tree), DFS-order tree
-/// computations via level sweeps and prefix sums.
-BccResult tv_opt_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
-                     const BccOptions& opt);
-
-/// The paper's Alg. 2: BFS tree T, spanning forest F of G - T, TV-opt
-/// machinery on T u F (at most 2(n-1) edges), condition-1 labels for
-/// the filtered edges.
-BccResult tv_filter_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
-                        const BccOptions& opt);
-
 /// FastBCC (Dong, Wang, Gu & Sun, PPoPP 2023): BFS spanning tree,
 /// preorder-interval tagging with subtree low/high sweeps, then one
 /// concurrent-union-find pass over the skeleton — non-critical tree
@@ -87,8 +63,12 @@ BccResult tv_filter_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
 /// is labeled by its deeper endpoint's cluster.  O(n) arena scratch
 /// beyond the tree structures; never materializes an auxiliary graph.
 /// A disconnected input costs one SV pass and a multi-source BFS; its
-/// forest hangs under a virtual root n.
+/// forest hangs under a virtual root n.  Assumes an input without
+/// self-loops; fills edge_component with contiguous labels and
+/// num_components, recording its Fig. 4 steps into `tr`.  All O(n + m)
+/// scratch is drawn from (and returned to) `ws`; cut info is the
+/// caller's.
 BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
-                   const BccOptions& opt);
+                   vid root, Trace& tr);
 
 }  // namespace parbcc

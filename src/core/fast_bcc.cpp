@@ -8,7 +8,6 @@
 #include "scan/compact.hpp"
 #include "spanning/bfs_tree.hpp"
 #include "util/padded.hpp"
-#include "util/timer.hpp"
 #include "util/trace.hpp"
 
 /// \file fast_bcc.cpp
@@ -84,17 +83,10 @@ namespace {
 }  // namespace
 
 BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
-                   const BccOptions& opt) {
+                   vid root, Trace& tr) {
   const EdgeList& g = pg.graph();
   const Csr& csr = pg.csr();
   BccResult result;
-  Trace local_trace(ex.threads());
-  Trace& tr = opt.trace != nullptr ? *opt.trace : local_trace;
-  const Trace::Mark mark = tr.mark();
-  Timer total;
-  if (pg.conversion_seconds() > 0) {
-    tr.charge(steps::kConversion, pg.conversion_seconds());
-  }
   const vid n = g.n;
   const eid m = g.m();
   const int p = ex.threads();
@@ -109,7 +101,7 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
   vid num_roots = 0;
   {
     TraceSpan span(tr, steps::kSpanningTree);
-    bfs = bfs_tree(ex, ws, csr, opt.root, opt.bfs_mode, &tr);
+    bfs = bfs_tree(ex, ws, csr, root, BfsMode::kAuto, &tr);
     if (bfs.reached != n) {
       Workspace::Frame frame(ws);
       std::span<vid> roots = ws.alloc<vid>(n);
@@ -119,15 +111,15 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
         connected_components_sv(ex, ws, n, g.edges, label);
         // SV labels each component by its smallest vertex; `root`
         // replaces that representative in its own component.
-        const vid root_label = label[opt.root];
+        const vid root_label = label[root];
         num_roots = static_cast<vid>(pack_indices_span(
             ex, ws, n,
             [&](std::size_t v) {
-              return v == opt.root || (label[v] == v && v != root_label);
+              return v == root || (label[v] == v && v != root_label);
             },
             roots));
       }
-      bfs = bfs_tree(ex, ws, csr, roots.first(num_roots), opt.bfs_mode, &tr);
+      bfs = bfs_tree(ex, ws, csr, roots.first(num_roots), BfsMode::kAuto, &tr);
     }
   }
 
@@ -144,7 +136,7 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
   LevelStructure levels;
   {
     TraceSpan span(tr, steps::kEulerTour);
-    tree.root = forest ? n : opt.root;
+    tree.root = forest ? n : root;
     tree.parent = std::move(bfs.parent);
     tree.parent_edge = std::move(bfs.parent_edge);
     if (forest) {
@@ -315,9 +307,6 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
     TraceSpan span(tr, "normalize");
     result.num_components = normalize_labels(result.edge_component);
   }
-  result.trace = tr.report_since(mark);
-  result.times = derive_step_times(result.trace,
-                                   total.seconds() + pg.conversion_seconds());
   return result;
 }
 

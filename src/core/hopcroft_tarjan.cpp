@@ -109,18 +109,4 @@ BccResult hopcroft_tarjan_bcc(Executor& ex, Workspace& ws, const EdgeList& g,
   return result;
 }
 
-BccResult hopcroft_tarjan_bcc(Executor& ex, const EdgeList& g, const Csr& csr,
-                              bool compute_cut_info) {
-  Workspace ws;
-  return hopcroft_tarjan_bcc(ex, ws, g, csr, compute_cut_info);
-}
-
-BccResult hopcroft_tarjan_bcc(const EdgeList& g, const Csr& csr,
-                              bool compute_cut_info) {
-  // Executor(1) runs inline with no worker threads, so this legacy
-  // entry point stays cheap; prefer the borrowing overloads.
-  Executor ex(1);
-  return hopcroft_tarjan_bcc(ex, g, csr, compute_cut_info);
-}
-
 }  // namespace parbcc

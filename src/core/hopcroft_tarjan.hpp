@@ -28,9 +28,5 @@ namespace parbcc {
 BccResult hopcroft_tarjan_bcc(Executor& ex, Workspace& ws, const EdgeList& g,
                               const Csr& csr, bool compute_cut_info = true,
                               Trace* trace = nullptr);
-BccResult hopcroft_tarjan_bcc(Executor& ex, const EdgeList& g, const Csr& csr,
-                              bool compute_cut_info = true);
-BccResult hopcroft_tarjan_bcc(const EdgeList& g, const Csr& csr,
-                              bool compute_cut_info = true);
 
 }  // namespace parbcc

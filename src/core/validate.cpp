@@ -82,6 +82,7 @@ ValidationReport validate_bcc(Executor& ex, const EdgeList& g,
 
   // (2) + (3): every block is a connected, biconnected subgraph.
   constexpr std::size_t kBruteCap = 64;
+  Workspace ws;  // the large-block checks' CSR staging, reused per block
   for (vid c = 0; c < k; ++c) {
     const auto& block = blocks[c];
     if (block.size() == 1) continue;  // bridge or self-loop: fine
@@ -106,9 +107,9 @@ ValidationReport validate_bcc(Executor& ex, const EdgeList& g,
     for (const eid e : block) {
       sub.edges.push_back({local[g.edges[e].u], local[g.edges[e].v]});
     }
-    Executor seq(1);
-    const Csr csr = Csr::build(seq, sub);
-    const BccResult ht = hopcroft_tarjan_bcc(sub, csr, false);
+    const Csr csr = Csr::build(ex, ws, sub);
+    const BccResult ht =
+        hopcroft_tarjan_bcc(ex, ws, sub, csr, /*compute_cut_info=*/false);
     if (ht.num_components != 1) {
       return fail(fmt("block is not biconnected", c, ht.num_components));
     }

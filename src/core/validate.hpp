@@ -15,18 +15,21 @@
 ///  (1) labels are total and contiguous in [0, num_components);
 ///  (2) every component's edge set is connected (blocks are connected
 ///      subgraphs);
-///  (3) within one block of >= 2 edges, removing any single vertex
-///      leaves the block's edges connected (verified exactly on blocks
-///      up to a size cap, spot-checked above it);
+///  (3) every block of >= 2 edges is biconnected: removing any single
+///      vertex leaves its edges connected (brute force on blocks of up
+///      to 64 edges, Hopcroft-Tarjan on the block's subgraph above);
 ///  (4) two blocks never share more than one vertex;
 ///  (5) every cycle stays inside one block: for a spanning forest of
 ///      the graph, each nontree edge's fundamental-cycle tree path
 ///      carries a single label.
 ///
-/// Together (2), (4) and (5) pin the partition exactly: (5) forces
-/// cycle-mates together, (2)+(4) forbid over-merging.  O((n + m) log n)
-/// and independent of the TV machinery, so it doubles as a test oracle
-/// at scales where the brute-force references are too slow.
+/// (5) forces cycle-mates together, so the checks never accept an
+/// under-merged partition.  Over-merging is caught only by (3): two
+/// adjacent bridges under one label form a connected block that shares
+/// no vertex with another and closes no cycle, so they pass (2), (4)
+/// and (5) (Validate.RejectsMergedBridges).  The checker does not
+/// re-run the solver under test, so it doubles as a test oracle at
+/// scales where the brute-force references are too slow.
 
 namespace parbcc {
 

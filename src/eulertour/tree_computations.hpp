@@ -94,16 +94,4 @@ void subtree_min(Executor& ex, const ChildrenCsr& children,
 void subtree_max(Executor& ex, const ChildrenCsr& children,
                  const LevelStructure& levels, vid* val);
 
-/// Analytic DFS-order Euler tour positions (paper §3.2's cache-friendly
-/// tour): for each non-root v, the tour index of the arc parent(v)->v
-/// and of v->parent(v), derived in O(1) per vertex from pre/sub/depth.
-/// down[root] and up[root] are set to kNoVertex.
-struct DfsTourPositions {
-  std::vector<vid> down;
-  std::vector<vid> up;
-};
-DfsTourPositions dfs_tour_positions(Executor& ex,
-                                    const RootedSpanningTree& tree,
-                                    std::span<const vid> depth);
-
 }  // namespace parbcc

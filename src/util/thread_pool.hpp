@@ -87,8 +87,9 @@ class Executor {
   /// Scheduling model used by the `parallel_*` loops.
   ExecMode mode() const { return mode_.load(std::memory_order_relaxed); }
 
-  /// Select the loop scheduling model.  Call between regions only (the
-  /// dispatcher sets it from `BccOptions::exec_mode` before a solve).
+  /// Select the loop scheduling model.  Call between regions only; it
+  /// holds for every later solve on this executor (set kSpmd for the
+  /// paper's static schedule).
   void set_mode(ExecMode m) { mode_.store(m, std::memory_order_relaxed); }
 
   /// The barrier shared by all participants of the current run().

@@ -53,7 +53,7 @@ void expect_cut_info(const EdgeList& g, bool brute_force) {
   BccOptions opt;
   opt.compute_cut_info = false;
   Executor ex1(1);
-  const BccResult labeled = biconnected_components(ex1, g, opt);
+  const BccResult labeled = testutil::solve(ex1, g, opt);
   const CutInfo want = sequential_cut_info(g, labeled);
   if (brute_force) {
     EXPECT_EQ(want.is_articulation, testutil::brute_force_articulation(g));
@@ -83,7 +83,7 @@ TEST(CutInfo, DoubledEdgeIsNotABridge) {
   Executor ex(4);
   BccOptions opt;
   opt.compute_cut_info = true;
-  const BccResult r = biconnected_components(ex, g, opt);
+  const BccResult r = testutil::solve(ex, g, opt);
   EXPECT_EQ(r.bridges, std::vector<eid>{2});
 }
 
@@ -95,7 +95,7 @@ TEST(CutInfo, SelfLoopsNeverCutOrBridge) {
   Executor ex(4);
   BccOptions opt;
   opt.compute_cut_info = true;
-  const BccResult r = biconnected_components(ex, g, opt);
+  const BccResult r = testutil::solve(ex, g, opt);
   EXPECT_EQ(r.is_articulation,
             (std::vector<std::uint8_t>{0, 1, 0, 0, 0}));
   EXPECT_EQ(r.bridges, (std::vector<eid>{1, 3}));
@@ -124,7 +124,7 @@ TEST(CutInfo, DenseSingleBlockHasNoCutsOrBridges) {
   Executor ex(12);
   BccOptions opt;
   opt.compute_cut_info = true;
-  const BccResult r = biconnected_components(ex, g, opt);
+  const BccResult r = testutil::solve(ex, g, opt);
   ASSERT_EQ(r.num_components, 1u);
   EXPECT_EQ(r.is_articulation, std::vector<std::uint8_t>(g.n, 0));
   EXPECT_TRUE(r.bridges.empty());

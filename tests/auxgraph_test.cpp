@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <set>
 
-#include "core/aux_graph.hpp"
-#include "core/lowhigh.hpp"
-#include "core/tv_core.hpp"
 #include "eulertour/tree_computations.hpp"
 #include "graph/generators.hpp"
+#include "paper/aux_graph.hpp"
+#include "paper/lowhigh.hpp"
+#include "paper/tv_core.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 

@@ -8,6 +8,7 @@
 #include "core/batch_dynamic.hpp"
 #include "core/bcc.hpp"
 #include "graph/generators.hpp"
+#include "test_util.hpp"
 #include "util/rng.hpp"
 #include "util/trace.hpp"
 
@@ -22,7 +23,8 @@ namespace {
 void expect_matches_static(const BatchDynamicBcc& dyn) {
   BccOptions opt;
   opt.compute_cut_info = true;
-  const BccResult ref = biconnected_components(dyn.graph(), opt);
+  Executor ex(1);
+  const BccResult ref = testutil::solve(ex, dyn.graph(), opt);
   ASSERT_EQ(dyn.result().num_components, ref.num_components);
   std::vector<vid> got = dyn.result().edge_component;
   std::vector<vid> want = ref.edge_component;

@@ -5,6 +5,7 @@
 
 #include "core/bcc.hpp"
 #include "core/hopcroft_tarjan.hpp"
+#include "engines.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
@@ -52,20 +53,20 @@ EdgeList make_graph(const std::string& family, int seed) {
 
 class BccEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<BccAlgorithm, std::string, int, int>> {};
+          std::tuple<Engine, std::string, int, int>> {};
 
 TEST_P(BccEquivalence, MatchesSequentialTarjanAsPartition) {
   const auto [algorithm, family, seed, threads] = GetParam();
   const EdgeList g = make_graph(family, seed);
 
   Executor ex(threads);
-  BccOptions opt;
-  opt.algorithm = algorithm;
+  SolveOptions opt;
   opt.compute_cut_info = true;
-  const BccResult par = biconnected_components(ex, g, opt);
+  const BccResult par = testutil::solve(ex, g, algorithm, opt);
 
   const Csr csr = Csr::build(ex, g);
-  const BccResult seq = hopcroft_tarjan_bcc(g, csr, true);
+  Workspace ws;
+  const BccResult seq = hopcroft_tarjan_bcc(ex, ws, g, csr, true);
 
   ASSERT_EQ(par.num_components, seq.num_components);
   EXPECT_TRUE(
@@ -77,8 +78,10 @@ TEST_P(BccEquivalence, MatchesSequentialTarjanAsPartition) {
 INSTANTIATE_TEST_SUITE_P(
     Families, BccEquivalence,
     ::testing::Combine(
-        ::testing::Values(BccAlgorithm::kTvSmp, BccAlgorithm::kTvOpt,
-                          BccAlgorithm::kTvFilter, BccAlgorithm::kFastBcc),
+        ::testing::Values(Engine(paper::Algorithm::kTvSmp),
+                          Engine(paper::Algorithm::kTvOpt),
+                          Engine(paper::Algorithm::kTvFilter),
+                          Engine(BccAlgorithm::kFastBcc)),
         ::testing::Values("sparse_random", "dense_random", "tree_random",
                           "cactus", "clique_chain", "cycle_chain", "torus",
                           "path", "star", "complete"),
@@ -95,7 +98,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 class BccSeedSweep
-    : public ::testing::TestWithParam<std::tuple<BccAlgorithm, int>> {};
+    : public ::testing::TestWithParam<std::tuple<Engine, int>> {};
 
 TEST_P(BccSeedSweep, RandomGraphsManySeeds) {
   const auto [algorithm, seed] = GetParam();
@@ -106,9 +109,7 @@ TEST_P(BccSeedSweep, RandomGraphsManySeeds) {
       gen::random_connected_gnm(n, std::max<eid>(m, n - 1), seed);
 
   Executor ex(3);
-  BccOptions opt;
-  opt.algorithm = algorithm;
-  const BccResult par = biconnected_components(ex, g, opt);
+  const BccResult par = testutil::solve(ex, g, algorithm);
   const testutil::RefBcc ref = testutil::reference_bcc(g);
   ASSERT_EQ(par.num_components, ref.count);
   EXPECT_TRUE(testutil::same_partition(par.edge_component, ref.edge_comp));
@@ -116,31 +117,32 @@ TEST_P(BccSeedSweep, RandomGraphsManySeeds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BccSeedSweep,
-    ::testing::Combine(::testing::Values(BccAlgorithm::kTvSmp,
-                                         BccAlgorithm::kTvOpt,
-                                         BccAlgorithm::kTvFilter,
-                                         BccAlgorithm::kFastBcc,
-                                         BccAlgorithm::kAuto),
+    ::testing::Combine(::testing::Values(Engine(paper::Algorithm::kTvSmp),
+                                         Engine(paper::Algorithm::kTvOpt),
+                                         Engine(paper::Algorithm::kTvFilter),
+                                         Engine(BccAlgorithm::kFastBcc),
+                                         Engine(BccAlgorithm::kAuto)),
                        ::testing::Range(0, 12)));
 
 TEST(BccParallel, RootChoiceDoesNotChangeThePartition) {
   const EdgeList g = gen::random_connected_gnm(400, 1200, 5);
   Executor ex(4);
-  BccOptions opt;
-  opt.algorithm = BccAlgorithm::kTvFilter;
+  SolveOptions opt;
   opt.root = 0;
-  const BccResult a = biconnected_components(ex, g, opt);
+  const BccResult a =
+      testutil::solve(ex, g, paper::Algorithm::kTvFilter, opt);
   opt.root = 237;
-  const BccResult b = biconnected_components(ex, g, opt);
+  const BccResult b =
+      testutil::solve(ex, g, paper::Algorithm::kTvFilter, opt);
   EXPECT_EQ(a.num_components, b.num_components);
   EXPECT_TRUE(testutil::same_partition(a.edge_component, b.edge_component));
 }
 
 TEST(BccParallel, TvSmpRankerVariantsAgree) {
   const EdgeList g = gen::random_connected_gnm(300, 900, 8);
-  Executor ex(4);
-  BccOptions opt;
-  opt.algorithm = BccAlgorithm::kTvSmp;
+  BccContext ctx(4);
+  paper::PaperOptions opt;
+  opt.algorithm = paper::Algorithm::kTvSmp;
   BccResult base;
   bool first = true;
   for (const ListRanker ranker :
@@ -149,7 +151,7 @@ TEST(BccParallel, TvSmpRankerVariantsAgree) {
     for (const ArcSort sort : {ArcSort::kSampleSort, ArcSort::kCountingSort}) {
       opt.ranker = ranker;
       opt.arc_sort = sort;
-      const BccResult r = biconnected_components(ex, g, opt);
+      const BccResult r = paper::solve(ctx, g, opt);
       if (first) {
         base = r;
         first = false;
@@ -165,17 +167,15 @@ TEST(BccParallel, TvSmpRankerVariantsAgree) {
 TEST(BccParallel, StepTimesArePopulated) {
   const EdgeList g = gen::random_connected_gnm(2000, 8000, 2);
   Executor ex(2);
-  for (const BccAlgorithm algorithm :
-       {BccAlgorithm::kTvSmp, BccAlgorithm::kTvOpt, BccAlgorithm::kTvFilter,
-        BccAlgorithm::kFastBcc}) {
-    BccOptions opt;
-    opt.algorithm = algorithm;
-    const BccResult r = biconnected_components(ex, g, opt);
+  for (const Engine algorithm :
+       {Engine(paper::Algorithm::kTvSmp), Engine(paper::Algorithm::kTvOpt),
+        Engine(paper::Algorithm::kTvFilter), Engine(BccAlgorithm::kFastBcc)}) {
+    const BccResult r = testutil::solve(ex, g, algorithm);
     EXPECT_GT(r.times.total, 0.0) << to_string(algorithm);
     EXPECT_GT(r.times.accounted(), 0.0) << to_string(algorithm);
     EXPECT_LE(r.times.accounted(), r.times.total * 1.5)
         << to_string(algorithm);
-    if (algorithm == BccAlgorithm::kTvFilter) {
+    if (algorithm == Engine(paper::Algorithm::kTvFilter)) {
       EXPECT_GT(r.times.filtering, 0.0);
     } else {
       EXPECT_EQ(r.times.filtering, 0.0);
@@ -189,13 +189,11 @@ TEST(BccParallel, StepTimesAccountingBalancesAgainstTotal) {
   // wall clock — the drift the old per-driver stopwatches allowed.
   const EdgeList g = gen::random_connected_gnm(3000, 13000, 7);
   Executor ex(4);
-  for (const BccAlgorithm algorithm :
-       {BccAlgorithm::kSequential, BccAlgorithm::kTvSmp, BccAlgorithm::kTvOpt,
-        BccAlgorithm::kTvFilter, BccAlgorithm::kFastBcc,
-        BccAlgorithm::kAuto}) {
-    BccOptions opt;
-    opt.algorithm = algorithm;
-    const BccResult r = biconnected_components(ex, g, opt);
+  for (const Engine algorithm :
+       {Engine(BccAlgorithm::kSequential), Engine(paper::Algorithm::kTvSmp),
+        Engine(paper::Algorithm::kTvOpt), Engine(paper::Algorithm::kTvFilter),
+        Engine(BccAlgorithm::kFastBcc), Engine(BccAlgorithm::kAuto)}) {
+    const BccResult r = testutil::solve(ex, g, algorithm);
     EXPECT_GT(r.times.total, 0.0) << to_string(algorithm);
     EXPECT_GE(r.times.unattributed, 0.0) << to_string(algorithm);
     EXPECT_NEAR(r.times.accounted() + r.times.unattributed, r.times.total,
@@ -217,8 +215,8 @@ TEST(BccParallel, AutoRunsSequentialUpToTheCutoffAndFastBccAbove) {
   const EdgeList at_cutoff = gen::random_connected_gnm(cutoff / 4, cutoff, 1);
   const EdgeList above =
       gen::random_connected_gnm(cutoff / 4, cutoff + 1, 2);
-  const BccResult low = biconnected_components(ex, at_cutoff, opt);
-  const BccResult high = biconnected_components(ex, above, opt);
+  const BccResult low = testutil::solve(ex, at_cutoff, opt);
+  const BccResult high = testutil::solve(ex, above, opt);
   EXPECT_NE(low.trace.find_path("sequential"), nullptr);
   EXPECT_EQ(low.trace.find_path("FastBCC"), nullptr);
   EXPECT_NE(high.trace.find_path("FastBCC"), nullptr);
@@ -230,7 +228,7 @@ TEST(BccParallel, AutoRunsSequentialUpToTheCutoffAndFastBccAbove) {
   EXPECT_EQ(high.trace.find_path("FastBCC/component_check"), nullptr);
   EXPECT_EQ(high.trace.find_path("FastBCC/spanning_tree/component_roots"),
             nullptr);
-  const BccResult base = biconnected_components(ex, above, seq);
+  const BccResult base = testutil::solve(ex, above, seq);
   ASSERT_EQ(high.num_components, base.num_components);
   EXPECT_TRUE(
       testutil::same_partition(high.edge_component, base.edge_component));
@@ -249,13 +247,13 @@ TEST(BccParallel, LoopsAndParallelEdgesMatchSequentialUnderAutoAndFastBcc) {
   Executor ex(4);
   BccOptions seq;
   seq.algorithm = BccAlgorithm::kSequential;
-  const BccResult base = biconnected_components(ex, g, seq);
+  const BccResult base = testutil::solve(ex, g, seq);
   ASSERT_EQ(base.num_components, 301u);
   for (const BccAlgorithm algorithm :
        {BccAlgorithm::kAuto, BccAlgorithm::kFastBcc}) {
     BccOptions opt;
     opt.algorithm = algorithm;
-    const BccResult r = biconnected_components(ex, g, opt);
+    const BccResult r = testutil::solve(ex, g, opt);
     ASSERT_EQ(r.num_components, base.num_components) << to_string(algorithm);
     EXPECT_TRUE(
         testutil::same_partition(r.edge_component, base.edge_component))

@@ -13,8 +13,9 @@ namespace {
 
 BccResult run(const EdgeList& g) {
   Executor ex(1);
+  Workspace ws;
   const Csr csr = Csr::build(ex, g);
-  return hopcroft_tarjan_bcc(g, csr);
+  return hopcroft_tarjan_bcc(ex, ws, g, csr);
 }
 
 TEST(HopcroftTarjan, TriangleIsOneComponent) {
@@ -88,11 +89,10 @@ TEST(HopcroftTarjan, DisconnectedGraphHandledNatively) {
 
 TEST(HopcroftTarjan, DeepPathDoesNotOverflowStack) {
   const EdgeList g = gen::path(2000000);
-  const Csr csr = [&] {
-    Executor ex(1);
-    return Csr::build(ex, g);
-  }();
-  const BccResult r = hopcroft_tarjan_bcc(g, csr, false);
+  Executor ex(1);
+  Workspace ws;
+  const Csr csr = Csr::build(ex, g);
+  const BccResult r = hopcroft_tarjan_bcc(ex, ws, g, csr, false);
   EXPECT_EQ(r.num_components, g.m());
 }
 

@@ -20,7 +20,7 @@ namespace {
 BccResult solve(Executor& ex, const EdgeList& g) {
   BccOptions opt;
   opt.algorithm = BccAlgorithm::kAuto;
-  return biconnected_components(ex, g, opt);
+  return testutil::solve(ex, g, opt);
 }
 
 TEST(BlockCutTree, CliqueChainShape) {
@@ -97,7 +97,7 @@ TEST(BlockCutTree, RequiresCutInfo) {
   const EdgeList g = gen::cycle(4);
   BccOptions opt;
   opt.compute_cut_info = false;
-  const BccResult r = biconnected_components(ex, g, opt);
+  const BccResult r = testutil::solve(ex, g, opt);
   EXPECT_THROW(build_block_cut_tree(ex, g, r), std::invalid_argument);
 }
 

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "core/bcc.hpp"
+#include "forest.hpp"
 #include "graph/generators.hpp"
 #include "spanning/certificate.hpp"
-#include "spanning/forest.hpp"
 #include "test_util.hpp"
 #include "util/thread_pool.hpp"
 
@@ -12,13 +12,13 @@ namespace {
 
 bool has_bridge(Executor& ex, const EdgeList& g) {
   BccOptions opt;
-  const BccResult r = biconnected_components(ex, g, opt);
+  const BccResult r = testutil::solve(ex, g, opt);
   return !r.bridges.empty();
 }
 
 bool is_biconnected(Executor& ex, const EdgeList& g) {
   BccOptions opt;
-  const BccResult r = biconnected_components(ex, g, opt);
+  const BccResult r = testutil::solve(ex, g, opt);
   if (r.num_components != 1) return false;
   for (const auto a : r.is_articulation) {
     if (a) return false;
@@ -85,8 +85,8 @@ TEST_P(CertParam, K2BfsVariantPreservesBiconnectivity) {
   // whole block structure — same number of blocks, same articulation
   // vertices.
   BccOptions opt;
-  const BccResult full = biconnected_components(ex, g, opt);
-  const BccResult sparse = biconnected_components(ex, sub, opt);
+  const BccResult full = testutil::solve(ex, g, opt);
+  const BccResult sparse = testutil::solve(ex, sub, opt);
   EXPECT_EQ(full.num_components, sparse.num_components);
   EXPECT_EQ(full.is_articulation, sparse.is_articulation);
 }

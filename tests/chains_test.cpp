@@ -2,6 +2,7 @@
 
 #include "chains.hpp"
 #include "core/bcc.hpp"
+#include "engines.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
 #include "util/thread_pool.hpp"
@@ -82,12 +83,11 @@ TEST(Chains, CrossChecksTheParallelPipelinesAtScale) {
   const EdgeList g = gen::random_connected_gnm(50000, 120000, 4);
   const ChainDecomposition cd = chain_decomposition(g);
   Executor ex(4);
-  for (const BccAlgorithm algorithm :
-       {BccAlgorithm::kSequential, BccAlgorithm::kTvSmp, BccAlgorithm::kTvOpt,
-        BccAlgorithm::kTvFilter, BccAlgorithm::kFastBcc}) {
-    BccOptions opt;
-    opt.algorithm = algorithm;
-    const BccResult r = biconnected_components(ex, g, opt);
+  for (const Engine algorithm :
+       {Engine(BccAlgorithm::kSequential), Engine(paper::Algorithm::kTvSmp),
+        Engine(paper::Algorithm::kTvOpt), Engine(paper::Algorithm::kTvFilter),
+        Engine(BccAlgorithm::kFastBcc)}) {
+    const BccResult r = testutil::solve(ex, g, algorithm);
     ASSERT_EQ(r.bridges, cd.bridges) << to_string(algorithm);
     ASSERT_EQ(r.is_articulation, cd.is_articulation) << to_string(algorithm);
   }

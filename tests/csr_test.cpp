@@ -127,38 +127,6 @@ TEST(CsrBuild, RejectsSelfLoops) {
   EXPECT_THROW(Csr::build(ex, g), std::invalid_argument);
 }
 
-TEST(CsrBuild, PrebuiltCsrSkipsConversion) {
-  const EdgeList g = gen::random_gnm(4000, 24000, 7);
-  Executor ex(4);
-  const Csr csr = Csr::build(ex, g);
-
-  BccOptions opt;
-  opt.threads = 4;
-  BccOptions with_csr = opt;
-  with_csr.prebuilt_csr = &csr;
-
-  const BccResult base = biconnected_components(ex, g, opt);
-  const BccResult cached = biconnected_components(ex, g, with_csr);
-  EXPECT_EQ(cached.num_components, base.num_components);
-  EXPECT_EQ(cached.edge_component, base.edge_component);
-  EXPECT_EQ(cached.times.conversion, 0.0);
-}
-
-TEST(CsrBuild, PrebuiltCsrIgnoredOnMismatch) {
-  // A CSR of some other graph must be rejected, not trusted.
-  const EdgeList g = gen::random_gnm(3000, 12000, 8);
-  const EdgeList other = gen::random_gnm(3000, 9000, 9);
-  Executor ex(4);
-  const Csr wrong = Csr::build(ex, other);
-
-  BccOptions opt;
-  opt.threads = 4;
-  opt.prebuilt_csr = &wrong;
-  const BccResult got = biconnected_components(ex, g, opt);
-  const BccResult want = biconnected_components(ex, g, BccOptions{});
-  EXPECT_EQ(got.num_components, want.num_components);
-}
-
 TEST(CsrAdopt, BorrowedViewsReadTheCallerArrays) {
   const EdgeList g = gen::random_gnm(100, 600, 3);
   Executor ex(4);

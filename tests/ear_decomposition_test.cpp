@@ -5,6 +5,7 @@
 #include "core/bcc.hpp"
 #include "ear_decomposition.hpp"
 #include "graph/generators.hpp"
+#include "test_util.hpp"
 #include "util/thread_pool.hpp"
 
 namespace parbcc {
@@ -63,7 +64,7 @@ TEST_P(EarParam, RandomBiconnectedGraphs) {
   Executor ex(threads);
   const EdgeList g = gen::random_connected_gnm(300, 2400, seed);
   BccOptions opt;
-  const BccResult r = biconnected_components(ex, g, opt);
+  const BccResult r = testutil::solve(ex, g, opt);
   if (r.num_components != 1) GTEST_SKIP() << "instance not biconnected";
   expect_valid_ears(ex, g);
 }

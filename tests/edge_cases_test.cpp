@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bcc.hpp"
+#include "engines.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
 #include "util/thread_pool.hpp"
@@ -8,15 +9,13 @@
 namespace parbcc {
 namespace {
 
-const BccAlgorithm kAll[] = {BccAlgorithm::kSequential, BccAlgorithm::kTvSmp,
-                             BccAlgorithm::kTvOpt, BccAlgorithm::kTvFilter,
-                             BccAlgorithm::kFastBcc, BccAlgorithm::kAuto};
+const Engine kAll[] = {BccAlgorithm::kSequential, paper::Algorithm::kTvSmp,
+                       paper::Algorithm::kTvOpt, paper::Algorithm::kTvFilter,
+                       BccAlgorithm::kFastBcc, BccAlgorithm::kAuto};
 
-BccResult solve(const EdgeList& g, BccAlgorithm algorithm, int threads = 2) {
+BccResult solve(const EdgeList& g, Engine engine, int threads = 2) {
   Executor ex(threads);
-  BccOptions opt;
-  opt.algorithm = algorithm;
-  return biconnected_components(ex, g, opt);
+  return testutil::solve(ex, g, engine);
 }
 
 TEST(EdgeCases, EmptyGraph) {
@@ -83,6 +82,19 @@ TEST(EdgeCases, SelfLoopsGetOwnComponents) {
   }
 }
 
+TEST(EdgeCases, SelfLoopsOnly) {
+  const EdgeList g(3, {{0, 0}, {1, 1}, {2, 2}});
+  for (const auto algorithm : kAll) {
+    const BccResult r = solve(g, algorithm);
+    EXPECT_EQ(r.num_components, 3u) << to_string(algorithm);
+    EXPECT_TRUE(testutil::same_partition(r.edge_component,
+                                         std::vector<vid>{0, 1, 2}))
+        << to_string(algorithm);
+    EXPECT_TRUE(r.bridges.empty()) << to_string(algorithm);
+    EXPECT_EQ(r.is_articulation, (std::vector<std::uint8_t>{0, 0, 0}));
+  }
+}
+
 TEST(EdgeCases, DisconnectedMixtureAllAlgorithmsAgree) {
   // Triangle, path, isolated vertices, 4-cycle.
   EdgeList g(13, {{0, 1},
@@ -141,20 +153,36 @@ TEST(EdgeCases, AutoSkipsProbeOnDegenerateInputs) {
 TEST(EdgeCases, InvalidInputsThrow) {
   Executor ex(1);
   EdgeList bad(2, {{0, 5}});
-  EXPECT_THROW(biconnected_components(ex, bad, {}), std::invalid_argument);
   EdgeList ok(3, {{0, 1}});
-  BccOptions opt;
+  SolveOptions opt;
   opt.root = 9;
-  EXPECT_THROW(biconnected_components(ex, ok, opt), std::invalid_argument);
+  // Every engine, the paper's included, rejects both inputs in the
+  // shared frame with the same named error.
+  const auto error_of = [&](const EdgeList& g, Engine engine,
+                            const SolveOptions& o) -> std::string {
+    try {
+      testutil::solve(ex, g, engine, o);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  for (const auto engine : kAll) {
+    EXPECT_EQ(error_of(bad, engine, {}),
+              "biconnected_components: edge endpoint out of range")
+        << to_string(engine);
+    EXPECT_EQ(error_of(ok, engine, opt),
+              "biconnected_components: root out of range")
+        << to_string(engine);
+  }
 }
 
 TEST(EdgeCases, RootInsideResultIsRespected) {
   const EdgeList g = gen::cycle(8);
   Executor ex(2);
-  BccOptions opt;
-  opt.algorithm = BccAlgorithm::kTvOpt;
+  SolveOptions opt;
   opt.root = 5;
-  const BccResult r = biconnected_components(ex, g, opt);
+  const BccResult r = testutil::solve(ex, g, paper::Algorithm::kTvOpt, opt);
   EXPECT_EQ(r.num_components, 1u);
 }
 
@@ -162,9 +190,9 @@ TEST(EdgeCases, HighThreadOversubscription) {
   // More threads than vertices in some components.
   const EdgeList g = gen::random_gnm(64, 80, 9);
   const testutil::RefBcc ref = testutil::reference_bcc(g);
-  for (const auto algorithm :
-       {BccAlgorithm::kTvSmp, BccAlgorithm::kTvOpt, BccAlgorithm::kTvFilter,
-        BccAlgorithm::kFastBcc}) {
+  for (const Engine algorithm :
+       {Engine(paper::Algorithm::kTvSmp), Engine(paper::Algorithm::kTvOpt),
+        Engine(paper::Algorithm::kTvFilter), Engine(BccAlgorithm::kFastBcc)}) {
     const BccResult r = solve(g, algorithm, /*threads=*/16);
     ASSERT_EQ(r.num_components, ref.count) << to_string(algorithm);
     EXPECT_TRUE(testutil::same_partition(r.edge_component, ref.edge_comp));
@@ -172,12 +200,16 @@ TEST(EdgeCases, HighThreadOversubscription) {
 }
 
 TEST(EdgeCases, ThreadsOptionConvenienceOverload) {
+  // A context sized from the options' thread count, as the owning
+  // overload that left the library built it.
   const EdgeList g = gen::cycle(64);
-  BccOptions opt;
-  opt.algorithm = BccAlgorithm::kTvOpt;
+  paper::PaperOptions opt;
+  opt.algorithm = paper::Algorithm::kTvOpt;
   opt.threads = 4;
-  const BccResult r = biconnected_components(g, opt);
+  BccContext ctx(opt.threads);
+  const BccResult r = paper::solve(ctx, g, opt);
   EXPECT_EQ(r.num_components, 1u);
+  EXPECT_EQ(ctx.executor().threads(), 4);
 }
 
 }  // namespace

@@ -4,10 +4,11 @@
 #include <functional>
 #include <numeric>
 
-#include "eulertour/euler_tour.hpp"
+#include "dfs_tour_positions.hpp"
 #include "eulertour/tree_computations.hpp"
+#include "forest.hpp"
 #include "graph/generators.hpp"
-#include "spanning/forest.hpp"
+#include "paper/euler_tour.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 

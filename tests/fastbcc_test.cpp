@@ -3,6 +3,7 @@
 #include "core/bcc.hpp"
 #include "core/drivers.hpp"
 #include "core/validate.hpp"
+#include "engines.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
 #include "util/thread_pool.hpp"
@@ -17,9 +18,7 @@ namespace {
 
 BccResult solve(Executor& ex, const EdgeList& g,
                 BccAlgorithm algorithm = BccAlgorithm::kFastBcc) {
-  BccOptions opt;
-  opt.algorithm = algorithm;
-  return biconnected_components(ex, g, opt);
+  return testutil::solve(ex, g, algorithm);
 }
 
 void expect_matches_reference(Executor& ex, const EdgeList& g,
@@ -109,14 +108,12 @@ TEST(FastBcc, PeakWorkspaceUndercutsTvFilter) {
   // Warm each context first: the cold solve's peak is dominated by the
   // shared conversion scratch, which would mask the driver difference.
   BccContext fast_ctx(4);
-  BccOptions opt;
-  opt.algorithm = BccAlgorithm::kFastBcc;
-  biconnected_components(fast_ctx, g, opt);
-  const BccResult fast = biconnected_components(fast_ctx, g, opt);
+  testutil::solve(fast_ctx, g, BccAlgorithm::kFastBcc);
+  const BccResult fast = testutil::solve(fast_ctx, g, BccAlgorithm::kFastBcc);
   BccContext filter_ctx(4);
-  opt.algorithm = BccAlgorithm::kTvFilter;
-  biconnected_components(filter_ctx, g, opt);
-  const BccResult filter = biconnected_components(filter_ctx, g, opt);
+  testutil::solve(filter_ctx, g, paper::Algorithm::kTvFilter);
+  const BccResult filter =
+      testutil::solve(filter_ctx, g, paper::Algorithm::kTvFilter);
   ASSERT_EQ(fast.num_components, filter.num_components);
   EXPECT_TRUE(
       testutil::same_partition(fast.edge_component, filter.edge_component));
@@ -192,22 +189,19 @@ TEST_P(FastBccForest, DirectDriverMatchesHopcroftTarjan) {
       {"root_isolated", &dust, 3000},
       {"parallel_edges", &parallel, 5},
   };
-  BccOptions ht_opt;
-  ht_opt.algorithm = BccAlgorithm::kSequential;
   for (const auto& c : cases) {
     const PreparedGraph pg(ex, ws, *c.g);
-    BccOptions opt;
-    opt.root = c.root;
     Trace trace(p);
-    opt.trace = &trace;
-    const BccResult fast = fast_bcc(ex, ws, pg, opt);
-    const BccResult ht = biconnected_components(ex, *c.g, ht_opt);
+    const BccResult fast = fast_bcc(ex, ws, pg, c.root, trace);
+    const BccResult ht =
+        testutil::solve(ex, *c.g, Engine(BccAlgorithm::kSequential));
     ASSERT_EQ(fast.num_components, ht.num_components) << c.name;
     EXPECT_TRUE(testutil::same_partition(fast.edge_component,
                                          ht.edge_component))
         << c.name << " p=" << p;
     // Only a disconnected input pays for the connectivity pass.
-    EXPECT_NE(fast.trace.find_path("spanning_tree/component_roots"), nullptr)
+    EXPECT_NE(trace.report().find_path("spanning_tree/component_roots"),
+              nullptr)
         << c.name;
   }
 
@@ -215,10 +209,9 @@ TEST_P(FastBccForest, DirectDriverMatchesHopcroftTarjan) {
   const EdgeList connected = gen::random_connected_gnm(2000, 6000, 43);
   const PreparedGraph pg(ex, ws, connected);
   Trace trace(p);
-  BccOptions opt;
-  opt.trace = &trace;
-  const BccResult r = fast_bcc(ex, ws, pg, opt);
-  EXPECT_EQ(r.trace.find_path("spanning_tree/component_roots"), nullptr);
+  fast_bcc(ex, ws, pg, /*root=*/0, trace);
+  EXPECT_EQ(trace.report().find_path("spanning_tree/component_roots"),
+            nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, FastBccForest, ::testing::Values(1, 4, 12));

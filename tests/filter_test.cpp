@@ -4,6 +4,7 @@
 
 #include "connectivity/shiloach_vishkin.hpp"
 #include "core/bcc.hpp"
+#include "engines.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "scan/compact.hpp"
@@ -100,9 +101,8 @@ TEST(FilterEndToEnd, DenseGraphsMatchSequential) {
   Executor ex(4);
   for (const int seed : {5, 6}) {
     const EdgeList g = gen::dense_retain(120, 700, seed);
-    BccOptions opt;
-    opt.algorithm = BccAlgorithm::kTvFilter;
-    const BccResult par = biconnected_components(ex, g, opt);
+    const BccResult par =
+        testutil::solve(ex, g, paper::Algorithm::kTvFilter);
     const testutil::RefBcc ref = testutil::reference_bcc(g);
     ASSERT_EQ(par.num_components, ref.count);
     EXPECT_TRUE(testutil::same_partition(par.edge_component, ref.edge_comp));
@@ -114,9 +114,7 @@ TEST(FilterEndToEnd, DenseGraphsMatchSequential) {
 TEST(FilterEndToEnd, ChainGraphPathologicalDiameter) {
   Executor ex(4);
   const EdgeList g = gen::path(20000);
-  BccOptions opt;
-  opt.algorithm = BccAlgorithm::kTvFilter;
-  const BccResult r = biconnected_components(ex, g, opt);
+  const BccResult r = testutil::solve(ex, g, paper::Algorithm::kTvFilter);
   EXPECT_EQ(r.num_components, g.m());
   EXPECT_EQ(r.bridges.size(), g.m());
 }
@@ -127,9 +125,8 @@ TEST(FilterEndToEnd, ParallelEdgesHandled) {
   Executor ex(2);
   // Square plus doubled edge (0,1) plus doubled diagonal candidate.
   EdgeList g(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 1}, {1, 3}, {1, 3}});
-  BccOptions opt;
-  opt.algorithm = BccAlgorithm::kTvFilter;
-  const BccResult par = biconnected_components(ex, g, opt);
+  const BccResult par =
+      testutil::solve(ex, g, paper::Algorithm::kTvFilter);
   const testutil::RefBcc ref = testutil::reference_bcc(g);
   ASSERT_EQ(par.num_components, ref.count);
   EXPECT_TRUE(testutil::same_partition(par.edge_component, ref.edge_comp));

@@ -6,10 +6,10 @@
 #include <vector>
 
 #include "connectivity/shiloach_vishkin.hpp"
+#include "forest.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "spanning/bfs_tree.hpp"
-#include "spanning/forest.hpp"
 #include "spanning/sv_tree.hpp"
 #include "test_util.hpp"
 #include "util/thread_pool.hpp"

@@ -8,6 +8,7 @@
 #include "core/bcc.hpp"
 #include "core/bcc_context.hpp"
 #include "core/validate.hpp"
+#include "engines.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -145,12 +146,11 @@ TEST_P(FuzzParam, TrackedStructureMatchesEveryAlgorithm) {
   }
 
   Executor ex(3);
-  for (const BccAlgorithm algorithm :
-       {BccAlgorithm::kSequential, BccAlgorithm::kTvSmp, BccAlgorithm::kTvOpt,
-        BccAlgorithm::kTvFilter, BccAlgorithm::kFastBcc}) {
-    BccOptions opt;
-    opt.algorithm = algorithm;
-    const BccResult r = biconnected_components(ex, b.g, opt);
+  for (const Engine algorithm :
+       {Engine(BccAlgorithm::kSequential), Engine(paper::Algorithm::kTvSmp),
+        Engine(paper::Algorithm::kTvOpt), Engine(paper::Algorithm::kTvFilter),
+        Engine(BccAlgorithm::kFastBcc)}) {
+    const BccResult r = testutil::solve(ex, b.g, algorithm);
     ASSERT_EQ(r.num_components, b.blocks) << to_string(algorithm);
     ASSERT_EQ(r.bridges.size(), b.bridges) << to_string(algorithm);
     vid cuts = 0;
@@ -201,15 +201,11 @@ TEST_P(PowerLawFuzzParam, AlgorithmsAgreeAndValidateOnPowerLaw) {
       gen::random_power_law(n, m, alpha, static_cast<std::uint64_t>(seed));
 
   Executor ex(3);
-  BccOptions base;
-  base.algorithm = BccAlgorithm::kSequential;
-  const BccResult ref = biconnected_components(ex, g, base);
-  for (const BccAlgorithm algorithm :
-       {BccAlgorithm::kTvSmp, BccAlgorithm::kTvOpt, BccAlgorithm::kTvFilter,
-        BccAlgorithm::kFastBcc}) {
-    BccOptions opt;
-    opt.algorithm = algorithm;
-    const BccResult r = biconnected_components(ex, g, opt);
+  const BccResult ref = testutil::solve(ex, g, BccAlgorithm::kSequential);
+  for (const Engine algorithm :
+       {Engine(paper::Algorithm::kTvSmp), Engine(paper::Algorithm::kTvOpt),
+        Engine(paper::Algorithm::kTvFilter), Engine(BccAlgorithm::kFastBcc)}) {
+    const BccResult r = testutil::solve(ex, g, algorithm);
     ASSERT_EQ(r.num_components, ref.num_components) << to_string(algorithm);
     ASSERT_EQ(r.bridges, ref.bridges) << to_string(algorithm);
     ASSERT_EQ(r.is_articulation, ref.is_articulation) << to_string(algorithm);

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "core/bcc.hpp"
+#include "engines.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
@@ -16,16 +17,14 @@
 namespace parbcc {
 namespace {
 
-BccResult solve(const EdgeList& g, BccAlgorithm algorithm) {
+BccResult solve(const EdgeList& g, Engine engine) {
   Executor ex(3);
-  BccOptions opt;
-  opt.algorithm = algorithm;
-  return biconnected_components(ex, g, opt);
+  return testutil::solve(ex, g, engine);
 }
 
-const BccAlgorithm kParallel[] = {BccAlgorithm::kTvSmp, BccAlgorithm::kTvOpt,
-                                  BccAlgorithm::kTvFilter,
-                                  BccAlgorithm::kFastBcc};
+const Engine kParallel[] = {paper::Algorithm::kTvSmp, paper::Algorithm::kTvOpt,
+                            paper::Algorithm::kTvFilter,
+                            BccAlgorithm::kFastBcc};
 
 TEST(Invariance, VertexRelabelingPermutesTheResult) {
   const EdgeList g = gen::random_connected_gnm(400, 1200, 5);
@@ -79,7 +78,7 @@ TEST(Invariance, IntraBlockEdgeDoesNotDisturbOtherBlocks) {
   // Adding an edge between two vertices of one block must not change
   // the rest of the partition (the block absorbs the new edge).
   const EdgeList g = gen::clique_chain(6, 5);
-  const BccResult base = solve(g, BccAlgorithm::kTvOpt);
+  const BccResult base = solve(g, paper::Algorithm::kTvOpt);
 
   // Vertices 0 and 1 live in the first clique: re-add an absent pair?
   // Cliques are complete, so use a parallel edge — same block property.
@@ -114,7 +113,7 @@ TEST(Invariance, CrossBlockEdgeMergesExactlyThePathOfBlocks) {
 TEST(Invariance, SubdividingABridgeAddsABlock) {
   // Replacing bridge (u,v) by u-w-v turns one bridge block into two.
   EdgeList g(6, {{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 5}, {5, 3}});
-  const BccResult before = solve(g, BccAlgorithm::kTvFilter);
+  const BccResult before = solve(g, paper::Algorithm::kTvFilter);
   ASSERT_EQ(before.num_components, 3u);
 
   EdgeList h(7, {{0, 1}, {1, 2}, {2, 0}, {2, 6}, {6, 3}, {3, 4}, {4, 5},
@@ -147,12 +146,10 @@ TEST(Invariance, ExecModeNeverChangesThePartition) {
                             gen::random_connected_gnm(800, 4000, 14)}) {
     for (const auto algorithm : kParallel) {
       Executor ex(4);
-      BccOptions opt;
-      opt.algorithm = algorithm;
-      opt.exec_mode = ExecMode::kWorkSteal;
-      const BccResult ws = biconnected_components(ex, g, opt);
-      opt.exec_mode = ExecMode::kSpmd;
-      const BccResult spmd = biconnected_components(ex, g, opt);
+      ex.set_mode(ExecMode::kWorkSteal);
+      const BccResult ws = testutil::solve(ex, g, algorithm);
+      ex.set_mode(ExecMode::kSpmd);
+      const BccResult spmd = testutil::solve(ex, g, algorithm);
       ASSERT_EQ(ws.num_components, spmd.num_components)
           << to_string(algorithm);
       EXPECT_TRUE(testutil::same_partition(ws.edge_component,
@@ -166,13 +163,11 @@ TEST(Invariance, ExecModeNeverChangesThePartition) {
 TEST(Invariance, ThreadCountNeverChangesThePartition) {
   const EdgeList g = gen::random_connected_gnm(500, 2500, 12);
   for (const auto algorithm : kParallel) {
-    BccOptions opt;
-    opt.algorithm = algorithm;
     Executor ex1(1);
-    const BccResult base = biconnected_components(ex1, g, opt);
+    const BccResult base = testutil::solve(ex1, g, algorithm);
     for (const int threads : {2, 3, 8}) {
       Executor ex(threads);
-      const BccResult r = biconnected_components(ex, g, opt);
+      const BccResult r = testutil::solve(ex, g, algorithm);
       ASSERT_EQ(r.num_components, base.num_components)
           << to_string(algorithm) << " threads=" << threads;
       EXPECT_TRUE(testutil::same_partition(r.edge_component,

@@ -13,12 +13,13 @@
 #include <vector>
 
 #include "core/bcc.hpp"
+#include "engines.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/io_binary.hpp"
 #include "graph/text_parse.hpp"
-#include "util/trace.hpp"
 #include "test_util.hpp"
+#include "util/trace.hpp"
 
 namespace parbcc {
 namespace {
@@ -579,7 +580,8 @@ TEST(Pbg, PrefaultedParallelMapSolvesIdentically) {
   EXPECT_NE(rep.find_path("io_map/io_prefault"), nullptr);
 
   const BccResult from_map = biconnected_components(ctx, *ctx.mapped_graph());
-  const BccResult in_memory = biconnected_components(g);
+  Executor in_memory_ex(1);
+  const BccResult in_memory = testutil::solve(in_memory_ex, g);
   EXPECT_EQ(from_map.num_components, in_memory.num_components);
   EXPECT_TRUE(testutil::same_partition(from_map.edge_component,
                                        in_memory.edge_component));
@@ -602,11 +604,9 @@ TEST(Pbg, MappedSolveNeverMaterializesEdges) {
   io::map_prepared_graph(ctx, path, {});
   ASSERT_TRUE(ctx.mapped_graph()->edges.is_borrowed());
   const std::size_t before = EdgeStore::materialize_count();
-  for (const BccAlgorithm alg :
-       {BccAlgorithm::kTvFilter, BccAlgorithm::kFastBcc}) {
-    BccOptions opt;
-    opt.algorithm = alg;
-    const BccResult r = biconnected_components(ctx, *ctx.mapped_graph(), opt);
+  for (const Engine alg :
+       {Engine(paper::Algorithm::kTvFilter), Engine(BccAlgorithm::kFastBcc)}) {
+    const BccResult r = testutil::solve(ctx, *ctx.mapped_graph(), alg);
     EXPECT_GT(r.num_components, 0u);
   }
   EXPECT_EQ(EdgeStore::materialize_count(), before);

@@ -4,7 +4,7 @@
 #include <numeric>
 #include <vector>
 
-#include "listrank/list_ranking.hpp"
+#include "paper/list_ranking.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 

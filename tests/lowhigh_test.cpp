@@ -2,11 +2,11 @@
 
 #include <algorithm>
 
-#include "core/lowhigh.hpp"
-#include "core/tv_core.hpp"
 #include "eulertour/tree_computations.hpp"
+#include "forest.hpp"
 #include "graph/generators.hpp"
-#include "spanning/forest.hpp"
+#include "paper/lowhigh.hpp"
+#include "paper/tv_core.hpp"
 #include "util/thread_pool.hpp"
 
 namespace parbcc {

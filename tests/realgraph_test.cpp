@@ -98,7 +98,7 @@ TEST_P(RealGraph, TextAndMmapMatchPinnedInvariants) {
   const EdgeList text_graph = io::read_text_graph(ex, base + ".txt");
   ASSERT_EQ(text_graph.n, ref.n);
   ASSERT_EQ(text_graph.m(), ref.m);
-  const BccResult from_text = biconnected_components(ex, text_graph, opt);
+  const BccResult from_text = testutil::solve(ex, text_graph, opt);
 
   // Path 2: zero-copy mmap of the committed .pbg (deep verify on —
   // these are fixtures, a corrupted checkout should fail loudly).

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "rmq/sparse_table.hpp"
+#include "paper/sparse_table.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 

@@ -17,15 +17,15 @@
 
 #include "core/bcc.hpp"
 #include "core/bcc_context.hpp"
-#include "core/two_edge_connected.hpp"
-#include "graph/text_parse.hpp"
 #include "graph/generators.hpp"
+#include "graph/text_parse.hpp"
 #include "server/client.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "server/service.hpp"
 #include "server/snapshot.hpp"
 #include "test_util.hpp"
+#include "two_edge_connected.hpp"
 #include "util/rng.hpp"
 
 namespace parbcc {

@@ -4,8 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "paper/sample_sort.hpp"
 #include "sort/radix_sort.hpp"
-#include "sort/sample_sort.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 

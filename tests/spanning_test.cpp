@@ -4,12 +4,12 @@
 
 #include "connectivity/shiloach_vishkin.hpp"
 #include "connectivity/union_find.hpp"
+#include "forest.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
+#include "paper/traversal_tree.hpp"
 #include "spanning/bfs_tree.hpp"
-#include "spanning/forest.hpp"
 #include "spanning/sv_tree.hpp"
-#include "spanning/traversal_tree.hpp"
 #include "test_util.hpp"
 #include "util/thread_pool.hpp"
 

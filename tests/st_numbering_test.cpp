@@ -3,6 +3,7 @@
 #include "core/bcc.hpp"
 #include "graph/generators.hpp"
 #include "st_numbering.hpp"
+#include "test_util.hpp"
 #include "util/thread_pool.hpp"
 
 namespace parbcc {
@@ -52,7 +53,7 @@ TEST_P(StParam, RandomBiconnectedGraphs) {
   const int seed = GetParam();
   const EdgeList g = gen::random_connected_gnm(400, 3200, seed);
   Executor ex(2);
-  const BccResult r = biconnected_components(ex, g, {});
+  const BccResult r = testutil::solve(ex, g);
   if (r.num_components != 1) GTEST_SKIP() << "not biconnected";
   // Use a few different st edges per instance.
   for (const eid e : {eid{0}, static_cast<eid>(g.m() / 2),

@@ -5,6 +5,7 @@
 
 #include "core/bcc.hpp"
 #include "core/validate.hpp"
+#include "engines.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
 #include "util/thread_pool.hpp"
@@ -16,16 +17,14 @@
 namespace parbcc {
 namespace {
 
-void check(Executor& ex, const EdgeList& g, BccAlgorithm algorithm) {
-  BccOptions opt;
-  opt.algorithm = algorithm;
-  const BccResult r = biconnected_components(ex, g, opt);
+void check(Executor& ex, const EdgeList& g, Engine algorithm) {
+  const BccResult r = testutil::solve(ex, g, algorithm);
   const ValidationReport report = validate_bcc(ex, g, r);
   ASSERT_TRUE(report.ok) << to_string(algorithm) << ": " << report.message;
 }
 
 class StressParam
-    : public ::testing::TestWithParam<std::tuple<BccAlgorithm, int>> {};
+    : public ::testing::TestWithParam<std::tuple<Engine, int>> {};
 
 TEST_P(StressParam, MediumRandomGraphsValidate) {
   const auto [algorithm, seed] = GetParam();
@@ -37,18 +36,18 @@ TEST_P(StressParam, MediumRandomGraphsValidate) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, StressParam,
-    ::testing::Combine(::testing::Values(BccAlgorithm::kTvSmp,
-                                         BccAlgorithm::kTvOpt,
-                                         BccAlgorithm::kTvFilter,
-                                         BccAlgorithm::kFastBcc),
+    ::testing::Combine(::testing::Values(Engine(paper::Algorithm::kTvSmp),
+                                         Engine(paper::Algorithm::kTvOpt),
+                                         Engine(paper::Algorithm::kTvFilter),
+                                         Engine(BccAlgorithm::kFastBcc)),
                        ::testing::Values(1, 2, 3, 4)));
 
 TEST(Stress, RmatSkewDegreesAllAlgorithms) {
   Executor ex(4);
   const EdgeList g = gen::rmat(14, 8, 3);  // 16k vertices, heavy skew
-  for (const BccAlgorithm algorithm :
-       {BccAlgorithm::kTvSmp, BccAlgorithm::kTvOpt, BccAlgorithm::kTvFilter,
-        BccAlgorithm::kFastBcc}) {
+  for (const Engine algorithm :
+       {Engine(paper::Algorithm::kTvSmp), Engine(paper::Algorithm::kTvOpt),
+        Engine(paper::Algorithm::kTvFilter), Engine(BccAlgorithm::kFastBcc)}) {
     check(ex, g, algorithm);
   }
 }
@@ -56,8 +55,8 @@ TEST(Stress, RmatSkewDegreesAllAlgorithms) {
 TEST(Stress, LargeCactusTvFilter) {
   Executor ex(4);
   const EdgeList g = gen::random_cactus(5000, 12, 7);
-  check(ex, g, BccAlgorithm::kTvFilter);
-  check(ex, g, BccAlgorithm::kTvOpt);
+  check(ex, g, paper::Algorithm::kTvFilter);
+  check(ex, g, paper::Algorithm::kTvOpt);
   check(ex, g, BccAlgorithm::kFastBcc);  // every cycle is its own cluster
 }
 
@@ -74,24 +73,21 @@ TEST(Stress, WideShallowAndNarrowDeep) {
       star_cliques.add_edge(0, base + i);
     }
   }
-  check(ex, star_cliques, BccAlgorithm::kTvOpt);
-  check(ex, star_cliques, BccAlgorithm::kTvFilter);
-  check(ex, gen::cycle(100000), BccAlgorithm::kTvOpt);
+  check(ex, star_cliques, paper::Algorithm::kTvOpt);
+  check(ex, star_cliques, paper::Algorithm::kTvFilter);
+  check(ex, gen::cycle(100000), paper::Algorithm::kTvOpt);
 }
 
 TEST(Stress, CrossAlgorithmPartitionsIdentical) {
   Executor ex(4);
   const EdgeList g = gen::random_connected_gnm(30000, 150000, 9);
-  BccOptions opt;
+  SolveOptions opt;
   opt.compute_cut_info = false;
-  opt.algorithm = BccAlgorithm::kTvSmp;
-  const BccResult a = biconnected_components(ex, g, opt);
-  opt.algorithm = BccAlgorithm::kTvOpt;
-  const BccResult b = biconnected_components(ex, g, opt);
-  opt.algorithm = BccAlgorithm::kTvFilter;
-  const BccResult c = biconnected_components(ex, g, opt);
-  opt.algorithm = BccAlgorithm::kFastBcc;
-  const BccResult d = biconnected_components(ex, g, opt);
+  const BccResult a = testutil::solve(ex, g, paper::Algorithm::kTvSmp, opt);
+  const BccResult b = testutil::solve(ex, g, paper::Algorithm::kTvOpt, opt);
+  const BccResult c =
+      testutil::solve(ex, g, paper::Algorithm::kTvFilter, opt);
+  const BccResult d = testutil::solve(ex, g, BccAlgorithm::kFastBcc, opt);
   ASSERT_EQ(a.num_components, b.num_components);
   ASSERT_EQ(a.num_components, c.num_components);
   ASSERT_EQ(a.num_components, d.num_components);
@@ -107,9 +103,9 @@ TEST(Stress, FullWidthAllAlgorithms) {
   // hooks under 12-way contention.
   Executor ex(12);
   const EdgeList g = gen::random_connected_gnm(20000, 120000, 13);
-  for (const BccAlgorithm algorithm :
-       {BccAlgorithm::kTvSmp, BccAlgorithm::kTvOpt, BccAlgorithm::kTvFilter,
-        BccAlgorithm::kFastBcc}) {
+  for (const Engine algorithm :
+       {Engine(paper::Algorithm::kTvSmp), Engine(paper::Algorithm::kTvOpt),
+        Engine(paper::Algorithm::kTvFilter), Engine(BccAlgorithm::kFastBcc)}) {
     check(ex, g, algorithm);
   }
 }
@@ -123,7 +119,7 @@ TEST_P(ContextReuseParam, BackToBackSolvesMatchFreshContexts) {
   // fresh single-use context solving the same problem.
   const int p = GetParam();
   BccContext ctx(p);
-  BccOptions opt;
+  SolveOptions opt;
   opt.compute_cut_info = true;
 
   const EdgeList graphs[] = {
@@ -133,19 +129,21 @@ TEST_P(ContextReuseParam, BackToBackSolvesMatchFreshContexts) {
       gen::cycle(50000),
       gen::random_connected_gnm(10000, 80000, 34),
   };
-  const BccAlgorithm algorithms[] = {
-      BccAlgorithm::kTvSmp, BccAlgorithm::kTvOpt, BccAlgorithm::kTvFilter,
-      BccAlgorithm::kSequential, BccAlgorithm::kFastBcc};
+  const Engine algorithms[] = {
+      paper::Algorithm::kTvSmp, paper::Algorithm::kTvOpt,
+      paper::Algorithm::kTvFilter, BccAlgorithm::kSequential,
+      BccAlgorithm::kFastBcc};
 
   for (std::size_t i = 0; i < std::size(graphs); ++i) {
-    opt.algorithm = algorithms[i % std::size(algorithms)];
-    const BccResult reused = biconnected_components(ctx, graphs[i], opt);
+    const Engine algorithm = algorithms[i % std::size(algorithms)];
+    const BccResult reused = testutil::solve(ctx, graphs[i], algorithm, opt);
 
     BccContext fresh(p);
-    const BccResult baseline = biconnected_components(fresh, graphs[i], opt);
+    const BccResult baseline =
+        testutil::solve(fresh, graphs[i], algorithm, opt);
 
     ASSERT_EQ(reused.num_components, baseline.num_components)
-        << "graph " << i << " with " << to_string(opt.algorithm);
+        << "graph " << i << " with " << to_string(algorithm);
     ASSERT_TRUE(testutil::same_partition(reused.edge_component,
                                          baseline.edge_component));
     ASSERT_EQ(reused.is_articulation, baseline.is_articulation);
@@ -156,8 +154,8 @@ TEST_P(ContextReuseParam, BackToBackSolvesMatchFreshContexts) {
   // shape it will see, so the arena must not grow again.
   const std::uint64_t growth = ctx.workspace().growth_count();
   for (std::size_t i = 0; i < std::size(graphs); ++i) {
-    opt.algorithm = algorithms[i % std::size(algorithms)];
-    const BccResult again = biconnected_components(ctx, graphs[i], opt);
+    const BccResult again = testutil::solve(
+        ctx, graphs[i], algorithms[i % std::size(algorithms)], opt);
     ASSERT_GT(again.num_components, 0u);
   }
   EXPECT_EQ(ctx.workspace().growth_count(), growth);
@@ -169,10 +167,8 @@ INSTANTIATE_TEST_SUITE_P(Widths, ContextReuseParam,
 TEST(Stress, RepeatedRunsAreDeterministicAtOneThread) {
   Executor ex(1);
   const EdgeList g = gen::random_connected_gnm(5000, 20000, 11);
-  BccOptions opt;
-  opt.algorithm = BccAlgorithm::kTvOpt;
-  const BccResult a = biconnected_components(ex, g, opt);
-  const BccResult b = biconnected_components(ex, g, opt);
+  const BccResult a = testutil::solve(ex, g, paper::Algorithm::kTvOpt);
+  const BccResult b = testutil::solve(ex, g, paper::Algorithm::kTvOpt);
   EXPECT_EQ(a.edge_component, b.edge_component);  // exact, not just partition
   EXPECT_EQ(a.bridges, b.bridges);
 }

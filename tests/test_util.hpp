@@ -6,7 +6,9 @@
 #include <vector>
 
 #include "connectivity/union_find.hpp"
+#include "core/bcc.hpp"
 #include "graph/edge_list.hpp"
+#include "util/thread_pool.hpp"
 #include "util/types.hpp"
 
 /// \file test_util.hpp
@@ -16,6 +18,14 @@
 /// unlikely.
 
 namespace parbcc::testutil {
+
+/// One solve on a fresh context over `ex`: the library's entry point
+/// for tests that own an executor but no context.
+inline BccResult solve(Executor& ex, const EdgeList& g,
+                       const BccOptions& opt = {}) {
+  BccContext ctx(ex);
+  return biconnected_components(ctx, g, opt);
+}
 
 struct RefBcc {
   std::vector<vid> edge_comp;

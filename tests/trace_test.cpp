@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "core/bcc.hpp"
+#include "paper/solve.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
@@ -307,10 +308,11 @@ TEST(Trace, SolveRollupReachesBccResult) {
   g.n = 64;
   for (vid v = 0; v + 1 < g.n; ++v) g.edges.push_back({v, v + 1});
   for (vid v = 0; v + 2 < g.n; v += 2) g.edges.push_back({v, v + 2});
-  BccOptions opt;
-  opt.algorithm = BccAlgorithm::kTvFilter;
+  paper::PaperOptions opt;
+  opt.algorithm = paper::Algorithm::kTvFilter;
   opt.threads = 4;
-  const BccResult r = biconnected_components(g, opt);
+  BccContext ctx(opt.threads);
+  const BccResult r = paper::solve(ctx, g, opt);
   EXPECT_NE(r.trace.find_path("TV-filter"), nullptr);
   EXPECT_GT(r.trace.inclusive_seconds(steps::kSpanningTree), 0.0);
   EXPECT_GT(r.trace.counter_total("peak_workspace_bytes"), 0.0);

@@ -3,9 +3,9 @@
 #include "connectivity/shiloach_vishkin.hpp"
 #include "connectivity/union_find.hpp"
 #include "core/bcc.hpp"
-#include "core/two_edge_connected.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
+#include "two_edge_connected.hpp"
 #include "util/thread_pool.hpp"
 
 namespace parbcc {
@@ -98,7 +98,7 @@ TEST(TwoEdgeConnected, RejectsResultWithoutCutInfo) {
   const EdgeList g = gen::cycle(5);
   BccOptions opt;
   opt.compute_cut_info = false;
-  const BccResult r = biconnected_components(ex, g, opt);
+  const BccResult r = testutil::solve(ex, g, opt);
   EXPECT_THROW(two_edge_connected_components(ex, g, r),
                std::invalid_argument);
 }

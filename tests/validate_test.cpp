@@ -2,16 +2,15 @@
 
 #include "core/bcc.hpp"
 #include "core/validate.hpp"
+#include "engines.hpp"
 #include "graph/generators.hpp"
 #include "util/thread_pool.hpp"
 
 namespace parbcc {
 namespace {
 
-BccResult solve(Executor& ex, const EdgeList& g, BccAlgorithm algorithm) {
-  BccOptions opt;
-  opt.algorithm = algorithm;
-  return biconnected_components(ex, g, opt);
+BccResult solve(Executor& ex, const EdgeList& g, Engine algorithm) {
+  return testutil::solve(ex, g, algorithm);
 }
 
 TEST(Validate, AcceptsCorrectResultsAcrossFamilies) {
@@ -30,9 +29,9 @@ TEST(Validate, AcceptsCorrectResultsAcrossFamilies) {
       gen::random_gnm(200, 150, 9),  // disconnected
   };
   for (const EdgeList& g : graphs) {
-    for (const BccAlgorithm algorithm :
-         {BccAlgorithm::kSequential, BccAlgorithm::kTvOpt,
-          BccAlgorithm::kTvFilter}) {
+    for (const Engine algorithm :
+         {Engine(BccAlgorithm::kSequential), Engine(paper::Algorithm::kTvOpt),
+          Engine(paper::Algorithm::kTvFilter)}) {
       const BccResult r = solve(ex, g, algorithm);
       const ValidationReport report = validate_bcc(ex, g, r);
       EXPECT_TRUE(report.ok)
@@ -45,7 +44,7 @@ TEST(Validate, AcceptsLargeBlockPath) {
   // > 64 edges in one block exercises the Hopcroft-Tarjan sub-check.
   Executor ex(2);
   const EdgeList g = gen::random_connected_gnm(300, 2000, 11);
-  const BccResult r = solve(ex, g, BccAlgorithm::kTvFilter);
+  const BccResult r = solve(ex, g, paper::Algorithm::kTvFilter);
   EXPECT_TRUE(validate_bcc(ex, g, r).ok);
 }
 

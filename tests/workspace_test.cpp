@@ -3,6 +3,7 @@
 #include <cstdint>
 
 #include "core/bcc.hpp"
+#include "engines.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
 #include "util/padded.hpp"
@@ -120,17 +121,17 @@ TEST(Workspace, ReleaseFreesEverything) {
 TEST(BccContext, SecondSolveOnWarmContextPerformsZeroArenaGrowth) {
   const EdgeList g = gen::random_connected_gnm(20000, 80000, 42);
   BccContext ctx(4);
-  BccOptions opt;
-  opt.algorithm = BccAlgorithm::kTvSmp;  // heaviest arena user
+  paper::PaperOptions opt;
+  opt.algorithm = paper::Algorithm::kTvSmp;  // heaviest arena user
 
-  const BccResult cold = biconnected_components(ctx, g, opt);
+  const BccResult cold = paper::solve(ctx, g, opt);
   EXPECT_GT(cold.peak_workspace_bytes, 0u);
   EXPECT_GT(ctx.workspace().capacity_bytes(), 0u);
 
   const std::uint64_t growth_after_cold = ctx.workspace().growth_count();
   const std::size_t capacity_after_cold = ctx.workspace().capacity_bytes();
 
-  const BccResult warm = biconnected_components(ctx, g, opt);
+  const BccResult warm = paper::solve(ctx, g, opt);
   // Zero growth: the warm solve was served entirely from capacity.
   EXPECT_EQ(ctx.workspace().growth_count(), growth_after_cold);
   EXPECT_EQ(ctx.workspace().capacity_bytes(), capacity_after_cold);
@@ -146,11 +147,11 @@ TEST(BccContext, SecondSolveOnWarmContextPerformsZeroArenaGrowth) {
 TEST(BccContext, ConversionChargedOnceForRepeatedSolvesOfSameGraph) {
   const EdgeList g = gen::random_connected_gnm(10000, 40000, 7);
   BccContext ctx(4);
-  BccOptions opt;
-  opt.algorithm = BccAlgorithm::kTvOpt;  // adjacency-hungry driver
+  paper::PaperOptions opt;
+  opt.algorithm = paper::Algorithm::kTvOpt;  // adjacency-hungry driver
 
-  const BccResult first = biconnected_components(ctx, g, opt);
-  const BccResult second = biconnected_components(ctx, g, opt);
+  const BccResult first = paper::solve(ctx, g, opt);
+  const BccResult second = paper::solve(ctx, g, opt);
   EXPECT_GT(first.times.conversion, 0.0);
   EXPECT_EQ(second.times.conversion, 0.0);  // cache hit
   EXPECT_TRUE(
@@ -185,12 +186,12 @@ TEST(BccContext, SameAddressSameSizeDifferentGraphMissesCache) {
 TEST(BccContext, InvalidateForcesReconversion) {
   const EdgeList g = gen::random_connected_gnm(5000, 20000, 3);
   BccContext ctx(2);
-  BccOptions opt;
-  opt.algorithm = BccAlgorithm::kTvFilter;
+  paper::PaperOptions opt;
+  opt.algorithm = paper::Algorithm::kTvFilter;
 
-  const BccResult first = biconnected_components(ctx, g, opt);
+  const BccResult first = paper::solve(ctx, g, opt);
   ctx.invalidate();
-  const BccResult again = biconnected_components(ctx, g, opt);
+  const BccResult again = paper::solve(ctx, g, opt);
   EXPECT_GT(again.times.conversion, 0.0);  // rebuilt after invalidate
   EXPECT_TRUE(
       testutil::same_partition(first.edge_component, again.edge_component));
@@ -204,15 +205,15 @@ TEST(BccContext, LoopyGraphWarmSolveHitsBothCaches) {
   EdgeList g = gen::random_connected_gnm(20000, 80000, 17);
   for (vid v = 0; v < g.n; v += 97) g.add_edge(v, v);  // sprinkle loops
   BccContext ctx(4);
-  BccOptions opt;
-  opt.algorithm = BccAlgorithm::kTvOpt;
+  paper::PaperOptions opt;
+  opt.algorithm = paper::Algorithm::kTvOpt;
 
-  const BccResult cold = biconnected_components(ctx, g, opt);
+  const BccResult cold = paper::solve(ctx, g, opt);
   EXPECT_GT(cold.times.conversion, 0.0);
   const std::uint64_t growth_after_cold = ctx.workspace().growth_count();
   const std::size_t capacity_after_cold = ctx.workspace().capacity_bytes();
 
-  const BccResult warm = biconnected_components(ctx, g, opt);
+  const BccResult warm = paper::solve(ctx, g, opt);
   EXPECT_EQ(warm.times.conversion, 0.0);  // stripped adjacency cache hit
   EXPECT_EQ(ctx.workspace().growth_count(), growth_after_cold);
   EXPECT_EQ(ctx.workspace().capacity_bytes(), capacity_after_cold);
@@ -234,14 +235,14 @@ TEST(BccContext, AlternatingLoopyGraphsReKeyTheStripCache) {
   EdgeList b = gen::random_connected_gnm(3000, 12000, 24);
   b.add_edge(2, 2);
   BccContext ctx(2);
-  BccOptions opt;
-  opt.algorithm = BccAlgorithm::kTvFilter;
+  paper::PaperOptions opt;
+  opt.algorithm = paper::Algorithm::kTvFilter;
   Executor fresh(2);
   for (int round = 0; round < 2; ++round) {
-    const BccResult ra = biconnected_components(ctx, a, opt);
-    const BccResult rb = biconnected_components(ctx, b, opt);
-    const BccResult fa = biconnected_components(fresh, a, opt);
-    const BccResult fb = biconnected_components(fresh, b, opt);
+    const BccResult ra = paper::solve(ctx, a, opt);
+    const BccResult rb = paper::solve(ctx, b, opt);
+    const BccResult fa = testutil::solve(fresh, a, opt.algorithm, opt);
+    const BccResult fb = testutil::solve(fresh, b, opt.algorithm, opt);
     ASSERT_EQ(ra.num_components, fa.num_components);
     ASSERT_EQ(rb.num_components, fb.num_components);
     ASSERT_TRUE(
@@ -273,8 +274,8 @@ TEST(BccContext, DifferentGraphsOnOneContextStayCorrect) {
     const BccResult ra = biconnected_components(ctx, a, opt);
     const BccResult rb = biconnected_components(ctx, b, opt);
     Executor fresh_ex(4);
-    const BccResult fa = biconnected_components(fresh_ex, a, opt);
-    const BccResult fb = biconnected_components(fresh_ex, b, opt);
+    const BccResult fa = testutil::solve(fresh_ex, a, opt);
+    const BccResult fb = testutil::solve(fresh_ex, b, opt);
     ASSERT_EQ(ra.num_components, fa.num_components);
     ASSERT_EQ(rb.num_components, fb.num_components);
     ASSERT_TRUE(
