@@ -49,10 +49,10 @@
 #include "graph/csr.hpp"
 #include "paper/euler_tour.hpp"
 #include "paper/lowhigh.hpp"
+#include "paper/sv_tree.hpp"
 #include "paper/traversal_tree.hpp"
 #include "paper/tv_core.hpp"
 #include "spanning/bfs_tree.hpp"
-#include "spanning/sv_tree.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -60,6 +60,9 @@ using namespace parbcc;
 using namespace parbcc::bench;
 
 namespace {
+
+/// The BFS root of every single-root tree below.
+constexpr vid kRoot = 0;
 
 /// Time `fn` PARBCC_REPS times (at least `min_reps`); report min and
 /// median seconds.  Gated comparisons pass a floor so a REPS=1 smoke
@@ -79,7 +82,8 @@ RepStats timed_reps(F&& fn, int min_reps = 0) {
 /// Returns false if an acceptance assertion failed.
 bool frontier_section(Executor& ex, JsonWriter& json, const char* family,
                       const EdgeList& g, bool assert_bfs_inspections) {
-  const Csr csr = Csr::build(ex, g);
+  Workspace ws;
+  const Csr csr = Csr::build(ex, ws, g);
   bool ok = true;
 
   std::printf("  %s (n = %u, m = %u)\n", family, g.n, g.m());
@@ -94,8 +98,9 @@ bool frontier_section(Executor& ex, JsonWriter& json, const char* family,
                    {BfsMode::kBottomUp, "bfs bottom-up"},
                    {BfsMode::kAuto, "bfs hybrid"}};
   for (int i = 0; i < 3; ++i) {
-    const RepStats st =
-        timed_reps([&] { trees[i] = bfs_tree(ex, csr, 0, bfs_modes[i].mode); });
+    const RepStats st = timed_reps([&] {
+      trees[i] = bfs_tree(ex, ws, csr, {&kRoot, 1}, bfs_modes[i].mode);
+    });
     const vid rounds = trees[i].top_down_rounds + trees[i].bottom_up_rounds;
     std::printf("    %-32s %10.3f %10.3f %14llu %8u\n", bfs_modes[i].name,
                 st.min, st.median,
@@ -122,13 +127,15 @@ bool frontier_section(Executor& ex, JsonWriter& json, const char* family,
     const char* name;
   } sv_modes[] = {{SvMode::kClassic, "sv classic"}, {SvMode::kFastSV, "sv fastsv"}};
   vid sv_rounds[2] = {0, 0};
+  std::vector<vid> labels(g.n);
   for (int i = 0; i < 2; ++i) {
     SvStats stats;
     const RepStats st = timed_reps([&] {
       stats = {};
-      (void)connected_components_sv(ex, g.n, g.edges, sv_modes[i].mode, &stats);
+      connected_components_sv(ex, ws, g.n, g.edges, labels, sv_modes[i].mode,
+                              &stats);
     });
-    SpanningForest forest = sv_spanning_forest(ex, g.n, g.edges,
+    SpanningForest forest = sv_spanning_forest(ex, ws, g.n, g.edges,
                                                sv_modes[i].mode);
     sv_rounds[i] = stats.rounds;
     std::printf("    %-32s %10.3f %10.3f %14s %8u\n", sv_modes[i].name, st.min,
@@ -154,7 +161,8 @@ bool frontier_section(Executor& ex, JsonWriter& json, const char* family,
 /// false if an acceptance assertion failed.
 bool aux_fusion_section(Executor& ex, JsonWriter& json, const char* family,
                         const EdgeList& g) {
-  const Csr csr = Csr::build(ex, g);
+  Workspace ws;
+  const Csr csr = Csr::build(ex, ws, g);
   RootedSpanningTree tree;
   tree.root = 0;
   {
@@ -162,7 +170,7 @@ bool aux_fusion_section(Executor& ex, JsonWriter& json, const char* family,
     tree.parent = tt.parent;
     tree.parent_edge = tt.parent_edge;
   }
-  const ChildrenCsr children = build_children(ex, tree.parent, 0);
+  const ChildrenCsr children = build_children(ex, ws, tree.parent, 0);
   const LevelStructure levels = build_levels(ex, children, 0);
   preorder_and_size(ex, children, levels, 0, tree.pre, tree.sub);
   const std::vector<vid> owner = make_tree_owner(ex, g.m(), tree);
@@ -356,8 +364,9 @@ bool fastbcc_section(Executor& ex, JsonWriter& json, const char* family,
 /// pick different parents within the same level.
 bool bfs_kernel_section(Executor& ex, JsonWriter& json, const char* family,
                         const EdgeList& g, bool assert_skew) {
+  Workspace ws;
   bool ok = true;
-  const Csr csr = Csr::build(ex, g);
+  const Csr csr = Csr::build(ex, ws, g);
   std::printf("  bfs-top-down/%s (n = %u, m = %u, p = %d)\n", family, g.n,
               g.m(), ex.threads());
   std::printf("    %-12s %10s %10s %13s %13s %9s %9s\n", "schedule", "min(s)",
@@ -378,7 +387,7 @@ bool bfs_kernel_section(Executor& ex, JsonWriter& json, const char* family,
     const RepStats st = timed_reps(
         [&] {
           ex.reset_scheduler_stats();
-          trees[i] = bfs_tree(ex, csr, 0, BfsMode::kTopDown);
+          trees[i] = bfs_tree(ex, ws, csr, {&kRoot, 1}, BfsMode::kTopDown);
         },
         /*min_reps=*/3);
     stats[i] = ex.scheduler_stats();
@@ -616,6 +625,7 @@ int main(int argc, char** argv) {
   std::printf("n = %u, m = %u, p = %d, reps = %d\n\n", n, m, p, env_reps());
 
   Executor ex(p);
+  Workspace ws;
   // Sections (a)-(e) characterize the kernels under the paper's static
   // SPMD schedule: their gates encode schedule-sensitive structure
   // (SV round counts, bottom-up probe totals) and their committed
@@ -626,7 +636,7 @@ int main(int argc, char** argv) {
   bool ok = true;
   if (!fastbcc_only && !sched_only && !dynamic_only) {
   const EdgeList g = gen::random_connected_gnm(n, m, seed);
-  const SpanningForest forest = sv_spanning_forest(ex, g.n, g.edges);
+  const SpanningForest forest = sv_spanning_forest(ex, ws, g.n, g.edges);
 
   std::printf("(a) rooting the spanning tree\n");
   std::printf("    %-44s %10s %10s\n", "variant", "min(s)", "median(s)");
@@ -636,7 +646,7 @@ int main(int argc, char** argv) {
           ListRanker::kHelmanJaja}) {
       const RepStats st = timed_reps([&] {
         const RootedSpanningTree tree = root_tree_via_euler_tour(
-            ex, g.n, g.edges, forest.tree_edges, 0, ranker, sort);
+            ex, ws, g.n, g.edges, forest.tree_edges, 0, ranker, sort);
         (void)tree;
       });
       const char* sort_name =
@@ -653,15 +663,15 @@ int main(int argc, char** argv) {
     }
   }
   {
-    const RepStats conv = timed_reps([&] { (void)Csr::build(ex, g); });
-    const Csr csr = Csr::build(ex, g);
+    const RepStats conv = timed_reps([&] { (void)Csr::build(ex, ws, g); });
+    const Csr csr = Csr::build(ex, ws, g);
     RootedSpanningTree tree;
     tree.root = 0;
     const RepStats pipe = timed_reps([&] {
       const TraversalTree tt = traversal_spanning_tree(ex, csr, 0);
       tree.parent = tt.parent;
       tree.parent_edge = tt.parent_edge;
-      const ChildrenCsr sweep_children = build_children(ex, tree.parent, 0);
+      const ChildrenCsr sweep_children = build_children(ex, ws, tree.parent, 0);
       const LevelStructure sweep_levels =
           build_levels(ex, sweep_children, 0);
       preorder_and_size(ex, sweep_children, sweep_levels, 0, tree.pre,
@@ -674,12 +684,12 @@ int main(int argc, char** argv) {
               {{"conversion", conv.min}}, pipe.min, pipe.median, {}});
 
     std::printf("\n(b) low/high aggregation on the TV-opt tree\n");
-    const ChildrenCsr children = build_children(ex, tree.parent, 0);
+    const ChildrenCsr children = build_children(ex, ws, tree.parent, 0);
     const LevelStructure levels = build_levels(ex, children, 0);
     const std::vector<vid> owner = make_tree_owner(ex, g.m(), tree);
     LowHigh rmq, sweep;
-    const RepStats rmq_t =
-        timed_reps([&] { rmq = compute_low_high_rmq(ex, g.edges, tree, owner); });
+    const RepStats rmq_t = timed_reps(
+        [&] { rmq = compute_low_high_rmq(ex, ws, g.edges, tree, owner); });
     const RepStats sweep_t = timed_reps([&] {
       sweep = compute_low_high_levels(ex, g.edges, tree, owner, children,
                                       levels);

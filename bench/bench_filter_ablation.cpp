@@ -16,13 +16,16 @@
 #include "bench_common.hpp"
 #include "graph/csr.hpp"
 #include "paper/solve.hpp"
+#include "paper/sv_tree.hpp"
 #include "scan/compact.hpp"
 #include "spanning/bfs_tree.hpp"
-#include "spanning/sv_tree.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace parbcc;
 using namespace parbcc::bench;
+
+/// The BFS root of every single-root tree below.
+constexpr vid kRoot = 0;
 
 int main() {
   const vid n = env_n(200000);
@@ -36,6 +39,7 @@ int main() {
               "filtered", "bound", "filter(s)", "core-save(s)");
 
   Executor ex(p);
+  Workspace ws;
   for (const eid mult : {eid{2}, eid{4}, eid{8}, eid{12}, eid{16}, eid{20}}) {
     const eid m = mult * static_cast<eid>(n);
     const EdgeList g = gen::random_connected_gnm(n, m, seed + mult);
@@ -57,15 +61,15 @@ int main() {
     const BccResult tvopt = fastest_of(paper::Algorithm::kTvOpt);
 
     // Count kept edges exactly (T plus F).
-    const Csr csr = Csr::build(ex, g);
-    const BfsTree bfs = bfs_tree(ex, csr, 0);
+    const Csr csr = Csr::build(ex, ws, g);
+    const BfsTree bfs = bfs_tree(ex, ws, csr, {&kRoot, 1});
     std::vector<std::uint8_t> in_tree(g.m(), 0);
     for (vid v = 1; v < g.n; ++v) in_tree[bfs.parent_edge[v]] = 1;
     std::vector<eid> nontree;
-    pack_indices(ex, g.m(),
+    pack_indices(ex, ws, g.m(),
                  [&](std::size_t e) { return in_tree[e] == 0; }, nontree);
     const SpanningForest forest =
-        sv_spanning_forest(ex, g.n, g.edges, nontree);
+        sv_spanning_forest(ex, ws, g.n, g.edges, nontree);
     const eid kept = (n - 1) + static_cast<eid>(forest.tree_edges.size());
     const eid filtered = m - kept;
     const eid bound = m > 2 * (n - 1) ? m - 2 * (n - 1) : 0;
@@ -92,15 +96,15 @@ int main() {
   std::printf("%8s %10s %16s\n", "blocks", "n", "F components");
   for (const vid blocks : {vid{100}, vid{1000}, vid{10000}}) {
     const EdgeList g = gen::random_cactus(blocks, 8, seed + blocks);
-    const Csr csr = Csr::build(ex, g);
-    const BfsTree bfs = bfs_tree(ex, csr, 0);
+    const Csr csr = Csr::build(ex, ws, g);
+    const BfsTree bfs = bfs_tree(ex, ws, csr, {&kRoot, 1});
     std::vector<std::uint8_t> in_tree(g.m(), 0);
     for (vid v = 1; v < g.n; ++v) in_tree[bfs.parent_edge[v]] = 1;
     std::vector<eid> nontree;
-    pack_indices(ex, g.m(),
+    pack_indices(ex, ws, g.m(),
                  [&](std::size_t e) { return in_tree[e] == 0; }, nontree);
     const SpanningForest forest =
-        sv_spanning_forest(ex, g.n, g.edges, nontree);
+        sv_spanning_forest(ex, ws, g.n, g.edges, nontree);
     std::vector<std::uint8_t> nontrivial(g.n, 0);
     for (const eid e : forest.tree_edges) {
       nontrivial[forest.comp[g.edges[e].u]] = 1;

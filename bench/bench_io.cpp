@@ -132,6 +132,7 @@ int main(int argc, char** argv) {
 
   const std::string dir = "/tmp";
   Executor ex(p);
+  Workspace ws;
 
   for (const eid mult : density_multipliers()) {
     const eid m = static_cast<eid>(mult) * n;
@@ -152,7 +153,7 @@ int main(int argc, char** argv) {
       Timer t;
       std::ifstream in(txt);
       const EdgeList parsed = io::read_edge_list(in);
-      const Csr csr = Csr::build(ex, parsed);
+      const Csr csr = Csr::build(ex, ws, parsed);
       text_serial = std::min(text_serial, t.seconds());
       if (parsed.m() != g.m()) std::abort();
       (void)csr;
@@ -163,7 +164,7 @@ int main(int argc, char** argv) {
     for (int rep = 0; rep < reps; ++rep) {
       Timer t;
       const EdgeList parsed = io::read_text_graph(ex, txt);
-      const Csr csr = Csr::build(ex, parsed);
+      const Csr csr = Csr::build(ex, ws, parsed);
       text_par = std::min(text_par, t.seconds());
       (void)csr;
     }

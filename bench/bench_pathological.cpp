@@ -23,6 +23,9 @@ using namespace parbcc::bench;
 
 namespace {
 
+/// The BFS root of every single-root tree below.
+constexpr vid kRoot = 0;
+
 struct Run {
   double seconds = 0;
   vid blocks = 0;
@@ -58,6 +61,7 @@ int main() {
   const std::uint64_t seed = env_seed();
   const int reps = env_reps(3);
   Executor ex(p);
+  Workspace ws;
 
   print_header("T4 - pathological diameter and the m <= 4n fallback");
   std::printf("n = %u, p = %d, warm min of %d reps\n\n", n, p, reps);
@@ -79,8 +83,8 @@ int main() {
               "auto->");
   bool ok = true;
   for (const Case& c : cases) {
-    const Csr csr = Csr::build(ex, c.g);
-    const vid depth = bfs_tree(ex, csr, 0).num_levels;
+    const Csr csr = Csr::build(ex, ws, c.g);
+    const vid depth = bfs_tree(ex, ws, csr, {&kRoot, 1}).num_levels;
     const Run ht = run(ex, c.g, BccAlgorithm::kSequential, reps);
     const Run opt = run(ex, c.g, paper::Algorithm::kTvOpt, reps);
     const Run filter = run(ex, c.g, paper::Algorithm::kTvFilter, reps);

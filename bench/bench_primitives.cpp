@@ -17,11 +17,11 @@
 #include "paper/list_ranking.hpp"
 #include "paper/sample_sort.hpp"
 #include "paper/solve.hpp"
+#include "paper/sv_tree.hpp"
 #include "paper/traversal_tree.hpp"
 #include "scan/scan.hpp"
 #include "sort/radix_sort.hpp"
 #include "spanning/bfs_tree.hpp"
-#include "spanning/sv_tree.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/workspace.hpp"
@@ -29,6 +29,9 @@
 namespace {
 
 using namespace parbcc;
+
+/// The BFS root of every single-root tree below.
+constexpr vid kRoot = 0;
 
 constexpr std::size_t kArray = 1 << 22;  // 4M elements
 constexpr vid kGraphN = 200000;
@@ -72,11 +75,12 @@ const ListFixture& list_fixture() {
 
 void BM_PrefixSum(benchmark::State& state) {
   Executor ex(static_cast<int>(state.range(0)));
+  Workspace ws;
   const auto& in = keys_fixture();
   std::vector<std::uint64_t> out(in.size());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        exclusive_scan(ex, in.data(), out.data(), in.size(),
+        exclusive_scan(ex, ws, in.data(), out.data(), in.size(),
                        std::uint64_t{0}));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -98,10 +102,11 @@ BENCHMARK(BM_ListRankSequential)->Unit(benchmark::kMillisecond);
 
 void BM_ListRankWyllie(benchmark::State& state) {
   Executor ex(static_cast<int>(state.range(0)));
+  Workspace ws;
   const auto& f = list_fixture();
   std::vector<vid> rank(f.succ.size());
   for (auto _ : state) {
-    list_rank_wyllie(ex, f.succ.data(), rank.data(), f.succ.size(), f.head);
+    list_rank_wyllie(ex, ws, f.succ.data(), rank.data(), f.succ.size(), f.head);
     benchmark::DoNotOptimize(rank.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -111,10 +116,11 @@ BENCHMARK(BM_ListRankWyllie)->Arg(4)->Iterations(2)->Unit(benchmark::kMillisecon
 
 void BM_ListRankHelmanJaja(benchmark::State& state) {
   Executor ex(static_cast<int>(state.range(0)));
+  Workspace ws;
   const auto& f = list_fixture();
   std::vector<vid> rank(f.succ.size());
   for (auto _ : state) {
-    list_rank_hj(ex, f.succ.data(), rank.data(), f.succ.size(), f.head);
+    list_rank_hj(ex, ws, f.succ.data(), rank.data(), f.succ.size(), f.head);
     benchmark::DoNotOptimize(rank.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -128,10 +134,11 @@ BENCHMARK(BM_ListRankHelmanJaja)
 
 void BM_ListRankIndependentSet(benchmark::State& state) {
   Executor ex(static_cast<int>(state.range(0)));
+  Workspace ws;
   const auto& f = list_fixture();
   std::vector<vid> rank(f.succ.size());
   for (auto _ : state) {
-    list_rank_independent_set(ex, f.succ.data(), rank.data(), f.succ.size(),
+    list_rank_independent_set(ex, ws, f.succ.data(), rank.data(), f.succ.size(),
                               f.head);
     benchmark::DoNotOptimize(rank.data());
   }
@@ -145,11 +152,12 @@ BENCHMARK(BM_ListRankIndependentSet)
 
 void BM_SampleSort(benchmark::State& state) {
   Executor ex(static_cast<int>(state.range(0)));
+  Workspace ws;
   for (auto _ : state) {
     state.PauseTiming();
     auto data = keys_fixture();
     state.ResumeTiming();
-    sample_sort(ex, data);
+    sample_sort(ex, ws, data.data(), data.size());
     benchmark::DoNotOptimize(data.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -159,11 +167,12 @@ BENCHMARK(BM_SampleSort)->Arg(1)->Arg(4)->Iterations(3)->Unit(benchmark::kMillis
 
 void BM_RadixSort(benchmark::State& state) {
   Executor ex(static_cast<int>(state.range(0)));
+  Workspace ws;
   for (auto _ : state) {
     state.PauseTiming();
     auto data = keys_fixture();
     state.ResumeTiming();
-    radix_sort_u64(ex, data);
+    radix_sort_u64(ex, ws, data);
     benchmark::DoNotOptimize(data.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -173,9 +182,13 @@ BENCHMARK(BM_RadixSort)->Arg(1)->Arg(4)->Iterations(3)->Unit(benchmark::kMillise
 
 void BM_ConnectedComponentsSV(benchmark::State& state) {
   Executor ex(static_cast<int>(state.range(0)));
+  Workspace ws;
   const EdgeList& g = graph_fixture();
+  std::vector<vid> labels(g.n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(connected_components_sv(ex, g));
+    connected_components_sv(ex, ws, g.n, g.edges, labels);
+    benchmark::DoNotOptimize(labels.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.m()));
@@ -188,9 +201,10 @@ BENCHMARK(BM_ConnectedComponentsSV)
 
 void BM_SpanningTreeSV(benchmark::State& state) {
   Executor ex(static_cast<int>(state.range(0)));
+  Workspace ws;
   const EdgeList& g = graph_fixture();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sv_spanning_forest(ex, g.n, g.edges));
+    benchmark::DoNotOptimize(sv_spanning_forest(ex, ws, g.n, g.edges));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.m()));
@@ -199,8 +213,9 @@ BENCHMARK(BM_SpanningTreeSV)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_SpanningTreeTraversal(benchmark::State& state) {
   Executor ex(static_cast<int>(state.range(0)));
+  Workspace ws;
   const EdgeList& g = graph_fixture();
-  static const Csr csr = Csr::build(ex, g);
+  static const Csr csr = Csr::build(ex, ws, g);
   for (auto _ : state) {
     benchmark::DoNotOptimize(traversal_spanning_tree(ex, csr, 0));
   }
@@ -214,10 +229,11 @@ BENCHMARK(BM_SpanningTreeTraversal)
 
 void BM_BfsTree(benchmark::State& state) {
   Executor ex(static_cast<int>(state.range(0)));
+  Workspace ws;
   const EdgeList& g = graph_fixture();
-  static const Csr csr = Csr::build(ex, g);
+  static const Csr csr = Csr::build(ex, ws, g);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bfs_tree(ex, csr, 0));
+    benchmark::DoNotOptimize(bfs_tree(ex, ws, csr, {&kRoot, 1}));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.m()));
@@ -226,9 +242,10 @@ BENCHMARK(BM_BfsTree)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_CsrBuild(benchmark::State& state) {
   Executor ex(static_cast<int>(state.range(0)));
+  Workspace ws;
   const EdgeList& g = graph_fixture();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Csr::build(ex, g));
+    benchmark::DoNotOptimize(Csr::build(ex, ws, g));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.m()));

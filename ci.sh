@@ -46,6 +46,19 @@ for bin in build/bench/e2e/bench_e2e build/tools/pbgstat \
   fi
 done
 
+# Every parallel primitive takes the caller's Workspace, so scratch
+# comes from the arena a solve reports.  Only the entry points with no
+# context own one: the context itself, the validator, the snapshot
+# builder and the two readers.
+echo "==> arena guard: a Workspace is constructed only at context-free entry points"
+if grep -rnE --include='*.cpp' --include='*.hpp' \
+    '\bWorkspace[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*[;({=]|<Workspace>|new Workspace' \
+    src | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+    grep -vE '^src/(core/bcc_context\.hpp|core/validate\.cpp|server/snapshot\.cpp|graph/io_binary\.cpp|graph/text_parse\.cpp):'; then
+  echo "arena guard: construct no Workspace here; take the caller's" >&2
+  exit 1
+fi
+
 # The full ctest includes bench_e2e_smoke: every end-to-end workload at
 # 1/50 scale with its oracles.
 echo "==> tier-1: ctest"

@@ -13,7 +13,10 @@ std::vector<Edge> biconnectivity_augmentation(Executor& ex, const EdgeList& g,
     throw std::invalid_argument(
         "biconnectivity_augmentation: need at least 3 vertices");
   }
-  const BlockCutTree tree = build_block_cut_tree(ex, g, result);
+  Workspace ws;
+  const BlockCutTree tree =
+      build_block_cut_tree(ex, ws, g, result.edge_component,
+                           result.num_components, result.is_articulation);
   const std::vector<vid> comp = connected_components_seq(g.n, g.edges);
 
   // Group attachment vertices by connected component.

@@ -15,6 +15,7 @@ namespace parbcc {
 
 EarDecomposition ear_decomposition(Executor& ex, const EdgeList& g,
                                    vid root) {
+  Workspace ws;
   const vid n = g.n;
   const eid m = g.m();
   if (n < 3 || !g.validate()) {
@@ -23,8 +24,8 @@ EarDecomposition ear_decomposition(Executor& ex, const EdgeList& g,
   }
 
   // Rooted spanning tree (BFS keeps the level machinery shallow).
-  const Csr csr = Csr::build(ex, g);
-  const BfsTree bfs = bfs_tree(ex, csr, root);
+  const Csr csr = Csr::build(ex, ws, g);
+  const BfsTree bfs = bfs_tree(ex, ws, csr, {&root, 1});
   if (bfs.reached != n) {
     throw std::invalid_argument("ear_decomposition: graph disconnected");
   }
@@ -32,7 +33,7 @@ EarDecomposition ear_decomposition(Executor& ex, const EdgeList& g,
   tree.root = root;
   tree.parent = bfs.parent;
   tree.parent_edge = bfs.parent_edge;
-  const ChildrenCsr children = build_children(ex, tree.parent, root);
+  const ChildrenCsr children = build_children(ex, ws, tree.parent, root);
   const LevelStructure levels = build_levels(ex, children, root);
   preorder_and_size(ex, children, levels, root, tree.pre, tree.sub);
   const LcaIndex lca(ex, tree, children, levels);
@@ -48,8 +49,8 @@ EarDecomposition ear_decomposition(Executor& ex, const EdgeList& g,
   ex.parallel_for(m, [&](std::size_t e) {
     nontree_rank[e] = in_tree[e] ? 0 : 1;
   });
-  const vid num_nontree =
-      exclusive_scan(ex, nontree_rank.data(), nontree_rank.data(), m, vid{0});
+  const vid num_nontree = exclusive_scan(ex, ws, nontree_rank.data(),
+                                         nontree_rank.data(), m, vid{0});
 
   constexpr std::uint64_t kInf = ~std::uint64_t{0};
   std::vector<std::uint64_t> key_of_nontree(num_nontree, kInf);

@@ -69,7 +69,9 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  const BlockCutTree bct = build_block_cut_tree(ex, net, analysis);
+  const BlockCutTree bct = build_block_cut_tree(
+      ex, ctx.workspace(), net, analysis.edge_component,
+      analysis.num_components, analysis.is_articulation);
   vid leaves = 0;
   for (vid b = 0; b < bct.num_blocks; ++b) leaves += bct.is_leaf_block(b);
   std::printf("block-cut tree: %u blocks, %u cut nodes, %u leaf blocks\n",

@@ -10,8 +10,9 @@
 
 /// \file concurrent_union_find.hpp
 /// Lock-free disjoint-set forest over a caller-owned parent array —
-/// the hooking structure behind the fused auxiliary-graph pipeline
-/// (core/aux_graph.hpp, AuxMode::kFused).
+/// the hooking structure behind FastBCC's skeleton connectivity
+/// (core/fast_bcc.cpp, step 3) and the paper library's fused
+/// auxiliary-graph pipeline (paper/aux_graph.hpp, AuxMode::kFused).
 ///
 /// Scheme: union-by-minimum-id with CAS-arbitrated root hooking and
 /// path-halving finds (the "simple" concurrent algorithm of

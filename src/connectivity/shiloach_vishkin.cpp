@@ -175,21 +175,6 @@ void connected_components_sv(Executor& ex, Workspace& ws, vid n,
   }
 }
 
-std::vector<vid> connected_components_sv(Executor& ex, Workspace& ws, vid n,
-                                         std::span<const Edge> edges,
-                                         SvMode mode, SvStats* stats) {
-  std::vector<vid> out(n);
-  connected_components_sv(ex, ws, n, edges, out, mode, stats);
-  return out;
-}
-
-std::vector<vid> connected_components_sv(Executor& ex, vid n,
-                                         std::span<const Edge> edges,
-                                         SvMode mode, SvStats* stats) {
-  Workspace ws;
-  return connected_components_sv(ex, ws, n, edges, mode, stats);
-}
-
 std::vector<vid> connected_components_seq(vid n, std::span<const Edge> edges) {
   UnionFind uf(n);
   for (const Edge& e : edges) uf.unite(e.u, e.v);
@@ -223,10 +208,6 @@ vid normalize_labels(std::span<vid> labels) {
     l = remap[l];
   }
   return next;
-}
-
-vid normalize_labels(std::vector<vid>& labels) {
-  return normalize_labels(std::span<vid>(labels));
 }
 
 }  // namespace parbcc

@@ -12,7 +12,7 @@
 /// Parallel connected components by graft-and-shortcut, the SMP
 /// adaptation of Shiloach-Vishkin the paper uses twice: as TV step 6
 /// (components of the auxiliary graph) and — extended with hook-edge
-/// recording in spanning/sv_tree.hpp — as TV step 1.
+/// recording in paper/sv_tree.hpp — as TV step 1.
 ///
 /// Two hooking/shortcut schemes share the entry point:
 ///
@@ -65,21 +65,6 @@ void connected_components_sv(Executor& ex, Workspace& ws, vid n,
                              SvMode mode = SvMode::kAuto,
                              SvStats* stats = nullptr);
 
-std::vector<vid> connected_components_sv(Executor& ex, Workspace& ws, vid n,
-                                         std::span<const Edge> edges,
-                                         SvMode mode = SvMode::kAuto,
-                                         SvStats* stats = nullptr);
-
-std::vector<vid> connected_components_sv(Executor& ex, vid n,
-                                         std::span<const Edge> edges,
-                                         SvMode mode = SvMode::kAuto,
-                                         SvStats* stats = nullptr);
-
-inline std::vector<vid> connected_components_sv(Executor& ex,
-                                                const EdgeList& g) {
-  return connected_components_sv(ex, g.n, g.edges);
-}
-
 /// Sequential union-find components with the same root-label contract.
 std::vector<vid> connected_components_seq(vid n, std::span<const Edge> edges);
 
@@ -90,7 +75,6 @@ vid count_components(std::span<const vid> labels);
 /// Remap arbitrary labels to contiguous [0, k); returns k.
 /// Order: by first appearance of each label, so results are
 /// deterministic given a deterministic labeling.
-vid normalize_labels(std::vector<vid>& labels);
 vid normalize_labels(std::span<vid> labels);
 
 }  // namespace parbcc

@@ -77,9 +77,4 @@ void annotate_cut_info(Executor& ex, Workspace& ws, const EdgeList& g,
   result.bridges.resize(bridge_count);
 }
 
-void annotate_cut_info(Executor& ex, const EdgeList& g, BccResult& result) {
-  Workspace ws;
-  annotate_cut_info(ex, ws, g, result);
-}
-
 }  // namespace parbcc

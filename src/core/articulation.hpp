@@ -28,6 +28,5 @@ namespace parbcc {
 /// hot line, even when the whole graph is one block.
 void annotate_cut_info(Executor& ex, Workspace& ws, const EdgeList& g,
                        BccResult& result);
-void annotate_cut_info(Executor& ex, const EdgeList& g, BccResult& result);
 
 }  // namespace parbcc

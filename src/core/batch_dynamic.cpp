@@ -83,8 +83,9 @@ void BatchDynamicBcc::reseed_components() {
   // SV's smallest-vertex-id labels are valid roots in [0, n) under an
   // identity union-find.  Construction and every fallback re-solve come
   // through here; the incremental path maintains the ids instead.
-  comp_id_ = connected_components_sv(ctx_.executor(), ctx_.workspace(), g_.n,
-                                     g_.edges);
+  comp_id_.resize(g_.n);
+  connected_components_sv(ctx_.executor(), ctx_.workspace(), g_.n, g_.edges,
+                          comp_id_);
   comp_parent_.resize(g_.n);
   for (vid v = 0; v < g_.n; ++v) comp_parent_[v] = v;
   comp_size_.assign(g_.n, 0);
@@ -661,11 +662,8 @@ std::vector<vid> BatchDynamicBcc::solve_region(const EdgeList& region) {
                           kSequentialRegionCutoff;
   const auto solve = [&](const EdgeList& g) {
     if (!sequential) return biconnected_components(ctx_, g, o).edge_component;
-    Executor& ex = ctx_.executor();
-    const Csr csr = Csr::build(ex, ctx_.workspace(), g);
-    return hopcroft_tarjan_bcc(ex, ctx_.workspace(), g, csr,
-                               /*compute_cut_info=*/false)
-        .edge_component;
+    const Csr csr = Csr::build(ctx_.executor(), ctx_.workspace(), g);
+    return hopcroft_tarjan_bcc(g, csr).edge_component;
   };
 
   const double density = region.n == 0
@@ -682,8 +680,8 @@ std::vector<vid> BatchDynamicBcc::solve_region(const EdgeList& region) {
   // tree path, so it shares a block with the parent tree edge of its
   // deeper endpoint; BFS levels across an edge differ by at most one,
   // so on a level tie either parent edge lies on that cycle.
-  SparseCertificate cert =
-      sparse_certificate_vertex(ctx_.executor(), region, 2);
+  SparseCertificate cert = sparse_certificate_vertex(
+      ctx_.executor(), ctx_.workspace(), region, 2);
   const EdgeList cert_graph = cert.subgraph(region);
   stats_.certificate_edges = cert_graph.m();
   const std::vector<vid> cert_labels = solve(cert_graph);

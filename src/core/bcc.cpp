@@ -37,8 +37,7 @@ class LibraryEngine final : public BccEngine {
       tr.charge(steps::kConversion, pg.conversion_seconds());
     }
     if (resolve(algorithm_, work) == BccAlgorithm::kSequential) {
-      return hopcroft_tarjan_bcc(ctx.executor(), ctx.workspace(), work,
-                                 pg.csr(), /*compute_cut_info=*/false, &tr);
+      return hopcroft_tarjan_bcc(work, pg.csr(), &tr);
     }
     return fast_bcc(ctx.executor(), ctx.workspace(), pg, root, tr);
   }

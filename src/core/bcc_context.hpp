@@ -66,7 +66,8 @@ class BccContext {
   const PreparedGraph& adopt(io::MappedGraph&& mapped);
 
   /// The adopted mapping's graph view (nullptr when none) — what
-  /// callers pass to solve_bcc after io::map_prepared_graph.
+  /// callers pass to biconnected_components after
+  /// io::map_prepared_graph.
   const EdgeList* mapped_graph() const {
     return mapped_ ? &mapped_->graph() : nullptr;
   }
@@ -112,8 +113,8 @@ namespace io {
 
 /// One-call zero-copy ingestion: map + validate the .pbg at `path` and
 /// adopt it into `ctx`'s conversion cache.  Solve afterwards with
-/// `solve_bcc(ctx, *ctx.mapped_graph(), opt)` — the prepare step is a
-/// guaranteed cache hit and conversion reports 0.
+/// `biconnected_components(ctx, *ctx.mapped_graph(), opt)` — the
+/// prepare step is a guaranteed cache hit and conversion reports 0.
 const PreparedGraph& map_prepared_graph(BccContext& ctx,
                                         const std::string& path,
                                         const MapOptions& opt = {});

@@ -32,17 +32,8 @@ Tally exclusive_scan(std::vector<Padded<Tally>>& tally) {
 
 }  // namespace
 
-BlockCutTree build_block_cut_tree(Executor& ex, const EdgeList& g,
-                                  const BccResult& result) {
-  if (result.is_articulation.size() != g.n) {
-    throw std::invalid_argument(
-        "build_block_cut_tree: result lacks cut info (compute_cut_info)");
-  }
-  return build_block_cut_tree(ex, g, result.edge_component,
-                              result.num_components, result.is_articulation);
-}
-
-BlockCutTree build_block_cut_tree(Executor& ex, const EdgeList& g,
+BlockCutTree build_block_cut_tree(Executor& ex, Workspace& ws,
+                                  const EdgeList& g,
                                   std::span<const vid> edge_component,
                                   vid num_components,
                                   std::span<const std::uint8_t> is_articulation,
@@ -137,7 +128,7 @@ BlockCutTree build_block_cut_tree(Executor& ex, const EdgeList& g,
       }
     }
   });
-  radix_sort_u64(ex, keys);
+  radix_sort_u64(ex, ws, keys);
 
   // Walk the sorted keys: each distinct key is one block vertex and, if
   // the vertex is a cut, one tree edge.  block_offsets[b] and edge_start[b]

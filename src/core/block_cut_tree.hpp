@@ -6,6 +6,7 @@
 #include "core/bcc_result.hpp"
 #include "graph/edge_list.hpp"
 #include "util/thread_pool.hpp"
+#include "util/workspace.hpp"
 
 /// \file block_cut_tree.hpp
 /// Block-cut tree: the bipartite tree (forest, for disconnected inputs)
@@ -45,24 +46,21 @@ struct BlockCutTree {
   std::vector<vid> cut_degree_;  // per block
 };
 
-/// Requires result.edge_component/num_components and
-/// result.is_articulation (i.e. compute_cut_info was on).
-BlockCutTree build_block_cut_tree(Executor& ex, const EdgeList& g,
-                                  const BccResult& result);
-
-/// Same, from bare arrays: `edge_component` must be contiguous in
-/// [0, num_components) (normalize_labels first when the labels come
+/// Build the tree from a labeling: `edge_component` must be contiguous
+/// in [0, num_components) (normalize_labels first when the labels come
 /// from a sparse batch-dynamic standing result) and one entry per
-/// edge; `is_articulation` one flag per vertex.  This is the overload
-/// the server's snapshot builder uses — it normalizes a private label
-/// copy and has no BccResult to hand over.  When `block_of` is given it
-/// receives, per vertex, the one block of a non-cut vertex with a
-/// non-loop edge and kNoVertex for every other vertex.
+/// edge; `is_articulation` one flag per vertex (a BccResult solved with
+/// compute_cut_info passes its edge_component, num_components and
+/// is_articulation).  The radix sort's buffers come from `ws`.  When
+/// `block_of` is given it receives, per vertex, the one block of a
+/// non-cut vertex with a non-loop edge and kNoVertex for every other
+/// vertex.
 ///
 /// Cost: O(n + m) work plus a radix sort of one key per non-cut vertex
 /// and one per edge endpoint at a cut vertex (or self-loop), far fewer
 /// than 2m keys when cut vertices are few.
-BlockCutTree build_block_cut_tree(Executor& ex, const EdgeList& g,
+BlockCutTree build_block_cut_tree(Executor& ex, Workspace& ws,
+                                  const EdgeList& g,
                                   std::span<const vid> edge_component,
                                   vid num_components,
                                   std::span<const std::uint8_t> is_articulation,

@@ -101,7 +101,7 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
   vid num_roots = 0;
   {
     TraceSpan span(tr, steps::kSpanningTree);
-    bfs = bfs_tree(ex, ws, csr, root, BfsMode::kAuto, &tr);
+    bfs = bfs_tree(ex, ws, csr, {&root, 1}, BfsMode::kAuto, &tr);
     if (bfs.reached != n) {
       Workspace::Frame frame(ws);
       std::span<vid> roots = ws.alloc<vid>(n);

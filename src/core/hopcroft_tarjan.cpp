@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "core/articulation.hpp"
-#include "util/timer.hpp"
 
 namespace parbcc {
 namespace {
@@ -16,10 +14,8 @@ struct Frame {
 
 }  // namespace
 
-BccResult hopcroft_tarjan_bcc(Executor& ex, Workspace& ws, const EdgeList& g,
-                              const Csr& csr, bool compute_cut_info,
+BccResult hopcroft_tarjan_bcc(const EdgeList& g, const Csr& csr,
                               Trace* trace) {
-  Timer timer;
   const vid n = g.n;
   const eid m = g.m();
   BccResult result;
@@ -99,13 +95,6 @@ BccResult hopcroft_tarjan_bcc(Executor& ex, Workspace& ws, const EdgeList& g,
   }
 
   result.num_components = next_label;
-  dfs_span.close();
-  result.times.total = timer.seconds();
-
-  if (compute_cut_info) {
-    TraceSpan span(trace, "cut_info");
-    annotate_cut_info(ex, ws, g, result);
-  }
   return result;
 }
 

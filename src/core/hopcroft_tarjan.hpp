@@ -3,8 +3,7 @@
 #include "core/bcc_result.hpp"
 #include "graph/csr.hpp"
 #include "graph/edge_list.hpp"
-#include "util/thread_pool.hpp"
-#include "util/workspace.hpp"
+#include "util/trace.hpp"
 
 /// \file hopcroft_tarjan.hpp
 /// Sequential biconnected components by depth-first search with an
@@ -18,15 +17,11 @@
 namespace parbcc {
 
 /// Label the edges of `g` with biconnected component ids.
-/// `csr` must be the adjacency of `g`.  Fills edge_component,
-/// num_components and (optionally) cut info; times.total only.
-/// The DFS itself is sequential; `ex`/`ws` only serve the cut-info
-/// annotation, so callers that already hold an executor (the
-/// dispatcher, benchmarks) don't pay for a throwaway pool.
-/// `trace`, when given, receives a "dfs" span (and "cut_info" when
-/// annotating) — the sequential baseline's slice of a trace artifact.
-BccResult hopcroft_tarjan_bcc(Executor& ex, Workspace& ws, const EdgeList& g,
-                              const Csr& csr, bool compute_cut_info = true,
+/// `csr` must be the adjacency of `g`.  Fills edge_component and
+/// num_components only; cut info is annotate_cut_info's job.
+/// `trace`, when given, receives a "dfs" span — the sequential
+/// baseline's slice of a trace artifact.
+BccResult hopcroft_tarjan_bcc(const EdgeList& g, const Csr& csr,
                               Trace* trace = nullptr);
 
 }  // namespace parbcc

@@ -82,7 +82,8 @@ ValidationReport validate_bcc(Executor& ex, const EdgeList& g,
 
   // (2) + (3): every block is a connected, biconnected subgraph.
   constexpr std::size_t kBruteCap = 64;
-  Workspace ws;  // the large-block checks' CSR staging, reused per block
+  // CSR staging for the large-block checks and check (5), reused.
+  Workspace ws;
   for (vid c = 0; c < k; ++c) {
     const auto& block = blocks[c];
     if (block.size() == 1) continue;  // bridge or self-loop: fine
@@ -108,8 +109,7 @@ ValidationReport validate_bcc(Executor& ex, const EdgeList& g,
       sub.edges.push_back({local[g.edges[e].u], local[g.edges[e].v]});
     }
     const Csr csr = Csr::build(ex, ws, sub);
-    const BccResult ht =
-        hopcroft_tarjan_bcc(ex, ws, sub, csr, /*compute_cut_info=*/false);
+    const BccResult ht = hopcroft_tarjan_bcc(sub, csr);
     if (ht.num_components != 1) {
       return fail(fmt("block is not biconnected", c, ht.num_components));
     }
@@ -139,7 +139,7 @@ ValidationReport validate_bcc(Executor& ex, const EdgeList& g,
   // (5) fundamental cycles are monochromatic: BFS forest, then walk
   // each nontree edge's tree path comparing labels.
   {
-    const Csr csr = Csr::build(ex, g);
+    const Csr csr = Csr::build(ex, ws, g);
     std::vector<vid> parent(g.n, kNoVertex);
     std::vector<eid> parent_edge(g.n, kNoEdge);
     std::vector<vid> depth(g.n, 0);

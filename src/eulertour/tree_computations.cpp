@@ -55,12 +55,6 @@ ChildrenCsr build_children(Executor& ex, Workspace& ws,
   return out;
 }
 
-ChildrenCsr build_children(Executor& ex, std::span<const vid> parent,
-                           vid root) {
-  Workspace ws;
-  return build_children(ex, ws, parent, root);
-}
-
 LevelStructure build_levels(Executor& ex, const ChildrenCsr& children,
                             vid root, Trace* trace) {
   TraceSpan span(trace, "build_levels");

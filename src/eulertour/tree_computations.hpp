@@ -60,8 +60,6 @@ struct ChildrenCsr {
 ChildrenCsr build_children(Executor& ex, Workspace& ws,
                            std::span<const vid> parent, vid root,
                            Trace* trace = nullptr);
-ChildrenCsr build_children(Executor& ex, std::span<const vid> parent,
-                           vid root);
 
 /// Vertices bucketed by depth, plus the depth array itself.
 struct LevelStructure {

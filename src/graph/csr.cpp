@@ -318,9 +318,4 @@ Csr Csr::build(Executor& ex, Workspace& ws, const EdgeList& g) {
   return csr;
 }
 
-Csr Csr::build(Executor& ex, const EdgeList& g) {
-  Workspace ws;
-  return build(ex, ws, g);
-}
-
 }  // namespace parbcc

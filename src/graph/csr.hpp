@@ -40,7 +40,6 @@ class Csr {
   /// staging arrays (histograms, staged arc records, radix buffers)
   /// come from `ws`; the Csr itself owns its storage.
   static Csr build(Executor& ex, Workspace& ws, const EdgeList& g);
-  static Csr build(Executor& ex, const EdgeList& g);
 
   /// Adopt caller-managed adjacency arrays without copying: `offsets`
   /// (n + 1 entries, offsets[n] == 2m), `nbrs` and `eids` (2m entries

@@ -86,13 +86,6 @@ AuxGraph build_aux_graph(Executor& ex, Workspace& ws,
   return out;
 }
 
-AuxGraph build_aux_graph(Executor& ex, std::span<const Edge> edges,
-                         const RootedSpanningTree& tree,
-                         std::span<const vid> tree_owner, const LowHigh& lh) {
-  Workspace ws;
-  return build_aux_graph(ex, ws, edges, tree, tree_owner, lh);
-}
-
 std::vector<vid> fused_aux_components(Executor& ex, Workspace& ws,
                                       std::span<const Edge> edges,
                                       const RootedSpanningTree& tree,
@@ -229,17 +222,6 @@ std::vector<vid> fused_aux_components(Executor& ex, Workspace& ws,
     stats->connected_components_seconds = cc_seconds;
   }
   return labels;
-}
-
-std::vector<vid> fused_aux_components(Executor& ex,
-                                      std::span<const Edge> edges,
-                                      const RootedSpanningTree& tree,
-                                      std::span<const vid> tree_owner,
-                                      const LowHigh& lh,
-                                      FusedAuxStats* stats) {
-  Workspace ws;
-  return fused_aux_components(ex, ws, edges, tree, tree_owner, lh, nullptr,
-                              stats);
 }
 
 }  // namespace parbcc

@@ -71,9 +71,6 @@ AuxGraph build_aux_graph(Executor& ex, Workspace& ws,
                          const RootedSpanningTree& tree,
                          std::span<const vid> tree_owner, const LowHigh& lh,
                          Trace* trace = nullptr);
-AuxGraph build_aux_graph(Executor& ex, std::span<const Edge> edges,
-                         const RootedSpanningTree& tree,
-                         std::span<const vid> tree_owner, const LowHigh& lh);
 
 /// Telemetry of one fused run, mirrored into the trace counters.
 struct FusedAuxStats {
@@ -107,12 +104,6 @@ std::vector<vid> fused_aux_components(Executor& ex, Workspace& ws,
                                       std::span<const vid> tree_owner,
                                       const LowHigh& lh,
                                       Trace* trace = nullptr,
-                                      FusedAuxStats* stats = nullptr);
-std::vector<vid> fused_aux_components(Executor& ex,
-                                      std::span<const Edge> edges,
-                                      const RootedSpanningTree& tree,
-                                      std::span<const vid> tree_owner,
-                                      const LowHigh& lh,
                                       FusedAuxStats* stats = nullptr);
 
 }  // namespace parbcc

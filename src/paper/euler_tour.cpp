@@ -107,14 +107,6 @@ EulerCircuit build_euler_circuit(Executor& ex, Workspace& ws, vid n,
   return out;
 }
 
-EulerCircuit build_euler_circuit(Executor& ex, vid n,
-                                 std::span<const Edge> edges,
-                                 std::span<const eid> tree_edges, vid root,
-                                 ArcSort sort) {
-  Workspace ws;
-  return build_euler_circuit(ex, ws, n, edges, tree_edges, root, sort);
-}
-
 RootedSpanningTree root_tree_via_euler_tour(Executor& ex, Workspace& ws,
                                             vid n, std::span<const Edge> edges,
                                             std::span<const eid> tree_edges,
@@ -198,17 +190,6 @@ RootedSpanningTree root_tree_via_euler_tour(Executor& ex, Workspace& ws,
   });
   if (times) times->rooting = timer.lap();
   return tree;
-}
-
-RootedSpanningTree root_tree_via_euler_tour(Executor& ex, vid n,
-                                            std::span<const Edge> edges,
-                                            std::span<const eid> tree_edges,
-                                            vid root, ListRanker ranker,
-                                            ArcSort sort,
-                                            EulerTourTimes* times) {
-  Workspace ws;
-  return root_tree_via_euler_tour(ex, ws, n, edges, tree_edges, root, ranker,
-                                  sort, times);
 }
 
 }  // namespace parbcc

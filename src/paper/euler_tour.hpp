@@ -49,10 +49,6 @@ EulerCircuit build_euler_circuit(Executor& ex, Workspace& ws, vid n,
                                  std::span<const eid> tree_edges, vid root,
                                  ArcSort sort = ArcSort::kCountingSort,
                                  Trace* trace = nullptr);
-EulerCircuit build_euler_circuit(Executor& ex, vid n,
-                                 std::span<const Edge> edges,
-                                 std::span<const eid> tree_edges, vid root,
-                                 ArcSort sort = ArcSort::kCountingSort);
 
 /// Wall-clock split of the rooting pipeline, matching the paper's
 /// Euler-tour vs Root-tree bars in Fig. 4.
@@ -72,10 +68,5 @@ RootedSpanningTree root_tree_via_euler_tour(
     ListRanker ranker = ListRanker::kHelmanJaja,
     ArcSort sort = ArcSort::kCountingSort, EulerTourTimes* times = nullptr,
     Trace* trace = nullptr);
-RootedSpanningTree root_tree_via_euler_tour(
-    Executor& ex, vid n, std::span<const Edge> edges,
-    std::span<const eid> tree_edges, vid root,
-    ListRanker ranker = ListRanker::kHelmanJaja,
-    ArcSort sort = ArcSort::kCountingSort, EulerTourTimes* times = nullptr);
 
 }  // namespace parbcc

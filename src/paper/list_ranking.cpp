@@ -73,12 +73,6 @@ void list_rank_wyllie(Executor& ex, Workspace& ws, const vid* succ, vid* rank,
   });
 }
 
-void list_rank_wyllie(Executor& ex, const vid* succ, vid* rank, std::size_t n,
-                      vid head) {
-  Workspace ws;
-  list_rank_wyllie(ex, ws, succ, rank, n, head);
-}
-
 void list_rank_hj(Executor& ex, Workspace& ws, const vid* succ, vid* rank,
                   std::size_t n, vid head, std::uint64_t seed) {
   if (n == 0) return;
@@ -170,12 +164,6 @@ void list_rank_hj(Executor& ex, Workspace& ws, const vid* succ, vid* rank,
   ex.parallel_for(n, [&](std::size_t i) {
     rank[i] = offset[sublist[i]] + local_rank[i];
   });
-}
-
-void list_rank_hj(Executor& ex, const vid* succ, vid* rank, std::size_t n,
-                  vid head, std::uint64_t seed) {
-  Workspace ws;
-  list_rank_hj(ex, ws, succ, rank, n, head, seed);
 }
 
 void list_rank_independent_set(Executor& ex, Workspace& ws, const vid* succ,
@@ -270,12 +258,6 @@ void list_rank_independent_set(Executor& ex, Workspace& ws, const vid* succ,
   for (std::size_t k = log_size; k > 0; --k) {
     rank[log[k - 1].node] = rank[log[k - 1].pred] + log[k - 1].hops;
   }
-}
-
-void list_rank_independent_set(Executor& ex, const vid* succ, vid* rank,
-                               std::size_t n, vid head, std::uint64_t seed) {
-  Workspace ws;
-  list_rank_independent_set(ex, ws, succ, rank, n, head, seed);
 }
 
 }  // namespace parbcc

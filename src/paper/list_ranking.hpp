@@ -26,7 +26,7 @@
 ///
 /// All nodes in [0, n) must lie on the single list starting at `head`.
 /// The parallel variants draw their O(n) working arrays from the
-/// Workspace; the Executor-only overloads bring their own arena.
+/// Workspace.
 
 namespace parbcc {
 
@@ -34,14 +34,10 @@ void list_rank_sequential(const vid* succ, vid* rank, std::size_t n, vid head);
 
 void list_rank_wyllie(Executor& ex, Workspace& ws, const vid* succ, vid* rank,
                       std::size_t n, vid head);
-void list_rank_wyllie(Executor& ex, const vid* succ, vid* rank, std::size_t n,
-                      vid head);
 
 void list_rank_hj(Executor& ex, Workspace& ws, const vid* succ, vid* rank,
                   std::size_t n, vid head,
                   std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
-void list_rank_hj(Executor& ex, const vid* succ, vid* rank, std::size_t n,
-                  vid head, std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
 /// Randomized independent-set contraction (Anderson-Miller style):
 /// every round each node flips a coin, and nodes whose predecessor
@@ -52,9 +48,6 @@ void list_rank_hj(Executor& ex, const vid* succ, vid* rank, std::size_t n,
 /// Helman-JáJá for the primitive benchmarks.
 void list_rank_independent_set(Executor& ex, Workspace& ws, const vid* succ,
                                vid* rank, std::size_t n, vid head,
-                               std::uint64_t seed = 0x5bd1e995c6b7ULL);
-void list_rank_independent_set(Executor& ex, const vid* succ, vid* rank,
-                               std::size_t n, vid head,
                                std::uint64_t seed = 0x5bd1e995c6b7ULL);
 
 }  // namespace parbcc

@@ -83,13 +83,6 @@ LowHigh compute_low_high_rmq(Executor& ex, Workspace& ws,
   return out;
 }
 
-LowHigh compute_low_high_rmq(Executor& ex, std::span<const Edge> edges,
-                             const RootedSpanningTree& tree,
-                             std::span<const vid> tree_owner) {
-  Workspace ws;
-  return compute_low_high_rmq(ex, ws, edges, tree, tree_owner);
-}
-
 LowHigh compute_low_high_levels(Executor& ex, std::span<const Edge> edges,
                                 const RootedSpanningTree& tree,
                                 std::span<const vid> tree_owner,

@@ -43,9 +43,6 @@ LowHigh compute_low_high_rmq(Executor& ex, Workspace& ws,
                              const RootedSpanningTree& tree,
                              std::span<const vid> tree_owner,
                              Trace* trace = nullptr);
-LowHigh compute_low_high_rmq(Executor& ex, std::span<const Edge> edges,
-                             const RootedSpanningTree& tree,
-                             std::span<const vid> tree_owner);
 
 /// Level-sweep variant; `children`/`levels` come from the TV-opt
 /// rooting pipeline.  Aggregation runs in place over the result

@@ -21,7 +21,7 @@
 /// sums, so there are no concurrent writes.
 ///
 /// The sample/counts matrices and the O(n) bucket buffer come from the
-/// Workspace; the Executor-only overload brings its own arena.
+/// Workspace.
 
 namespace parbcc {
 
@@ -140,18 +140,6 @@ void sample_sort(Executor& ex, Workspace& ws, T* data, std::size_t n,
               buf.begin() + static_cast<std::ptrdiff_t>(bucket_begin[bkt + 1]),
               data + bucket_begin[bkt]);
   });
-}
-
-template <class T, class Cmp = std::less<T>>
-void sample_sort(Executor& ex, Workspace& ws, std::vector<T>& data,
-                 Cmp cmp = Cmp{}) {
-  sample_sort(ex, ws, data.data(), data.size(), cmp);
-}
-
-template <class T, class Cmp = std::less<T>>
-void sample_sort(Executor& ex, std::vector<T>& data, Cmp cmp = Cmp{}) {
-  Workspace ws;
-  sample_sort(ex, ws, data.data(), data.size(), cmp);
 }
 
 }  // namespace parbcc

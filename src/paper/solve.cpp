@@ -47,7 +47,8 @@ BccResult run_general(BccContext& ctx, const EdgeList& g,
   vid k = 0;
   {
     TraceSpan span(tr, "component_check");
-    comp = connected_components_sv(ex, ws, n, g.edges);
+    comp.resize(n);
+    connected_components_sv(ex, ws, n, g.edges, comp);
     k = normalize_labels(comp);
   }
 

@@ -98,17 +98,4 @@ std::vector<vid> tv_label_edges(Executor& ex, Workspace& ws,
   return labels;
 }
 
-std::vector<vid> tv_label_edges(Executor& ex, std::span<const Edge> edges,
-                                const RootedSpanningTree& tree,
-                                std::span<const vid> tree_owner,
-                                LowHighMethod method,
-                                const ChildrenCsr* children,
-                                const LevelStructure* levels,
-                                SvMode sv_mode, AuxMode aux_mode,
-                                TvCoreTimes* times) {
-  Workspace ws;
-  return tv_label_edges(ex, ws, edges, tree, tree_owner, method, children,
-                        levels, sv_mode, aux_mode, times);
-}
-
 }  // namespace parbcc

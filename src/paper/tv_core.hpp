@@ -69,15 +69,6 @@ std::vector<vid> tv_label_edges(Executor& ex, Workspace& ws,
                                 AuxMode aux_mode = AuxMode::kFused,
                                 TvCoreTimes* times = nullptr,
                                 Trace* trace = nullptr);
-std::vector<vid> tv_label_edges(Executor& ex, std::span<const Edge> edges,
-                                const RootedSpanningTree& tree,
-                                std::span<const vid> tree_owner,
-                                LowHighMethod method,
-                                const ChildrenCsr* children,
-                                const LevelStructure* levels,
-                                SvMode sv_mode = SvMode::kAuto,
-                                AuxMode aux_mode = AuxMode::kFused,
-                                TvCoreTimes* times = nullptr);
 
 /// The three TV drivers.  Each assumes a connected input without
 /// self-loops (paper::solve arranges both), fills edge_component with

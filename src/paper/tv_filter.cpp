@@ -2,10 +2,10 @@
 
 #include "connectivity/shiloach_vishkin.hpp"
 #include "graph/csr.hpp"
+#include "paper/sv_tree.hpp"
 #include "paper/tv_core.hpp"
 #include "scan/compact.hpp"
 #include "spanning/bfs_tree.hpp"
-#include "spanning/sv_tree.hpp"
 #include "util/bitvector.hpp"
 #include "util/trace.hpp"
 
@@ -25,7 +25,7 @@ BccResult tv_filter_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
   BfsTree bfs;
   {
     TraceSpan span(tr, steps::kSpanningTree);
-    bfs = bfs_tree(ex, ws, csr, root, BfsMode::kAuto, &tr);
+    bfs = bfs_tree(ex, ws, csr, {&root, 1}, BfsMode::kAuto, &tr);
   }
   if (bfs.reached != n) {
     throw std::invalid_argument("tv_filter_bcc: graph must be connected");

@@ -2,8 +2,8 @@
 
 #include "connectivity/shiloach_vishkin.hpp"
 #include "paper/euler_tour.hpp"
+#include "paper/sv_tree.hpp"
 #include "paper/tv_core.hpp"
-#include "spanning/sv_tree.hpp"
 #include "util/trace.hpp"
 
 namespace parbcc {

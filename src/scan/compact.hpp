@@ -64,12 +64,6 @@ std::size_t pack_into(Executor& ex, Workspace& ws, std::size_t n, Pred pred,
   return total.value;
 }
 
-template <class Pred, class Emit>
-std::size_t pack_into(Executor& ex, std::size_t n, Pred pred, Emit emit) {
-  Workspace ws;
-  return pack_into(ex, ws, n, pred, emit);
-}
-
 /// Pack the selected indices themselves: out = [i : pred(i)], ascending.
 template <class Pred>
 std::size_t pack_indices(Executor& ex, Workspace& ws, std::size_t n, Pred pred,
@@ -84,13 +78,6 @@ std::size_t pack_indices(Executor& ex, Workspace& ws, std::size_t n, Pred pred,
       });
   out.resize(count);
   return count;
-}
-
-template <class Pred>
-std::size_t pack_indices(Executor& ex, std::size_t n, Pred pred,
-                         std::vector<std::uint32_t>& out) {
-  Workspace ws;
-  return pack_indices(ex, ws, n, pred, out);
 }
 
 /// pack_indices writing into a workspace span allocated by the caller

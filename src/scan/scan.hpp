@@ -19,8 +19,7 @@
 /// bandwidth — exactly the behaviour the paper's SMP studies report.
 ///
 /// Every primitive takes a Workspace for its per-thread block-sum
-/// scratch; the Executor-only overloads are conveniences that bring
-/// their own arena (serial fast paths never touch it).
+/// scratch (serial fast paths never touch it).
 
 namespace parbcc {
 
@@ -54,12 +53,6 @@ T reduce(Executor& ex, Workspace& ws, const T* in, std::size_t n, T init = T{},
     if (begin != end) acc = op(acc, partial[static_cast<std::size_t>(t)].value);
   }
   return acc;
-}
-
-template <class T, class Op = std::plus<T>>
-T reduce(Executor& ex, const T* in, std::size_t n, T init = T{}, Op op = Op{}) {
-  Workspace ws;
-  return reduce(ex, ws, in, n, init, op);
 }
 
 /// Exclusive prefix sum: out[i] = init + in[0] + ... + in[i-1].
@@ -112,13 +105,6 @@ T exclusive_scan(Executor& ex, Workspace& ws, const T* in, T* out,
   return grand_total.value;
 }
 
-template <class T>
-T exclusive_scan(Executor& ex, const T* in, T* out, std::size_t n,
-                 T init = T{}) {
-  Workspace ws;
-  return exclusive_scan(ex, ws, in, out, n, init);
-}
-
 /// Inclusive prefix sum: out[i] = init + in[0] + ... + in[i].
 /// Returns the grand total.  `out` may alias `in`.
 template <class T>
@@ -160,13 +146,6 @@ T inclusive_scan(Executor& ex, Workspace& ws, const T* in, T* out,
   });
 
   return n == 0 ? init : out[n - 1];
-}
-
-template <class T>
-T inclusive_scan(Executor& ex, const T* in, T* out, std::size_t n,
-                 T init = T{}) {
-  Workspace ws;
-  return inclusive_scan(ex, ws, in, out, n, init);
 }
 
 }  // namespace parbcc

@@ -29,7 +29,9 @@ Snapshot::Snapshot(Executor& ex, const EdgeList& g, const BccResult& result,
   num_blocks_ = normalize_labels(labels_);
   is_cut_ = result.is_articulation;
 
-  BlockCutTree tree = build_block_cut_tree(ex, g, labels_, num_blocks_,
+  // Scratch for the block-cut sort and the 2ECC pack below.
+  Workspace ws;
+  BlockCutTree tree = build_block_cut_tree(ex, ws, g, labels_, num_blocks_,
                                            is_cut_, &block_of_);
   num_cuts_ = tree.num_cut_nodes;
   cut_node_of_ = std::move(tree.cut_node_of);
@@ -101,7 +103,7 @@ Snapshot::Snapshot(Executor& ex, const EdgeList& g, const BccResult& result,
   // (isolated, or the non-cut end of a bridge) is a component alone.
   two_ec_.resize(n_);
   const std::size_t alone = pack_into(
-      ex, n_,
+      ex, ws, n_,
       [&](std::size_t v) {
         const vid x = node_of(static_cast<vid>(v));
         return x == kNoVertex || node_two_ec[x] == kNoVertex;

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstring>
 #include <type_traits>
+#include <vector>
 
 #include "util/padded.hpp"
 
@@ -121,7 +122,7 @@ void radix_sort_impl(Executor& ex, Workspace& ws, std::uint64_t* keys,
 }  // namespace
 
 void radix_sort_u64(Executor& ex, Workspace& ws,
-                    std::vector<std::uint64_t>& keys) {
+                    std::span<std::uint64_t> keys) {
   const std::size_t n = keys.size();
   if (n < 2) return;
   if (ex.threads() == 1 && n < 2048) {
@@ -134,37 +135,6 @@ void radix_sort_u64(Executor& ex, Workspace& ws,
   std::span<std::uint8_t> dummy = ws.alloc<std::uint8_t>(n);
   std::fill(dummy.begin(), dummy.end(), std::uint8_t{0});
   radix_sort_impl<std::uint8_t>(ex, ws, keys.data(), dummy.data(), n);
-}
-
-void radix_sort_u64(Executor& ex, std::vector<std::uint64_t>& keys) {
-  Workspace ws;
-  radix_sort_u64(ex, ws, keys);
-}
-
-void radix_sort_kv(Executor& ex, Workspace& ws,
-                   std::vector<std::uint64_t>& keys,
-                   std::vector<std::uint32_t>& vals) {
-  radix_sort_impl<std::uint32_t>(ex, ws, keys.data(), vals.data(),
-                                 keys.size());
-}
-
-void radix_sort_kv(Executor& ex, std::vector<std::uint64_t>& keys,
-                   std::vector<std::uint32_t>& vals) {
-  Workspace ws;
-  radix_sort_kv(ex, ws, keys, vals);
-}
-
-void radix_sort_kv64(Executor& ex, Workspace& ws,
-                     std::vector<std::uint64_t>& keys,
-                     std::vector<std::uint64_t>& vals) {
-  radix_sort_impl<std::uint64_t>(ex, ws, keys.data(), vals.data(),
-                                 keys.size());
-}
-
-void radix_sort_kv64(Executor& ex, std::vector<std::uint64_t>& keys,
-                     std::vector<std::uint64_t>& vals) {
-  Workspace ws;
-  radix_sort_kv64(ex, ws, keys, vals);
 }
 
 void radix_sort_kv(Executor& ex, Workspace& ws, std::span<std::uint64_t> keys,

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "util/thread_pool.hpp"
 #include "util/workspace.hpp"
@@ -15,35 +15,23 @@
 /// and is the cache-friendly choice the paper's engineering favours.
 /// Passes are skipped above the highest set byte of the maximum key.
 ///
-/// The histogram matrix and ping-pong buffers come from the Workspace;
-/// the Executor-only overloads bring their own arena.
+/// Keys and payloads are spans, so a std::vector and a Workspace span
+/// sort through the same call; the histogram matrix and ping-pong
+/// buffers come from the Workspace.
 
 namespace parbcc {
 
 /// Sort `keys` ascending.
 void radix_sort_u64(Executor& ex, Workspace& ws,
-                    std::vector<std::uint64_t>& keys);
-void radix_sort_u64(Executor& ex, std::vector<std::uint64_t>& keys);
+                    std::span<std::uint64_t> keys);
 
 /// Sort `keys` ascending, carrying `vals` through the same permutation
 /// (stable).  Requires keys.size() == vals.size().
-void radix_sort_kv(Executor& ex, Workspace& ws,
-                   std::vector<std::uint64_t>& keys,
-                   std::vector<std::uint32_t>& vals);
-void radix_sort_kv(Executor& ex, std::vector<std::uint64_t>& keys,
-                   std::vector<std::uint32_t>& vals);
+void radix_sort_kv(Executor& ex, Workspace& ws, std::span<std::uint64_t> keys,
+                   std::span<std::uint32_t> vals);
 
 /// Same with a 64-bit payload (used by the CSR builder to carry
 /// (neighbour, edge-id) records through the by-source sort).
-void radix_sort_kv64(Executor& ex, Workspace& ws,
-                     std::vector<std::uint64_t>& keys,
-                     std::vector<std::uint64_t>& vals);
-void radix_sort_kv64(Executor& ex, std::vector<std::uint64_t>& keys,
-                     std::vector<std::uint64_t>& vals);
-
-/// Span-based variants for data that itself lives in the workspace.
-void radix_sort_kv(Executor& ex, Workspace& ws, std::span<std::uint64_t> keys,
-                   std::span<std::uint32_t> vals);
 void radix_sort_kv64(Executor& ex, Workspace& ws,
                      std::span<std::uint64_t> keys,
                      std::span<std::uint64_t> vals);

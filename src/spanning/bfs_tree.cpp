@@ -306,15 +306,4 @@ BfsTree bfs_tree(Executor& ex, Workspace& ws, const Csr& g,
   return out;
 }
 
-BfsTree bfs_tree(Executor& ex, Workspace& ws, const Csr& g, vid root,
-                 BfsMode mode, Trace* trace) {
-  return bfs_tree(ex, ws, g, std::span<const vid>(&root, 1), mode, trace);
-}
-
-BfsTree bfs_tree(Executor& ex, const Csr& g, vid root, BfsMode mode,
-                 Trace* trace) {
-  Workspace ws;
-  return bfs_tree(ex, ws, g, root, mode, trace);
-}
-
 }  // namespace parbcc

@@ -90,22 +90,20 @@ struct BfsTree {
   vid diameter_estimate = 0;
 };
 
+/// Multi-source BFS forest: every vertex in `roots` (distinct) starts
+/// at level 0 as its own tree's root, and each other vertex hangs under
+/// whichever root's wave claims it first.  With one root per connected
+/// component this spans a disconnected graph in max-eccentricity
+/// rounds; a single-root tree passes `{&root, 1}`.  `BfsTree::root`
+/// reports roots[0].
+///
 /// `trace`, when given, receives the run's telemetry as counters
 /// (bfs_inspected_edges, bfs_top_down_rounds, bfs_bottom_up_rounds,
 /// bfs_diameter_estimate) — per-round spans would cost a clock read on
 /// pathological (diameter-bound) inputs, so only aggregates are
 /// emitted.
-BfsTree bfs_tree(Executor& ex, Workspace& ws, const Csr& g, vid root,
-                 BfsMode mode = BfsMode::kAuto, Trace* trace = nullptr);
-/// Multi-source BFS forest: every vertex in `roots` (distinct) starts
-/// at level 0 as its own tree's root, and each other vertex hangs under
-/// whichever root's wave claims it first.  With one root per connected
-/// component this spans a disconnected graph in max-eccentricity
-/// rounds.  `BfsTree::root` reports roots[0].
 BfsTree bfs_tree(Executor& ex, Workspace& ws, const Csr& g,
                  std::span<const vid> roots, BfsMode mode = BfsMode::kAuto,
                  Trace* trace = nullptr);
-BfsTree bfs_tree(Executor& ex, const Csr& g, vid root,
-                 BfsMode mode = BfsMode::kAuto, Trace* trace = nullptr);
 
 }  // namespace parbcc

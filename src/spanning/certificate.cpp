@@ -4,42 +4,17 @@
 #include <stdexcept>
 
 #include "graph/csr.hpp"
-#include "spanning/sv_tree.hpp"
-#include "scan/compact.hpp"
 #include "util/concat.hpp"
 #include "util/padded.hpp"
 
 namespace parbcc {
 
-SparseCertificate sparse_certificate_edge(Executor& ex, const EdgeList& g,
-                                          unsigned k) {
-  if (k == 0) {
-    throw std::invalid_argument("sparse_certificate_edge: k >= 1");
-  }
-  SparseCertificate out;
-  out.forest_offsets.push_back(0);
-  std::vector<std::uint8_t> used(g.m(), 0);
-  std::vector<eid> candidates;
-  for (unsigned round = 0; round < k; ++round) {
-    pack_indices(ex, g.m(),
-                 [&](std::size_t e) { return used[e] == 0; }, candidates);
-    const SpanningForest forest =
-        sv_spanning_forest(ex, g.n, g.edges, candidates);
-    for (const eid e : forest.tree_edges) {
-      used[e] = 1;
-      out.edges.push_back(e);
-    }
-    out.forest_offsets.push_back(static_cast<eid>(out.edges.size()));
-  }
-  return out;
-}
-
-SparseCertificate sparse_certificate_vertex(Executor& ex, const EdgeList& g,
-                                            unsigned k) {
+SparseCertificate sparse_certificate_vertex(Executor& ex, Workspace& ws,
+                                            const EdgeList& g, unsigned k) {
   if (k == 0) {
     throw std::invalid_argument("sparse_certificate_vertex: k >= 1");
   }
-  const Csr csr = Csr::build(ex, g);
+  const Csr csr = Csr::build(ex, ws, g);
   SparseCertificate out;
   out.forest_offsets.push_back(0);
   std::vector<std::uint8_t> used(g.m(), 0);

@@ -4,10 +4,12 @@
 
 #include "graph/edge_list.hpp"
 #include "util/thread_pool.hpp"
+#include "util/workspace.hpp"
 
 /// \file certificate.hpp
-/// Sparse connectivity certificates by successive spanning forests —
-/// the general principle behind TV-filter's edge filtering.
+/// Sparse connectivity certificates by successive BFS forests — the
+/// principle behind TV-filter's edge filtering, and the batch-dynamic
+/// engine's bound on a dense region solve.
 ///
 /// Let F1 be a spanning forest of G, F2 a spanning forest of G - F1,
 /// and so on.  Classic results:
@@ -20,9 +22,9 @@
 ///
 /// TV-filter (paper Alg. 2 and Theorem 2) is exactly the k = 2 BFS
 /// case plus a labeling argument: T u F keeps the whole biconnected
-/// component structure, not just the yes/no property.  This module
-/// exposes the construction for general k, so downstream users can
-/// sparsify before any connectivity-style computation.
+/// component structure, not just the yes/no property.  Its one
+/// library caller, BatchDynamicBcc, solves a dense region's k = 2
+/// certificate and scatters labels onto the omitted edges.
 
 namespace parbcc {
 
@@ -31,17 +33,16 @@ struct SparseCertificate {
   std::vector<eid> edges;
   /// forest_offsets[i] .. forest_offsets[i+1] delimit Fi+1 in `edges`.
   std::vector<eid> forest_offsets;
-  /// BFS metadata of the first forest F1, filled by
-  /// sparse_certificate_vertex only (empty from the edge variant):
-  /// exact BFS depth per vertex (roots 0) and the tree edge to the
-  /// parent (kNoEdge for roots).  Callers use this to label the edges
-  /// the certificate omits without re-traversing: an omitted edge
-  /// {u, v} closes a cycle with its F1 tree path, so it lies in one
-  /// biconnected component with the parent tree edge of its deeper
-  /// endpoint — and BFS levels across an edge differ by at most one,
-  /// so the deeper (or, on a tie, either) endpoint is never the top
-  /// vertex of that cycle.  The batch-dynamic engine's
-  /// certificate-bounded region solve relies on this scatter rule.
+  /// BFS metadata of the first forest F1: exact BFS depth per vertex
+  /// (roots 0) and the tree edge to the parent (kNoEdge for roots).
+  /// Callers use this to label the edges the certificate omits without
+  /// re-traversing: an omitted edge {u, v} closes a cycle with its F1
+  /// tree path, so it lies in one biconnected component with the parent
+  /// tree edge of its deeper endpoint — and BFS levels across an edge
+  /// differ by at most one, so the deeper (or, on a tie, either)
+  /// endpoint is never the top vertex of that cycle.  The batch-dynamic
+  /// engine's certificate-bounded region solve relies on this scatter
+  /// rule.
   std::vector<vid> f1_level;
   std::vector<eid> f1_parent_edge;
 
@@ -55,15 +56,11 @@ struct SparseCertificate {
   }
 };
 
-/// k successive spanning forests via Shiloach-Vishkin
-/// (k-edge-connectivity certificate; <= k(n-1) edges).
-SparseCertificate sparse_certificate_edge(Executor& ex, const EdgeList& g,
-                                          unsigned k);
-
 /// k successive *BFS* spanning forests (k-vertex-connectivity
 /// certificate).  Forest i is built by BFS restricted to the edges not
-/// used by forests 1..i-1, rooted per component.
-SparseCertificate sparse_certificate_vertex(Executor& ex, const EdgeList& g,
-                                            unsigned k);
+/// used by forests 1..i-1, rooted per component.  The adjacency's
+/// staging comes from `ws`.  Throws std::invalid_argument when k == 0.
+SparseCertificate sparse_certificate_vertex(Executor& ex, Workspace& ws,
+                                            const EdgeList& g, unsigned k);
 
 }  // namespace parbcc

@@ -61,8 +61,9 @@ void expect_cut_info(const EdgeList& g, bool brute_force) {
   }
   for (const int p : {1, 4, 12}) {
     Executor ex(p);
+    Workspace ws;
     BccResult r = labeled;
-    annotate_cut_info(ex, g, r);
+    annotate_cut_info(ex, ws, g, r);
     EXPECT_EQ(r.is_articulation, want.is_articulation) << "p=" << p;
     EXPECT_EQ(r.bridges, want.bridges) << "p=" << p;
   }

@@ -23,10 +23,11 @@ struct Manual {
 
   Manual(Executor& ex, const EdgeList& g, std::vector<vid> parent,
          std::vector<eid> parent_edge, vid root) {
+  Workspace ws;
     tree.root = root;
     tree.parent = std::move(parent);
     tree.parent_edge = std::move(parent_edge);
-    children = build_children(ex, tree.parent, root);
+    children = build_children(ex, ws, tree.parent, root);
     levels = build_levels(ex, children, root);
     preorder_and_size(ex, children, levels, root, tree.pre, tree.sub);
     owner = make_tree_owner(ex, g.m(), tree);
@@ -105,6 +106,7 @@ EdgeList fuzz_connected(std::uint64_t seed, int ops) {
 
 TEST(AuxGraph, TrianglePlusPendantHandChecked) {
   Executor ex(1);
+  Workspace ws;
   // Edges: 0:(0,1) tree, 1:(1,2) tree, 2:(2,3) tree, 3:(0,2) nontree.
   EdgeList g(4, {{0, 1}, {1, 2}, {2, 3}, {0, 2}});
   Manual fx(ex, g, /*parent=*/{0, 0, 1, 2}, /*parent_edge=*/{kNoEdge, 0, 1, 2},
@@ -117,7 +119,7 @@ TEST(AuxGraph, TrianglePlusPendantHandChecked) {
   EXPECT_EQ(lh.low, (std::vector<vid>{1, 1, 1, 4}));
   EXPECT_EQ(lh.high, (std::vector<vid>{4, 4, 4, 4}));
 
-  const AuxGraph aux = build_aux_graph(ex, g.edges, fx.tree, fx.owner, lh);
+  const AuxGraph aux = build_aux_graph(ex, ws, g.edges, fx.tree, fx.owner, lh);
   // Aux ids: tree edge of vertex v -> v; the single nontree edge -> 4.
   EXPECT_EQ(aux.num_vertices, 5u);
   EXPECT_EQ(aux.aux_id, (std::vector<vid>{1, 2, 3, 4}));
@@ -134,12 +136,13 @@ TEST(AuxGraph, TrianglePlusPendantHandChecked) {
 
 TEST(AuxGraph, ConditionCountsOnTheCycle) {
   Executor ex(1);
+  Workspace ws;
   // Cycle 0-1-2-3-0: tree path + one closing nontree edge.
   EdgeList g(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
   Manual fx(ex, g, {0, 0, 1, 2}, {kNoEdge, 0, 1, 2}, 0);
   const LowHigh lh = compute_low_high_levels(ex, g.edges, fx.tree, fx.owner,
                                              fx.children, fx.levels);
-  const AuxGraph aux = build_aux_graph(ex, g.edges, fx.tree, fx.owner, lh);
+  const AuxGraph aux = build_aux_graph(ex, ws, g.edges, fx.tree, fx.owner, lh);
   // Condition 1 once (the closing edge), condition 2 zero times (3 is
   // a descendant of 0? no — 0 is root and ancestor of all: related),
   // condition 3 for tree edges of 2 and 3 (their subtrees reach back
@@ -149,11 +152,12 @@ TEST(AuxGraph, ConditionCountsOnTheCycle) {
 
 TEST(AuxGraph, MappingIsInjective) {
   Executor ex(4);
+  Workspace ws;
   const EdgeList g = gen::random_connected_gnm(300, 900, 4);
   Manual fx = bfs_fixture(ex, g);
   const LowHigh lh = compute_low_high_levels(ex, g.edges, fx.tree, fx.owner,
                                              fx.children, fx.levels);
-  const AuxGraph aux = build_aux_graph(ex, g.edges, fx.tree, fx.owner, lh);
+  const AuxGraph aux = build_aux_graph(ex, ws, g.edges, fx.tree, fx.owner, lh);
 
   // One-to-one: distinct edges get distinct aux ids, tree edges below
   // n, nontree at or above n (Theorem 1's mapping).
@@ -188,14 +192,15 @@ class FusedVsMaterialized
 TEST_P(FusedVsMaterialized, IdenticalLabelsOnFuzzFamilies) {
   const auto [threads, seed] = GetParam();
   Executor ex(threads);
+  Workspace ws;
   const EdgeList g =
       fuzz_connected(static_cast<std::uint64_t>(seed) * 77 + 5, 40);
   Manual fx = bfs_fixture(ex, g);
   const std::vector<vid> mat = tv_label_edges(
-      ex, g.edges, fx.tree, fx.owner, LowHighMethod::kLevelSweep,
+      ex, ws, g.edges, fx.tree, fx.owner, LowHighMethod::kLevelSweep,
       &fx.children, &fx.levels, SvMode::kAuto, AuxMode::kMaterialized);
   const std::vector<vid> fused = tv_label_edges(
-      ex, g.edges, fx.tree, fx.owner, LowHighMethod::kLevelSweep,
+      ex, ws, g.edges, fx.tree, fx.owner, LowHighMethod::kLevelSweep,
       &fx.children, &fx.levels, SvMode::kAuto, AuxMode::kFused);
   EXPECT_EQ(fused, mat);
 }
@@ -209,14 +214,16 @@ INSTANTIATE_TEST_SUITE_P(Sweep, FusedVsMaterialized,
 /// |V'| - #components of G', and every label is a component minimum.
 TEST(FusedAux, StatsMatchMaterializedStructure) {
   Executor ex(4);
+  Workspace ws;
   const EdgeList g = fuzz_connected(4242, 60);
   Manual fx = bfs_fixture(ex, g);
   const LowHigh lh = compute_low_high_levels(ex, g.edges, fx.tree, fx.owner,
                                              fx.children, fx.levels);
-  const AuxGraph aux = build_aux_graph(ex, g.edges, fx.tree, fx.owner, lh);
+  const AuxGraph aux = build_aux_graph(ex, ws, g.edges, fx.tree, fx.owner, lh);
   FusedAuxStats stats;
   const std::vector<vid> labels =
-      fused_aux_components(ex, g.edges, fx.tree, fx.owner, lh, &stats);
+      fused_aux_components(ex, ws, g.edges, fx.tree, fx.owner, lh,
+                           /*trace=*/nullptr, &stats);
   EXPECT_EQ(stats.num_vertices, aux.num_vertices);
   // Labels are component minima: each label is <= the aux id it came
   // from, and label slots are fixed points (their own component min).

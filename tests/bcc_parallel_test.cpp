@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "core/articulation.hpp"
 #include "core/bcc.hpp"
 #include "core/hopcroft_tarjan.hpp"
 #include "engines.hpp"
@@ -60,13 +61,14 @@ TEST_P(BccEquivalence, MatchesSequentialTarjanAsPartition) {
   const EdgeList g = make_graph(family, seed);
 
   Executor ex(threads);
+  Workspace ws;
   SolveOptions opt;
   opt.compute_cut_info = true;
   const BccResult par = testutil::solve(ex, g, algorithm, opt);
 
-  const Csr csr = Csr::build(ex, g);
-  Workspace ws;
-  const BccResult seq = hopcroft_tarjan_bcc(ex, ws, g, csr, true);
+  const Csr csr = Csr::build(ex, ws, g);
+  BccResult seq = hopcroft_tarjan_bcc(g, csr);
+  annotate_cut_info(ex, ws, g, seq);
 
   ASSERT_EQ(par.num_components, seq.num_components);
   EXPECT_TRUE(

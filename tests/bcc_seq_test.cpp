@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/articulation.hpp"
 #include "core/hopcroft_tarjan.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
@@ -14,8 +15,10 @@ namespace {
 BccResult run(const EdgeList& g) {
   Executor ex(1);
   Workspace ws;
-  const Csr csr = Csr::build(ex, g);
-  return hopcroft_tarjan_bcc(ex, ws, g, csr);
+  const Csr csr = Csr::build(ex, ws, g);
+  BccResult r = hopcroft_tarjan_bcc(g, csr);
+  annotate_cut_info(ex, ws, g, r);
+  return r;
 }
 
 TEST(HopcroftTarjan, TriangleIsOneComponent) {
@@ -91,8 +94,8 @@ TEST(HopcroftTarjan, DeepPathDoesNotOverflowStack) {
   const EdgeList g = gen::path(2000000);
   Executor ex(1);
   Workspace ws;
-  const Csr csr = Csr::build(ex, g);
-  const BccResult r = hopcroft_tarjan_bcc(ex, ws, g, csr, false);
+  const Csr csr = Csr::build(ex, ws, g);
+  const BccResult r = hopcroft_tarjan_bcc(g, csr);
   EXPECT_EQ(r.num_components, g.m());
 }
 

@@ -23,11 +23,17 @@ BccResult solve(Executor& ex, const EdgeList& g) {
   return testutil::solve(ex, g, opt);
 }
 
+BlockCutTree tree_of(Executor& ex, const EdgeList& g, const BccResult& r) {
+  Workspace ws;
+  return build_block_cut_tree(ex, ws, g, r.edge_component, r.num_components,
+                              r.is_articulation);
+}
+
 TEST(BlockCutTree, CliqueChainShape) {
   Executor ex(2);
   const EdgeList g = gen::clique_chain(4, 4);
   const BccResult r = solve(ex, g);
-  const BlockCutTree tree = build_block_cut_tree(ex, g, r);
+  const BlockCutTree tree = tree_of(ex, g, r);
   EXPECT_EQ(tree.num_blocks, 4u);
   EXPECT_EQ(tree.num_cut_nodes, 3u);
   // A chain of blocks: 2 leaves, 2 interior blocks, 6 tree edges.
@@ -45,7 +51,7 @@ TEST(BlockCutTree, StarShape) {
   Executor ex(1);
   const EdgeList g = gen::star(6);
   const BccResult r = solve(ex, g);
-  const BlockCutTree tree = build_block_cut_tree(ex, g, r);
+  const BlockCutTree tree = tree_of(ex, g, r);
   EXPECT_EQ(tree.num_blocks, 5u);
   EXPECT_EQ(tree.num_cut_nodes, 1u);
   EXPECT_EQ(tree.cut_vertex[0], 0u);
@@ -59,7 +65,7 @@ TEST(BlockCutTree, BiconnectedGraphIsOneBlockNoCuts) {
   Executor ex(2);
   const EdgeList g = gen::grid_torus(4, 4);
   const BccResult r = solve(ex, g);
-  const BlockCutTree tree = build_block_cut_tree(ex, g, r);
+  const BlockCutTree tree = tree_of(ex, g, r);
   EXPECT_EQ(tree.num_blocks, 1u);
   EXPECT_EQ(tree.num_cut_nodes, 0u);
   EXPECT_TRUE(tree.edges.empty());
@@ -70,7 +76,7 @@ TEST(BlockCutTree, EdgesConnectBlocksToTheirCutVertices) {
   Executor ex(2);
   const EdgeList g = gen::random_connected_gnm(300, 360, 4);
   const BccResult r = solve(ex, g);
-  const BlockCutTree tree = build_block_cut_tree(ex, g, r);
+  const BlockCutTree tree = tree_of(ex, g, r);
   // Validate each tree edge against raw membership.
   for (const Edge& e : tree.edges) {
     const vid block = e.u;
@@ -98,7 +104,7 @@ TEST(BlockCutTree, RequiresCutInfo) {
   BccOptions opt;
   opt.compute_cut_info = false;
   const BccResult r = testutil::solve(ex, g, opt);
-  EXPECT_THROW(build_block_cut_tree(ex, g, r), std::invalid_argument);
+  EXPECT_THROW(tree_of(ex, g, r), std::invalid_argument);
 }
 
 /// The tree as the definition states it: sort every (block, endpoint)
@@ -173,11 +179,12 @@ TEST(BlockCutTree, MatchesFullIncidenceSortAtEveryWidth) {
     for (const int p : {1, 4, 12}) {
       SCOPED_TRACE("n=" + std::to_string(g.n) + " p=" + std::to_string(p));
       Executor ex(p);
-      expect_same_tree(build_block_cut_tree(ex, g, r), want);
+      expect_same_tree(tree_of(ex, g, r), want);
       // block_of: the one block of each non-cut vertex with a non-loop
       // edge.
       std::vector<vid> block_of;
-      build_block_cut_tree(ex, g, r.edge_component, r.num_components,
+      Workspace ws;
+      build_block_cut_tree(ex, ws, g, r.edge_component, r.num_components,
                            r.is_articulation, &block_of);
       ASSERT_EQ(block_of.size(), g.n);
       std::vector<vid> want_block(g.n, kNoVertex);

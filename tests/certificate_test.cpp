@@ -28,57 +28,44 @@ bool is_biconnected(Executor& ex, const EdgeList& g) {
 
 TEST(Certificate, ForestsAreDisjointMaximalAndBounded) {
   Executor ex(3);
+  Workspace ws;
   const EdgeList g = gen::random_connected_gnm(500, 4000, 3);
-  for (const bool vertex_variant : {false, true}) {
-    const SparseCertificate cert =
-        vertex_variant ? sparse_certificate_vertex(ex, g, 3)
-                       : sparse_certificate_edge(ex, g, 3);
-    ASSERT_EQ(cert.forest_offsets.size(), 4u);
-    EXPECT_LE(cert.edges.size(), 3u * (g.n - 1));
-    std::vector<std::uint8_t> seen(g.m(), 0);
-    for (unsigned f = 0; f < 3; ++f) {
-      std::vector<eid> forest(
-          cert.edges.begin() + cert.forest_offsets[f],
-          cert.edges.begin() + cert.forest_offsets[f + 1]);
-      EXPECT_TRUE(is_forest(g.n, g.edges, forest)) << "forest " << f;
-      // The first forest of a connected graph is spanning.
-      if (f == 0) {
-        EXPECT_EQ(forest.size(), g.n - 1);
-      }
-      for (const eid e : forest) {
-        EXPECT_FALSE(seen[e]) << "edge reused across forests";
-        seen[e] = 1;
-      }
+  const SparseCertificate cert = sparse_certificate_vertex(ex, ws, g, 3);
+  ASSERT_EQ(cert.forest_offsets.size(), 4u);
+  EXPECT_LE(cert.edges.size(), 3u * (g.n - 1));
+  std::vector<std::uint8_t> seen(g.m(), 0);
+  for (unsigned f = 0; f < 3; ++f) {
+    std::vector<eid> forest(cert.edges.begin() + cert.forest_offsets[f],
+                            cert.edges.begin() + cert.forest_offsets[f + 1]);
+    EXPECT_TRUE(is_forest(g.n, g.edges, forest)) << "forest " << f;
+    // The first forest of a connected graph is spanning.
+    if (f == 0) {
+      EXPECT_EQ(forest.size(), g.n - 1);
+    }
+    for (const eid e : forest) {
+      EXPECT_FALSE(seen[e]) << "edge reused across forests";
+      seen[e] = 1;
     }
   }
 }
 
 TEST(Certificate, K1PreservesConnectivity) {
   Executor ex(2);
+  Workspace ws;
   const EdgeList g = gen::random_gnm(800, 900, 7);  // disconnected mix
-  const SparseCertificate cert = sparse_certificate_edge(ex, g, 1);
+  const SparseCertificate cert = sparse_certificate_vertex(ex, ws, g, 1);
   const EdgeList sub = cert.subgraph(g);
   EXPECT_EQ(testutil::component_count(sub), testutil::component_count(g));
 }
 
 class CertParam : public ::testing::TestWithParam<int> {};
 
-TEST_P(CertParam, K2EdgeVariantPreservesBridgelessness) {
-  const int seed = GetParam();
-  Executor ex(3);
-  // Dense-ish connected: bridgeless with high probability; also test a
-  // bridge-carrying graph below.
-  const EdgeList g = gen::random_connected_gnm(300, 1800, seed);
-  const SparseCertificate cert = sparse_certificate_edge(ex, g, 2);
-  const EdgeList sub = cert.subgraph(g);
-  EXPECT_EQ(has_bridge(ex, g), has_bridge(ex, sub));
-}
-
 TEST_P(CertParam, K2BfsVariantPreservesBiconnectivity) {
   const int seed = GetParam();
   Executor ex(3);
+  Workspace ws;
   const EdgeList g = gen::random_connected_gnm(300, 1800, seed);
-  const SparseCertificate cert = sparse_certificate_vertex(ex, g, 2);
+  const SparseCertificate cert = sparse_certificate_vertex(ex, ws, g, 2);
   const EdgeList sub = cert.subgraph(g);
   EXPECT_EQ(is_biconnected(ex, g), is_biconnected(ex, sub));
   // Stronger (paper Theorem 2): the BFS-based k=2 certificate keeps the
@@ -95,22 +82,18 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CertParam, ::testing::Range(1, 9));
 
 TEST(Certificate, BridgeGraphKeepsItsBridge) {
   Executor ex(2);
+  Workspace ws;
   // Two cliques joined by one bridge.
   const EdgeList g = gen::barbell(6, 1);
-  for (const bool vertex_variant : {false, true}) {
-    const SparseCertificate cert =
-        vertex_variant ? sparse_certificate_vertex(ex, g, 2)
-                       : sparse_certificate_edge(ex, g, 2);
-    const EdgeList sub = cert.subgraph(g);
-    EXPECT_TRUE(has_bridge(ex, sub));
-  }
+  const SparseCertificate cert = sparse_certificate_vertex(ex, ws, g, 2);
+  EXPECT_TRUE(has_bridge(ex, cert.subgraph(g)));
 }
 
 TEST(Certificate, RejectsKZero) {
   Executor ex(1);
+  Workspace ws;
   const EdgeList g = gen::cycle(4);
-  EXPECT_THROW(sparse_certificate_edge(ex, g, 0), std::invalid_argument);
-  EXPECT_THROW(sparse_certificate_vertex(ex, g, 0), std::invalid_argument);
+  EXPECT_THROW(sparse_certificate_vertex(ex, ws, g, 0), std::invalid_argument);
 }
 
 }  // namespace

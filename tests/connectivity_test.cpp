@@ -25,17 +25,21 @@ TEST(UnionFind, BasicUniteAndFind) {
 
 TEST(SvComponents, LabelIsComponentMinimum) {
   Executor ex(4);
+  Workspace ws;
   // Two components: {0,1,2} and {3,4}.
   EdgeList g(5, {{2, 1}, {1, 0}, {4, 3}});
-  const auto labels = connected_components_sv(ex, g);
+  std::vector<vid> labels(g.n);
+  connected_components_sv(ex, ws, g.n, g.edges, labels);
   EXPECT_EQ(labels, (std::vector<vid>{0, 0, 0, 3, 3}));
   EXPECT_EQ(count_components(labels), 2u);
 }
 
 TEST(SvComponents, IsolatedVerticesAreOwnComponents) {
   Executor ex(2);
+  Workspace ws;
   EdgeList g(4, {{1, 2}});
-  const auto labels = connected_components_sv(ex, g);
+  std::vector<vid> labels(g.n);
+  connected_components_sv(ex, ws, g.n, g.edges, labels);
   EXPECT_EQ(labels[0], 0u);
   EXPECT_EQ(labels[1], 1u);
   EXPECT_EQ(labels[2], 1u);
@@ -45,8 +49,10 @@ TEST(SvComponents, IsolatedVerticesAreOwnComponents) {
 
 TEST(SvComponents, EmptyGraph) {
   Executor ex(2);
-  EdgeList g(0, {});
-  EXPECT_TRUE(connected_components_sv(ex, g).empty());
+  Workspace ws;
+  std::vector<vid> labels;
+  connected_components_sv(ex, ws, 0, {}, labels);
+  EXPECT_TRUE(labels.empty());
 }
 
 class SvParam : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -54,9 +60,11 @@ class SvParam : public ::testing::TestWithParam<std::tuple<int, int>> {};
 TEST_P(SvParam, MatchesSequentialUnionFindOnRandomGraphs) {
   const auto [threads, seed] = GetParam();
   Executor ex(threads);
+  Workspace ws;
   // Sparse enough to be well disconnected.
   const EdgeList g = gen::random_gnm(2000, 1500, seed);
-  const auto par = connected_components_sv(ex, g);
+  std::vector<vid> par(g.n);
+  connected_components_sv(ex, ws, g.n, g.edges, par);
   const auto seq = connected_components_seq(g.n, g.edges);
   EXPECT_EQ(par, seq);  // same contract: component-minimum labels
 }
@@ -67,15 +75,19 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SvParam,
 
 TEST(SvComponents, LongPathStressesShortcutting) {
   Executor ex(4);
+  Workspace ws;
   const EdgeList g = gen::path(20000);
-  const auto labels = connected_components_sv(ex, g);
+  std::vector<vid> labels(g.n);
+  connected_components_sv(ex, ws, g.n, g.edges, labels);
   for (const vid l : labels) ASSERT_EQ(l, 0u);
 }
 
 TEST(SvComponents, DenseSingleComponent) {
   Executor ex(4);
+  Workspace ws;
   const EdgeList g = gen::complete(60);
-  const auto labels = connected_components_sv(ex, g);
+  std::vector<vid> labels(g.n);
+  connected_components_sv(ex, ws, g.n, g.edges, labels);
   for (const vid l : labels) ASSERT_EQ(l, 0u);
 }
 

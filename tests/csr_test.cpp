@@ -29,7 +29,8 @@ std::vector<std::vector<std::pair<vid, eid>>> reference_adjacency(
 /// is free to order a row however it likes (the order depends on the
 /// thread count), but not to drop, duplicate, or misattribute an arc.
 void expect_csr_matches(Executor& ex, const EdgeList& g) {
-  const Csr csr = Csr::build(ex, g);
+  Workspace ws;
+  const Csr csr = Csr::build(ex, ws, g);
   const auto ref = reference_adjacency(g);
 
   ASSERT_EQ(csr.num_vertices(), g.n);
@@ -123,14 +124,16 @@ TEST(CsrBuild, SingleEdge) {
 
 TEST(CsrBuild, RejectsSelfLoops) {
   Executor ex(4);
+  Workspace ws;
   EdgeList g(3, {{0, 1}, {2, 2}});
-  EXPECT_THROW(Csr::build(ex, g), std::invalid_argument);
+  EXPECT_THROW(Csr::build(ex, ws, g), std::invalid_argument);
 }
 
 TEST(CsrAdopt, BorrowedViewsReadTheCallerArrays) {
   const EdgeList g = gen::random_gnm(100, 600, 3);
   Executor ex(4);
-  const Csr owned = Csr::build(ex, g);
+  Workspace ws;
+  const Csr owned = Csr::build(ex, ws, g);
   EXPECT_FALSE(owned.is_borrowed());
 
   const Csr borrowed = Csr::adopt(g.n, g.m(), owned.offsets(),
@@ -155,7 +158,8 @@ TEST(CsrAdopt, MoveKeepsViewsValid) {
   // moves the heap buffers, so the views must still be right after.
   const EdgeList g = gen::clique_chain(5, 6);
   Executor ex(2);
-  Csr a = Csr::build(ex, g);
+  Workspace ws;
+  Csr a = Csr::build(ex, ws, g);
   const vid* targets_before = a.targets().data();
   Csr b = std::move(a);
   EXPECT_EQ(b.targets().data(), targets_before);

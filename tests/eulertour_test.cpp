@@ -97,11 +97,12 @@ class TourParam : public ::testing::TestWithParam<std::tuple<int, int>> {};
 TEST_P(TourParam, CircuitIsASingleEulerianTour) {
   const auto [threads, n] = GetParam();
   Executor ex(threads);
+  Workspace ws;
   const EdgeList tree = random_tree(n, n * 3 + 1);
   const auto tree_ids = all_edge_ids(tree);
   for (const ArcSort sort : {ArcSort::kSampleSort, ArcSort::kCountingSort}) {
     const EulerCircuit circuit =
-        build_euler_circuit(ex, tree.n, tree.edges, tree_ids, 0, sort);
+        build_euler_circuit(ex, ws, tree.n, tree.edges, tree_ids, 0, sort);
     const std::size_t num_arcs = 2 * tree_ids.size();
     // Walking succ from head visits each arc exactly once, ends at Nil,
     // and consecutive arcs share the middle vertex.
@@ -130,13 +131,15 @@ TEST_P(TourParam, CircuitIsASingleEulerianTour) {
 TEST_P(TourParam, RootingMatchesSequentialDfsStructure) {
   const auto [threads, n] = GetParam();
   Executor ex(threads);
+  Workspace ws;
   const EdgeList tree = random_tree(n, n * 7 + 5);
   const auto tree_ids = all_edge_ids(tree);
   for (const ListRanker ranker :
        {ListRanker::kSequential, ListRanker::kWyllie,
         ListRanker::kHelmanJaja}) {
     const RootedSpanningTree rooted = root_tree_via_euler_tour(
-        ex, tree.n, tree.edges, tree_ids, 0, ranker, ArcSort::kCountingSort);
+        ex, ws, tree.n, tree.edges, tree_ids, 0, ranker,
+        ArcSort::kCountingSort);
     // Parent structure is root-determined, so it must match exactly.
     const DfsRef ref(tree, 0);
     EXPECT_EQ(rooted.parent, ref.parent);
@@ -165,11 +168,12 @@ TEST(ArcSortEquivalence, BothOrdersYieldIdenticalTrees) {
   const auto tree_ids = all_edge_ids(tree);
   {
     Executor ex(1);
+    Workspace ws;
     const RootedSpanningTree a = root_tree_via_euler_tour(
-        ex, tree.n, tree.edges, tree_ids, 0, ListRanker::kHelmanJaja,
+        ex, ws, tree.n, tree.edges, tree_ids, 0, ListRanker::kHelmanJaja,
         ArcSort::kSampleSort);
     const RootedSpanningTree b = root_tree_via_euler_tour(
-        ex, tree.n, tree.edges, tree_ids, 0, ListRanker::kHelmanJaja,
+        ex, ws, tree.n, tree.edges, tree_ids, 0, ListRanker::kHelmanJaja,
         ArcSort::kCountingSort);
     EXPECT_EQ(a.parent, b.parent);
     EXPECT_EQ(a.parent_edge, b.parent_edge);
@@ -178,11 +182,12 @@ TEST(ArcSortEquivalence, BothOrdersYieldIdenticalTrees) {
   }
   for (const int threads : {4, 8}) {
     Executor ex(threads);
+    Workspace ws;
     const RootedSpanningTree a = root_tree_via_euler_tour(
-        ex, tree.n, tree.edges, tree_ids, 0, ListRanker::kHelmanJaja,
+        ex, ws, tree.n, tree.edges, tree_ids, 0, ListRanker::kHelmanJaja,
         ArcSort::kSampleSort);
     const RootedSpanningTree b = root_tree_via_euler_tour(
-        ex, tree.n, tree.edges, tree_ids, 0, ListRanker::kHelmanJaja,
+        ex, ws, tree.n, tree.edges, tree_ids, 0, ListRanker::kHelmanJaja,
         ArcSort::kCountingSort);
     EXPECT_EQ(a.parent, b.parent);
     EXPECT_EQ(a.parent_edge, b.parent_edge);
@@ -195,9 +200,10 @@ TEST(ArcSortEquivalence, BothOrdersYieldIdenticalTrees) {
 TEST(TreeComputations, LevelPipelineMatchesDfsReference) {
   for (const int threads : {1, 4}) {
     Executor ex(threads);
+    Workspace ws;
     const EdgeList tree = random_tree(3000, 17);
     const DfsRef ref(tree, 0);
-    const ChildrenCsr children = build_children(ex, ref.parent, 0);
+    const ChildrenCsr children = build_children(ex, ws, ref.parent, 0);
     const LevelStructure levels = build_levels(ex, children, 0);
     EXPECT_EQ(levels.depth, ref.depth);
 
@@ -216,8 +222,9 @@ TEST(TreeComputations, LevelPipelineMatchesDfsReference) {
 TEST(TreeComputations, PreorderFollowsChildListOrder) {
   // Known little tree: 0 -> {1, 2}, 1 -> {3}.
   Executor ex(1);
+  Workspace ws;
   const std::vector<vid> parent = {0, 0, 0, 1};
-  const ChildrenCsr children = build_children(ex, parent, 0);
+  const ChildrenCsr children = build_children(ex, ws, parent, 0);
   const LevelStructure levels = build_levels(ex, children, 0);
   std::vector<vid> pre, sub;
   preorder_and_size(ex, children, levels, 0, pre, sub);
@@ -231,9 +238,10 @@ TEST(TreeComputations, PreorderFollowsChildListOrder) {
 
 TEST(TreeComputations, SubtreeMinMaxAggregates) {
   Executor ex(2);
+  Workspace ws;
   // Path 0 - 1 - 2 - 3 rooted at 0.
   const std::vector<vid> parent = {0, 0, 1, 2};
-  const ChildrenCsr children = build_children(ex, parent, 0);
+  const ChildrenCsr children = build_children(ex, ws, parent, 0);
   const LevelStructure levels = build_levels(ex, children, 0);
   std::vector<vid> val = {5, 9, 2, 7};
   subtree_min(ex, children, levels, val.data());
@@ -245,9 +253,10 @@ TEST(TreeComputations, SubtreeMinMaxAggregates) {
 
 TEST(TreeComputations, DfsTourPositionsMatchSimulatedDfs) {
   Executor ex(2);
+  Workspace ws;
   const EdgeList tree = random_tree(500, 31);
   const DfsRef ref(tree, 0);
-  const ChildrenCsr children = build_children(ex, ref.parent, 0);
+  const ChildrenCsr children = build_children(ex, ws, ref.parent, 0);
   const LevelStructure levels = build_levels(ex, children, 0);
   RootedSpanningTree rooted;
   rooted.root = 0;
@@ -273,29 +282,33 @@ TEST(TreeComputations, DfsTourPositionsMatchSimulatedDfs) {
 
 TEST(EulerCircuit, RootWithoutTreeEdgeThrows) {
   Executor ex(1);
+  Workspace ws;
   EdgeList tree(2, {{0, 1}});
   const std::vector<eid> ids = {0};
   // Vertex 5 does not exist / has no arcs: the two-vertex tree rooted
   // elsewhere must be rejected.
   EXPECT_THROW(
-      build_euler_circuit(ex, 6, tree.edges, ids, 5, ArcSort::kCountingSort),
+      build_euler_circuit(ex, ws, 6, tree.edges, ids, 5,
+                          ArcSort::kCountingSort),
       std::invalid_argument);
 }
 
 TEST(RootTree, RejectsNonSpanningInput) {
   Executor ex(1);
+  Workspace ws;
   EdgeList tree(4, {{0, 1}});
   const std::vector<eid> ids = {0};
   EXPECT_THROW(
-      root_tree_via_euler_tour(ex, 4, tree.edges, ids, 0),
+      root_tree_via_euler_tour(ex, ws, 4, tree.edges, ids, 0),
       std::invalid_argument);
 }
 
 TEST(RootTree, SingleVertexTrivial) {
   Executor ex(2);
+  Workspace ws;
   EdgeList tree(1, {});
   const RootedSpanningTree rooted =
-      root_tree_via_euler_tour(ex, 1, tree.edges, {}, 0);
+      root_tree_via_euler_tour(ex, ws, 1, tree.edges, {}, 0);
   EXPECT_EQ(rooted.pre, (std::vector<vid>{1}));
   EXPECT_EQ(rooted.sub, (std::vector<vid>{1}));
   EXPECT_EQ(rooted.parent, (std::vector<vid>{0}));

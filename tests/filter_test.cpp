@@ -7,31 +7,35 @@
 #include "engines.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
+#include "paper/sv_tree.hpp"
 #include "scan/compact.hpp"
 #include "spanning/bfs_tree.hpp"
-#include "spanning/sv_tree.hpp"
 #include "test_util.hpp"
 #include "util/thread_pool.hpp"
 
 namespace parbcc {
 namespace {
 
+/// The BFS root of every single-root tree below.
+constexpr vid kRoot = 0;
+
 /// Lemma 1: endpoints of a spanning-forest edge of G - T have no
 /// ancestral relationship when T is a BFS tree.
 TEST(FilterLemmas, ForestEdgesHaveNoAncestralRelation) {
   Executor ex(4);
+  Workspace ws;
   for (const int seed : {1, 2, 3, 4}) {
     const EdgeList g = gen::random_connected_gnm(500, 2500, seed);
-    const Csr csr = Csr::build(ex, g);
-    const BfsTree bfs = bfs_tree(ex, csr, 0);
+    const Csr csr = Csr::build(ex, ws, g);
+    const BfsTree bfs = bfs_tree(ex, ws, csr, {&kRoot, 1});
 
     std::vector<std::uint8_t> in_tree(g.m(), 0);
     for (vid v = 1; v < g.n; ++v) in_tree[bfs.parent_edge[v]] = 1;
     std::vector<eid> nontree;
-    pack_indices(ex, g.m(),
+    pack_indices(ex, ws, g.m(),
                  [&](std::size_t e) { return in_tree[e] == 0; }, nontree);
     const SpanningForest forest =
-        sv_spanning_forest(ex, g.n, g.edges, nontree);
+        sv_spanning_forest(ex, ws, g.n, g.edges, nontree);
 
     // Ancestry via a simple ancestor-walk (levels are short).
     const auto is_ancestor = [&](vid anc, vid v) {
@@ -52,18 +56,19 @@ TEST(FilterLemmas, ForestEdgesHaveNoAncestralRelation) {
 /// every block is a cycle, so there are no bridges.
 TEST(FilterLemmas, TwoBfsCountsBlocksOnBridgelessGraphs) {
   Executor ex(2);
+  Workspace ws;
   for (const int seed : {10, 11, 12}) {
     const vid blocks = 40;
     const EdgeList g = gen::random_cactus(blocks, 7, seed);
-    const Csr csr = Csr::build(ex, g);
-    const BfsTree bfs = bfs_tree(ex, csr, 0);
+    const Csr csr = Csr::build(ex, ws, g);
+    const BfsTree bfs = bfs_tree(ex, ws, csr, {&kRoot, 1});
     std::vector<std::uint8_t> in_tree(g.m(), 0);
     for (vid v = 1; v < g.n; ++v) in_tree[bfs.parent_edge[v]] = 1;
     std::vector<eid> nontree;
-    pack_indices(ex, g.m(),
+    pack_indices(ex, ws, g.m(),
                  [&](std::size_t e) { return in_tree[e] == 0; }, nontree);
     const SpanningForest forest =
-        sv_spanning_forest(ex, g.n, g.edges, nontree);
+        sv_spanning_forest(ex, ws, g.n, g.edges, nontree);
     // Nontrivial components of F = components that own a forest edge.
     std::vector<std::uint8_t> nontrivial(g.n, 0);
     for (const eid e : forest.tree_edges) nontrivial[forest.comp[g.edges[e].u]] = 1;
@@ -77,18 +82,19 @@ TEST(FilterLemmas, TwoBfsCountsBlocksOnBridgelessGraphs) {
 /// excluded from the TV run.
 TEST(FilterLemmas, FilterRemovesAtLeastTheGuaranteedCount) {
   Executor ex(4);
+  Workspace ws;
   const vid n = 400;
   for (const eid m : {eid{800}, eid{2000}, eid{6000}}) {
     const EdgeList g = gen::random_connected_gnm(n, m, 3);
-    const Csr csr = Csr::build(ex, g);
-    const BfsTree bfs = bfs_tree(ex, csr, 0);
+    const Csr csr = Csr::build(ex, ws, g);
+    const BfsTree bfs = bfs_tree(ex, ws, csr, {&kRoot, 1});
     std::vector<std::uint8_t> in_tree(g.m(), 0);
     for (vid v = 1; v < g.n; ++v) in_tree[bfs.parent_edge[v]] = 1;
     std::vector<eid> nontree;
-    pack_indices(ex, g.m(),
+    pack_indices(ex, ws, g.m(),
                  [&](std::size_t e) { return in_tree[e] == 0; }, nontree);
     const SpanningForest forest =
-        sv_spanning_forest(ex, g.n, g.edges, nontree);
+        sv_spanning_forest(ex, ws, g.n, g.edges, nontree);
     const eid kept = (n - 1) + static_cast<eid>(forest.tree_edges.size());
     EXPECT_LE(kept, 2 * (n - 1));
     EXPECT_GE(m - kept, m >= 2 * (n - 1) ? m - 2 * (n - 1) : 0);

@@ -9,8 +9,8 @@
 #include "forest.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
+#include "paper/sv_tree.hpp"
 #include "spanning/bfs_tree.hpp"
-#include "spanning/sv_tree.hpp"
 #include "test_util.hpp"
 #include "util/thread_pool.hpp"
 
@@ -22,6 +22,9 @@
 
 namespace parbcc {
 namespace {
+
+/// The BFS root of every single-root tree below.
+constexpr vid kRoot = 0;
 
 EdgeList family_graph(const std::string& family, int seed) {
   if (family == "random") {
@@ -39,13 +42,14 @@ class BfsModeParam
 TEST_P(BfsModeParam, AllModesProduceIdenticalLevelsAndValidTrees) {
   const auto [threads, family] = GetParam();
   Executor ex(threads);
+  Workspace ws;
   const EdgeList g = family_graph(family, threads);
-  const Csr csr = Csr::build(ex, g);
+  const Csr csr = Csr::build(ex, ws, g);
   const SeqBfsResult seq = sequential_bfs(csr, 0);
 
   for (const BfsMode mode :
        {BfsMode::kTopDown, BfsMode::kBottomUp, BfsMode::kAuto}) {
-    const BfsTree tree = bfs_tree(ex, csr, 0, mode);
+    const BfsTree tree = bfs_tree(ex, ws, csr, {&kRoot, 1}, mode);
     EXPECT_EQ(tree.reached, g.n);
     // Levels are shortest-path depths, hence identical across modes
     // even though the parent choices may differ.
@@ -77,9 +81,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BfsDirection, TopDownInspectsEveryArcOnce) {
   Executor ex(4);
+  Workspace ws;
   const EdgeList g = gen::random_connected_gnm(3000, 12000, 9);
-  const Csr csr = Csr::build(ex, g);
-  const BfsTree tree = bfs_tree(ex, csr, 0, BfsMode::kTopDown);
+  const Csr csr = Csr::build(ex, ws, g);
+  const BfsTree tree = bfs_tree(ex, ws, csr, {&kRoot, 1}, BfsMode::kTopDown);
   // On a connected graph every vertex joins the frontier exactly once,
   // so top-down inspections total the arc count 2m.
   EXPECT_EQ(tree.inspected_edges, 2 * static_cast<std::uint64_t>(g.m()));
@@ -87,11 +92,12 @@ TEST(BfsDirection, TopDownInspectsEveryArcOnce) {
 
 TEST(BfsDirection, HybridInspectsFewerEdgesOnLowDiameterGraphs) {
   Executor ex(4);
+  Workspace ws;
   for (const std::uint64_t seed : {1, 2, 3}) {
     const EdgeList g = gen::random_connected_gnm(4000, 32000, seed);
-    const Csr csr = Csr::build(ex, g);
-    const BfsTree td = bfs_tree(ex, csr, 0, BfsMode::kTopDown);
-    const BfsTree hy = bfs_tree(ex, csr, 0, BfsMode::kAuto);
+    const Csr csr = Csr::build(ex, ws, g);
+    const BfsTree td = bfs_tree(ex, ws, csr, {&kRoot, 1}, BfsMode::kTopDown);
+    const BfsTree hy = bfs_tree(ex, ws, csr, {&kRoot, 1}, BfsMode::kAuto);
     EXPECT_LT(hy.inspected_edges, td.inspected_edges);
     EXPECT_GT(hy.bottom_up_rounds, 0u);  // the switch actually fired
   }
@@ -99,9 +105,10 @@ TEST(BfsDirection, HybridInspectsFewerEdgesOnLowDiameterGraphs) {
 
 TEST(BfsDirection, HybridStaysSparseOnHighDiameterGraphs) {
   Executor ex(4);
+  Workspace ws;
   const EdgeList g = gen::path(5000);
-  const Csr csr = Csr::build(ex, g);
-  const BfsTree tree = bfs_tree(ex, csr, 0, BfsMode::kAuto);
+  const Csr csr = Csr::build(ex, ws, g);
+  const BfsTree tree = bfs_tree(ex, ws, csr, {&kRoot, 1}, BfsMode::kAuto);
   // A two-vertex frontier never clears the alpha threshold.
   EXPECT_EQ(tree.bottom_up_rounds, 0u);
 }
@@ -110,9 +117,10 @@ TEST(BfsDirection, LongPathAtFullWidthReachesEveryLevel) {
   // One vertex per round for 200k rounds: each round's gather must run
   // inline, not fork the whole pool.
   Executor ex(4);
+  Workspace ws;
   const vid n = 200000;
-  const Csr csr = Csr::build(ex, gen::path(n));
-  const BfsTree tree = bfs_tree(ex, csr, 0);
+  const Csr csr = Csr::build(ex, ws, gen::path(n));
+  const BfsTree tree = bfs_tree(ex, ws, csr, {&kRoot, 1});
   ASSERT_EQ(tree.reached, n);
   EXPECT_EQ(tree.num_levels, n);
   for (vid v = 0; v < n; ++v) ASSERT_EQ(tree.level[v], v);
@@ -130,7 +138,8 @@ TEST(BfsDirection, MultiSourceForestMatchesNearestRootDepths) {
   const std::vector<vid> roots = {0, 210, path_begin + 25, g.n - 1};
   for (const int p : {1, 4, 12}) {
     Executor ex(p);
-    const Csr csr = Csr::build(ex, g);
+    Workspace ws;
+    const Csr csr = Csr::build(ex, ws, g);
     std::vector<vid> expected(g.n, kNoVertex);
     for (const vid r : roots) {
       const SeqBfsResult seq = sequential_bfs(csr, r);
@@ -138,7 +147,6 @@ TEST(BfsDirection, MultiSourceForestMatchesNearestRootDepths) {
         expected[v] = std::min(expected[v], seq.level[v]);
       }
     }
-    Workspace ws;
     for (const BfsMode mode :
          {BfsMode::kTopDown, BfsMode::kBottomUp, BfsMode::kAuto}) {
       const BfsTree tree = bfs_tree(ex, ws, csr, roots, mode);
@@ -160,12 +168,14 @@ class SvModeParam : public ::testing::TestWithParam<std::tuple<int, int>> {};
 TEST_P(SvModeParam, ClassicAndFastSvAgreeWithSequentialUnionFind) {
   const auto [threads, seed] = GetParam();
   Executor ex(threads);
+  Workspace ws;
   // Sparse enough to be well disconnected.
   const EdgeList g = gen::random_gnm(2000, 1500, seed);
   const auto seq = connected_components_seq(g.n, g.edges);
   for (const SvMode mode : {SvMode::kClassic, SvMode::kFastSV}) {
     SvStats stats;
-    const auto par = connected_components_sv(ex, g.n, g.edges, mode, &stats);
+    std::vector<vid> par(g.n);
+    connected_components_sv(ex, ws, g.n, g.edges, par, mode, &stats);
     EXPECT_EQ(par, seq);  // same contract: component-minimum labels
     EXPECT_GE(stats.rounds, 1u);
   }
@@ -174,10 +184,12 @@ TEST_P(SvModeParam, ClassicAndFastSvAgreeWithSequentialUnionFind) {
 TEST_P(SvModeParam, ForestHasExactlyNMinusCEdgesInEveryMode) {
   const auto [threads, seed] = GetParam();
   Executor ex(threads);
+  Workspace ws;
   const EdgeList g = gen::random_gnm(3000, 6000, seed);
   const vid comps = testutil::component_count(g);
   for (const SvMode mode : {SvMode::kClassic, SvMode::kFastSV}) {
-    const SpanningForest forest = sv_spanning_forest(ex, g.n, g.edges, mode);
+    const SpanningForest forest =
+        sv_spanning_forest(ex, ws, g.n, g.edges, mode);
     EXPECT_EQ(forest.num_components, comps);
     EXPECT_EQ(forest.tree_edges.size(), g.n - comps);
     EXPECT_TRUE(is_forest(g.n, g.edges, forest.tree_edges));
@@ -203,6 +215,7 @@ TEST(FastSv, ConvergesInFewerRoundsThanClassic) {
   // order on an idle machine, which is exactly the nearly serial
   // interleave that collapses classic — so the test pins kSpmd.
   Executor ex(12);
+  Workspace ws;
   ex.set_mode(ExecMode::kSpmd);
   const EdgeList torus = gen::grid_torus(141, 141);
   const EdgeList random = gen::random_connected_gnm(20000, 160000, 20050404);
@@ -211,10 +224,11 @@ TEST(FastSv, ConvergesInFewerRoundsThanClassic) {
     separated = true;
     for (const EdgeList* g : {&torus, &random}) {
       SvStats classic, fast;
-      const auto lc = connected_components_sv(ex, g->n, g->edges,
-                                              SvMode::kClassic, &classic);
-      const auto lf =
-          connected_components_sv(ex, g->n, g->edges, SvMode::kFastSV, &fast);
+      std::vector<vid> lc(g->n), lf(g->n);
+      connected_components_sv(ex, ws, g->n, g->edges, lc, SvMode::kClassic,
+                              &classic);
+      connected_components_sv(ex, ws, g->n, g->edges, lf, SvMode::kFastSV,
+                              &fast);
       ASSERT_EQ(lc, lf);
       separated = separated && fast.rounds < classic.rounds;
     }
@@ -224,11 +238,12 @@ TEST(FastSv, ConvergesInFewerRoundsThanClassic) {
 
 TEST(FastSv, SubsetForestRestrictsEdges) {
   Executor ex(4);
+  Workspace ws;
   // A square 0-1-2-3-0 plus diagonal; restrict to the square only.
   EdgeList g(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}});
   const std::vector<eid> subset = {0, 1, 2, 3};
   const SpanningForest forest =
-      sv_spanning_forest(ex, g.n, g.edges, subset, SvMode::kFastSV);
+      sv_spanning_forest(ex, ws, g.n, g.edges, subset, SvMode::kFastSV);
   EXPECT_EQ(forest.num_components, 1u);
   EXPECT_EQ(forest.tree_edges.size(), 3u);
   for (const eid e : forest.tree_edges) {
@@ -238,10 +253,12 @@ TEST(FastSv, SubsetForestRestrictsEdges) {
 
 TEST(FastSv, LongPathStressesShortcutting) {
   Executor ex(4);
+  Workspace ws;
   const EdgeList g = gen::path(20000);
   SvStats stats;
-  const auto labels =
-      connected_components_sv(ex, g.n, g.edges, SvMode::kFastSV, &stats);
+  std::vector<vid> labels(g.n);
+  connected_components_sv(ex, ws, g.n, g.edges, labels, SvMode::kFastSV,
+                          &stats);
   for (const vid l : labels) ASSERT_EQ(l, 0u);
 }
 

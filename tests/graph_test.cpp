@@ -70,8 +70,9 @@ TEST(EdgeStore, BorrowedMutationIsCountedCopyOnWrite) {
 TEST(Csr, AdjacencyMatchesEdgeList) {
   for (const int threads : {1, 4}) {
     Executor ex(threads);
+    Workspace ws;
     const EdgeList g = gen::random_connected_gnm(500, 2000, 42);
-    const Csr csr = Csr::build(ex, g);
+    const Csr csr = Csr::build(ex, ws, g);
     ASSERT_EQ(csr.num_vertices(), g.n);
     ASSERT_EQ(csr.num_edges(), g.m());
 
@@ -102,8 +103,9 @@ TEST(Csr, AdjacencyMatchesEdgeList) {
 
 TEST(Csr, EachEdgeAppearsExactlyTwice) {
   Executor ex(4);
+  Workspace ws;
   const EdgeList g = gen::random_gnm(200, 800, 7);
-  const Csr csr = Csr::build(ex, g);
+  const Csr csr = Csr::build(ex, ws, g);
   std::vector<int> hits(g.m(), 0);
   for (vid v = 0; v < g.n; ++v) {
     for (const eid e : csr.incident_edges(v)) ++hits[e];
@@ -113,8 +115,9 @@ TEST(Csr, EachEdgeAppearsExactlyTwice) {
 
 TEST(Csr, RejectsSelfLoops) {
   Executor ex(1);
+  Workspace ws;
   EdgeList g(2, {{1, 1}});
-  EXPECT_THROW(Csr::build(ex, g), std::invalid_argument);
+  EXPECT_THROW(Csr::build(ex, ws, g), std::invalid_argument);
 }
 
 TEST(Generators, RandomGnmExactCountDistinctNoLoops) {

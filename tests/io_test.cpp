@@ -506,6 +506,7 @@ class PbgRoundTrip : public ::testing::TestWithParam<int> {
 TEST_P(PbgRoundTrip, MappedViewsMatchSource) {
   const EdgeList g = input();
   Executor ex(4);
+  Workspace ws;
   const std::string path = pbg_path("roundtrip.pbg");
   io::write_pbg(path, ex, g);
 
@@ -521,7 +522,7 @@ TEST_P(PbgRoundTrip, MappedViewsMatchSource) {
   }
   // The mapped CSR is an adjacency of the same graph (canonical row
   // order, so compare rows as sorted sets against a fresh build).
-  const Csr built = Csr::build(ex, g);
+  const Csr built = Csr::build(ex, ws, g);
   // (The n = 0 graph cannot distinguish borrowed from owned-empty.)
   if (g.n > 0) {
     ASSERT_TRUE(mapped.csr().is_borrowed());

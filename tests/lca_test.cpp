@@ -19,7 +19,8 @@ struct TreeFixture {
   TreeFixture(Executor& ex, std::vector<vid> parent, vid root) {
     tree.root = root;
     tree.parent = std::move(parent);
-    children = build_children(ex, tree.parent, root);
+    Workspace ws;
+    children = build_children(ex, ws, tree.parent, root);
     levels = build_levels(ex, children, root);
     preorder_and_size(ex, children, levels, root, tree.pre, tree.sub);
   }

@@ -42,10 +42,11 @@ TEST_P(ListRankParam, WyllieMatchesReference) {
   const auto [n, threads] = GetParam();
   if (n == 0) return;
   Executor ex(threads);
+  Workspace ws;
   const auto [succ, head] = random_list(n, n + 1);
   const auto expect = expected_ranks(succ, head);
   std::vector<vid> rank(n);
-  list_rank_wyllie(ex, succ.data(), rank.data(), n, head);
+  list_rank_wyllie(ex, ws, succ.data(), rank.data(), n, head);
   EXPECT_EQ(rank, expect);
 }
 
@@ -53,10 +54,11 @@ TEST_P(ListRankParam, HelmanJajaMatchesReference) {
   const auto [n, threads] = GetParam();
   if (n == 0) return;
   Executor ex(threads);
+  Workspace ws;
   const auto [succ, head] = random_list(n, n + 2);
   const auto expect = expected_ranks(succ, head);
   std::vector<vid> rank(n);
-  list_rank_hj(ex, succ.data(), rank.data(), n, head);
+  list_rank_hj(ex, ws, succ.data(), rank.data(), n, head);
   EXPECT_EQ(rank, expect);
 }
 
@@ -64,10 +66,11 @@ TEST_P(ListRankParam, IndependentSetMatchesReference) {
   const auto [n, threads] = GetParam();
   if (n == 0) return;
   Executor ex(threads);
+  Workspace ws;
   const auto [succ, head] = random_list(n, n + 3);
   const auto expect = expected_ranks(succ, head);
   std::vector<vid> rank(n);
-  list_rank_independent_set(ex, succ.data(), rank.data(), n, head);
+  list_rank_independent_set(ex, ws, succ.data(), rank.data(), n, head);
   EXPECT_EQ(rank, expect);
 }
 
@@ -97,6 +100,7 @@ TEST(ListRankSequential, DetectsShortList) {
 
 TEST(ListRankHj, DetectsShortList) {
   Executor ex(4);
+  Workspace ws;
   const std::size_t n = 10000;
   auto [succ, head] = random_list(n, 5);
   // Cut the list in half: nodes after the cut become unreachable.
@@ -104,33 +108,35 @@ TEST(ListRankHj, DetectsShortList) {
   for (std::size_t i = 0; i < n / 2; ++i) v = succ[v];
   succ[v] = kNoVertex;
   std::vector<vid> rank(n);
-  EXPECT_THROW(list_rank_hj(ex, succ.data(), rank.data(), n, head),
+  EXPECT_THROW(list_rank_hj(ex, ws, succ.data(), rank.data(), n, head),
                std::invalid_argument);
 }
 
 TEST(ListRankHj, DifferentSeedsSameAnswer) {
   Executor ex(4);
+  Workspace ws;
   const std::size_t n = 50000;
   const auto [succ, head] = random_list(n, 123);
   const auto expect = expected_ranks(succ, head);
   std::vector<vid> rank_a(n), rank_b(n);
-  list_rank_hj(ex, succ.data(), rank_a.data(), n, head, 1);
-  list_rank_hj(ex, succ.data(), rank_b.data(), n, head, 999);
+  list_rank_hj(ex, ws, succ.data(), rank_a.data(), n, head, 1);
+  list_rank_hj(ex, ws, succ.data(), rank_b.data(), n, head, 999);
   EXPECT_EQ(rank_a, expect);
   EXPECT_EQ(rank_b, expect);
 }
 
 TEST(ListRankAll, AgreeOnSingleton) {
   Executor ex(2);
+  Workspace ws;
   std::vector<vid> succ = {kNoVertex};
   std::vector<vid> rank = {7};
   list_rank_sequential(succ.data(), rank.data(), 1, 0);
   EXPECT_EQ(rank[0], 0u);
   rank[0] = 7;
-  list_rank_wyllie(ex, succ.data(), rank.data(), 1, 0);
+  list_rank_wyllie(ex, ws, succ.data(), rank.data(), 1, 0);
   EXPECT_EQ(rank[0], 0u);
   rank[0] = 7;
-  list_rank_hj(ex, succ.data(), rank.data(), 1, 0);
+  list_rank_hj(ex, ws, succ.data(), rank.data(), 1, 0);
   EXPECT_EQ(rank[0], 0u);
 }
 

@@ -22,6 +22,7 @@ struct Fixture {
   std::vector<vid> owner;
 
   Fixture(Executor& ex, const EdgeList& g, vid root) {
+  Workspace ws;
     const auto tree_ids = sequential_spanning_forest(g.n, g.edges);
     tree.root = root;
     tree.parent.assign(g.n, kNoVertex);
@@ -45,7 +46,7 @@ struct Fixture {
         }
       }
     }
-    children = build_children(ex, tree.parent, root);
+    children = build_children(ex, ws, tree.parent, root);
     levels = build_levels(ex, children, root);
     preorder_and_size(ex, children, levels, root, tree.pre, tree.sub);
     owner = make_tree_owner(ex, g.m(), tree);
@@ -87,11 +88,12 @@ class LowHighParam : public ::testing::TestWithParam<std::tuple<int, int>> {};
 TEST_P(LowHighParam, BothBackEndsMatchBruteForce) {
   const auto [threads, seed] = GetParam();
   Executor ex(threads);
+  Workspace ws;
   const EdgeList g = gen::random_connected_gnm(200, 600, seed);
   const Fixture fx(ex, g, 0);
   const LowHigh expect = brute_force_low_high(g, fx.tree, fx.owner);
 
-  const LowHigh rmq = compute_low_high_rmq(ex, g.edges, fx.tree, fx.owner);
+  const LowHigh rmq = compute_low_high_rmq(ex, ws, g.edges, fx.tree, fx.owner);
   EXPECT_EQ(rmq.low, expect.low);
   EXPECT_EQ(rmq.high, expect.high);
 
@@ -122,9 +124,10 @@ TEST(LowHigh, TreeOnlyGraphIsPurePreorderIntervals) {
 
 TEST(LowHigh, CycleSubtreesSeeTheRoot) {
   Executor ex(2);
+  Workspace ws;
   const EdgeList g = gen::cycle(10);
   const Fixture fx(ex, g, 0);
-  const LowHigh lh = compute_low_high_rmq(ex, g.edges, fx.tree, fx.owner);
+  const LowHigh lh = compute_low_high_rmq(ex, ws, g.edges, fx.tree, fx.owner);
   // On a cycle rooted anywhere, every subtree is incident to the
   // closing nontree edge's endpoints: low of every non-root vertex
   // reaches pre(root) = 1.

@@ -26,9 +26,10 @@ class ScanParam
 TEST_P(ScanParam, ExclusiveMatchesSerialReference) {
   const auto [n, threads] = GetParam();
   Executor ex(threads);
+  Workspace ws;
   const auto in = random_values(n, n * 31 + threads);
   std::vector<std::uint64_t> out(n);
-  const auto total = exclusive_scan(ex, in.data(), out.data(), n,
+  const auto total = exclusive_scan(ex, ws, in.data(), out.data(), n,
                                     std::uint64_t{5});
   std::uint64_t running = 5;
   for (std::size_t i = 0; i < n; ++i) {
@@ -41,9 +42,10 @@ TEST_P(ScanParam, ExclusiveMatchesSerialReference) {
 TEST_P(ScanParam, InclusiveMatchesSerialReference) {
   const auto [n, threads] = GetParam();
   Executor ex(threads);
+  Workspace ws;
   const auto in = random_values(n, n * 17 + threads);
   std::vector<std::uint64_t> out(n);
-  const auto total = inclusive_scan(ex, in.data(), out.data(), n,
+  const auto total = inclusive_scan(ex, ws, in.data(), out.data(), n,
                                     std::uint64_t{0});
   std::uint64_t running = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -56,6 +58,7 @@ TEST_P(ScanParam, InclusiveMatchesSerialReference) {
 TEST_P(ScanParam, ExclusiveScanInPlace) {
   const auto [n, threads] = GetParam();
   Executor ex(threads);
+  Workspace ws;
   auto data = random_values(n, n + 99);
   const auto expect = [&] {
     std::vector<std::uint64_t> e(n);
@@ -66,15 +69,16 @@ TEST_P(ScanParam, ExclusiveScanInPlace) {
     }
     return e;
   }();
-  exclusive_scan(ex, data.data(), data.data(), n, std::uint64_t{0});
+  exclusive_scan(ex, ws, data.data(), data.data(), n, std::uint64_t{0});
   EXPECT_EQ(data, expect);
 }
 
 TEST_P(ScanParam, ReduceMatchesAccumulate) {
   const auto [n, threads] = GetParam();
   Executor ex(threads);
+  Workspace ws;
   const auto in = random_values(n, n * 7 + 3);
-  const auto total = reduce(ex, in.data(), n, std::uint64_t{0});
+  const auto total = reduce(ex, ws, in.data(), n, std::uint64_t{0});
   EXPECT_EQ(total, std::accumulate(in.begin(), in.end(), std::uint64_t{0}));
 }
 
@@ -96,11 +100,12 @@ TEST(Reduce, NonCommutativeAssociativeOpCombinesInOrder) {
     return Affine{f.a * g.a % p, (f.a * g.b + f.b) % p};
   };
   Executor ex(3);
+  Workspace ws;
   std::vector<Affine> maps(3000);
   Xoshiro256 rng(4);
   for (auto& f : maps) f = {1 + rng.below(p - 1), rng.below(p)};
   const Affine parallel =
-      reduce(ex, maps.data(), maps.size(), Affine{}, compose);
+      reduce(ex, ws, maps.data(), maps.size(), Affine{}, compose);
   Affine serial;
   for (const auto& f : maps) serial = compose(serial, f);
   EXPECT_EQ(parallel, serial);
@@ -108,10 +113,11 @@ TEST(Reduce, NonCommutativeAssociativeOpCombinesInOrder) {
 
 TEST(Compact, PacksSelectedIndicesInOrder) {
   Executor ex(4);
+  Workspace ws;
   const std::size_t n = 30000;
   std::vector<std::uint32_t> out;
   const auto count =
-      pack_indices(ex, n, [](std::size_t i) { return i % 3 == 0; }, out);
+      pack_indices(ex, ws, n, [](std::size_t i) { return i % 3 == 0; }, out);
   EXPECT_EQ(count, out.size());
   EXPECT_EQ(count, (n + 2) / 3);
   for (std::size_t k = 0; k < out.size(); ++k) {
@@ -121,10 +127,11 @@ TEST(Compact, PacksSelectedIndicesInOrder) {
 
 TEST(Compact, EmitReceivesDenseDestinations) {
   Executor ex(3);
+  Workspace ws;
   const std::size_t n = 10000;
   std::vector<std::size_t> dst_of(n, SIZE_MAX);
   const auto count = pack_into(
-      ex, n, [](std::size_t i) { return i % 7 == 1; },
+      ex, ws, n, [](std::size_t i) { return i % 7 == 1; },
       [&](std::size_t dst, std::size_t i) { dst_of[i] = dst; });
   std::size_t expect = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -139,10 +146,11 @@ TEST(Compact, EmitReceivesDenseDestinations) {
 
 TEST(Compact, AllAndNoneSelected) {
   Executor ex(2);
+  Workspace ws;
   std::vector<std::uint32_t> out;
-  EXPECT_EQ(pack_indices(ex, 5000, [](std::size_t) { return true; }, out),
+  EXPECT_EQ(pack_indices(ex, ws, 5000, [](std::size_t) { return true; }, out),
             5000u);
-  EXPECT_EQ(pack_indices(ex, 5000, [](std::size_t) { return false; }, out),
+  EXPECT_EQ(pack_indices(ex, ws, 5000, [](std::size_t) { return false; }, out),
             0u);
   EXPECT_TRUE(out.empty());
 }

@@ -26,20 +26,22 @@ class SortParam
 TEST_P(SortParam, SampleSortMatchesStdSort) {
   const auto [n, threads] = GetParam();
   Executor ex(threads);
+  Workspace ws;
   auto data = random_keys(n, n * 3 + threads, ~std::uint64_t{0});
   auto expect = data;
   std::sort(expect.begin(), expect.end());
-  sample_sort(ex, data);
+  sample_sort(ex, ws, data.data(), data.size());
   EXPECT_EQ(data, expect);
 }
 
 TEST_P(SortParam, RadixSortMatchesStdSort) {
   const auto [n, threads] = GetParam();
   Executor ex(threads);
+  Workspace ws;
   auto data = random_keys(n, n * 5 + threads, ~std::uint64_t{0});
   auto expect = data;
   std::sort(expect.begin(), expect.end());
-  radix_sort_u64(ex, data);
+  radix_sort_u64(ex, ws, data);
   EXPECT_EQ(data, expect);
 }
 
@@ -51,62 +53,69 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SampleSort, AlreadySortedAndReversed) {
   Executor ex(4);
+  Workspace ws;
   std::vector<std::uint64_t> asc(20000);
   for (std::size_t i = 0; i < asc.size(); ++i) asc[i] = i;
   auto expect = asc;
   auto desc = asc;
   std::reverse(desc.begin(), desc.end());
-  sample_sort(ex, asc);
+  sample_sort(ex, ws, asc.data(), asc.size());
   EXPECT_EQ(asc, expect);
-  sample_sort(ex, desc);
+  sample_sort(ex, ws, desc.data(), desc.size());
   EXPECT_EQ(desc, expect);
 }
 
 TEST(SampleSort, HeavyDuplicates) {
   Executor ex(4);
+  Workspace ws;
   auto data = random_keys(50000, 9, 3);  // only keys 0,1,2
   auto expect = data;
   std::sort(expect.begin(), expect.end());
-  sample_sort(ex, data);
+  sample_sort(ex, ws, data.data(), data.size());
   EXPECT_EQ(data, expect);
 }
 
 TEST(SampleSort, CustomComparatorDescending) {
   Executor ex(3);
+  Workspace ws;
   auto data = random_keys(30000, 21, 1000);
   auto expect = data;
   std::sort(expect.begin(), expect.end(), std::greater<>());
-  sample_sort(ex, data, std::greater<>());
+  sample_sort(ex, ws, data.data(), data.size(), std::greater<>());
   EXPECT_EQ(data, expect);
 }
 
 TEST(RadixSort, AllEqualKeys) {
   Executor ex(4);
+  Workspace ws;
   std::vector<std::uint64_t> data(10000, 42);
-  radix_sort_u64(ex, data);
+  radix_sort_u64(ex, ws, data);
   for (const auto x : data) ASSERT_EQ(x, 42u);
 }
 
 TEST(RadixSort, SmallKeyRangeSkipsHighPasses) {
   Executor ex(4);
+  Workspace ws;
   auto data = random_keys(50000, 13, 255);  // single byte of entropy
   auto expect = data;
   std::sort(expect.begin(), expect.end());
-  radix_sort_u64(ex, data);
+  radix_sort_u64(ex, ws, data);
   EXPECT_EQ(data, expect);
 }
 
 TEST(RadixSort, FullWidthKeys) {
   Executor ex(2);
+  Workspace ws;
   std::vector<std::uint64_t> data = {~std::uint64_t{0}, 0, 1,
                                      std::uint64_t{1} << 63, 42};
-  radix_sort_u64(ex, data);
+  radix_sort_u64(ex, ws, data);
   EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
 }
 
 TEST(RadixSortKv, PayloadFollowsKeysStably) {
   for (const int threads : {1, 4}) {
     Executor ex(threads);
+    Workspace ws;
     Xoshiro256 rng(77);
     const std::size_t n = 30000;
     std::vector<std::uint64_t> keys(n);
@@ -116,7 +125,7 @@ TEST(RadixSortKv, PayloadFollowsKeysStably) {
       vals[i] = static_cast<std::uint32_t>(i);
     }
     auto keys_copy = keys;
-    radix_sort_kv(ex, keys, vals);
+    radix_sort_kv(ex, ws, keys, vals);
     ASSERT_TRUE(std::is_sorted(keys.begin(), keys.end()));
     // Payload correctness: vals[i] is the original index of keys[i].
     for (std::size_t i = 0; i < n; ++i) {
@@ -133,13 +142,14 @@ TEST(RadixSortKv, PayloadFollowsKeysStably) {
 
 TEST(RadixSortKv, EmptyAndSingle) {
   Executor ex(4);
+  Workspace ws;
   std::vector<std::uint64_t> keys;
   std::vector<std::uint32_t> vals;
-  radix_sort_kv(ex, keys, vals);
+  radix_sort_kv(ex, ws, keys, vals);
   EXPECT_TRUE(keys.empty());
   keys = {9};
   vals = {1};
-  radix_sort_kv(ex, keys, vals);
+  radix_sort_kv(ex, ws, keys, vals);
   EXPECT_EQ(keys[0], 9u);
   EXPECT_EQ(vals[0], 1u);
 }

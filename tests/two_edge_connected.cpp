@@ -27,14 +27,16 @@ TwoEdgeConnected two_edge_connected_components(Executor& ex,
   ex.parallel_for(out.bridges.size(), [&](std::size_t k) {
     is_bridge[out.bridges[k]] = 1;
   });
+  Workspace ws;
   std::vector<eid> survivors;
-  pack_indices(ex, g.m(),
+  pack_indices(ex, ws, g.m(),
                [&](std::size_t e) { return is_bridge[e] == 0; }, survivors);
 
   std::vector<Edge> kept;
   kept.reserve(survivors.size());
   for (const eid e : survivors) kept.push_back(g.edges[e]);
-  out.vertex_component = connected_components_sv(ex, g.n, kept);
+  out.vertex_component.resize(g.n);
+  connected_components_sv(ex, ws, g.n, kept, out.vertex_component);
   out.num_components = normalize_labels(out.vertex_component);
   return out;
 }
