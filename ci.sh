@@ -23,6 +23,20 @@ cd "$(dirname "$0")"
 
 JOBS="${JOBS:-$(nproc)}"
 
+# Run one bench or trace smoke with its stdout in build/<step>.log.  A
+# failing step prints the log's `!!` lines (the benches' gate and
+# self-check failures) and its tail, then stops the gate.
+smoke() {
+  local step="$1"
+  shift
+  if ! "$@" > "build/$step.log"; then
+    echo "ci.sh: $step failed; its !! lines and the tail of build/$step.log:" >&2
+    grep -F '!!' "build/$step.log" >&2 || true
+    tail -n 25 "build/$step.log" >&2
+    exit 1
+  fi
+}
+
 echo "==> tier-1: configure (build/, warnings as errors)"
 cmake -B build -S . -DPARBCC_WERROR=ON >/dev/null
 
@@ -65,26 +79,29 @@ echo "==> tier-1: ctest"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo "==> bench smoke: frontier ablation with --json"
-PARBCC_N=20000 PARBCC_REPS=1 ./build/bench/bench_ablation \
-    --json build/bench_smoke.json >/dev/null
+smoke bench_smoke env PARBCC_N=20000 PARBCC_REPS=1 \
+    ./build/bench/bench_ablation --json build/bench_smoke.json
 grep -q '"bench"' build/bench_smoke.json
 
 echo "==> bench smoke: FastBCC vs TV-filter engine ablation (section e)"
-PARBCC_N=20000 PARBCC_REPS=2 ./build/bench/bench_ablation --fastbcc-only \
-    --json build/bench_fastbcc_smoke.json >/dev/null
+smoke bench_fastbcc_smoke env PARBCC_N=20000 PARBCC_REPS=2 \
+    ./build/bench/bench_ablation --fastbcc-only \
+    --json build/bench_fastbcc_smoke.json
 grep -q 'ablation-fastbcc' build/bench_fastbcc_smoke.json
 
 echo "==> bench smoke: work-steal vs SPMD scheduler ablation (section f)"
-PARBCC_N=20000 PARBCC_REPS=2 ./build/bench/bench_ablation --sched-only \
-    --json build/bench_sched_smoke.json >/dev/null
+smoke bench_sched_smoke env PARBCC_N=20000 PARBCC_REPS=2 \
+    ./build/bench/bench_ablation --sched-only \
+    --json build/bench_sched_smoke.json
 grep -q 'ablation-scheduler' build/bench_sched_smoke.json
 
 echo "==> bench smoke: pathological shapes, every engine's block count vs HT"
-PARBCC_N=20000 PARBCC_THREADS=4 ./build/bench/bench_pathological >/dev/null
+smoke bench_pathological_smoke env PARBCC_N=20000 PARBCC_THREADS=4 \
+    ./build/bench/bench_pathological
 
 echo "==> trace smoke: one traced solve per algorithm"
-PARBCC_N=4000 PARBCC_REPS=1 ./build/bench/bench_fig4 \
-    --trace-out=build/trace_smoke.json >/dev/null
+smoke trace_smoke env PARBCC_N=4000 PARBCC_REPS=1 \
+    ./build/bench/bench_fig4 --trace-out=build/trace_smoke.json
 python3 tools/validate_trace.py build/trace_smoke.json
 
 # The streaming bench checks its own oracle (labels vs a fresh solve
@@ -92,13 +109,13 @@ python3 tools/validate_trace.py build/trace_smoke.json
 # throughput gate runs at bench scale via `bench_ablation
 # --dynamic-only` section (g).
 echo "==> bench smoke: batch-dynamic streaming churn with --json"
-PARBCC_N=20000 ./build/bench/bench_dynamic \
-    --json build/bench_dynamic_smoke.json >/dev/null
+smoke bench_dynamic_smoke env PARBCC_N=20000 \
+    ./build/bench/bench_dynamic --json build/bench_dynamic_smoke.json
 grep -q 'batch-dynamic' build/bench_dynamic_smoke.json
 
 echo "==> trace smoke: batch-dynamic segments"
-PARBCC_N=20000 ./build/bench/bench_dynamic \
-    --trace-out=build/trace_dynamic_smoke.json >/dev/null
+smoke trace_dynamic_smoke env PARBCC_N=20000 \
+    ./build/bench/bench_dynamic --trace-out=build/trace_dynamic_smoke.json
 python3 tools/validate_trace.py build/trace_dynamic_smoke.json
 
 # The server bench gates itself: every published epoch is checked
@@ -107,8 +124,8 @@ python3 tools/validate_trace.py build/trace_dynamic_smoke.json
 # clients must stay answered under concurrent mutation.  Any "gate:
 # FAIL" exits non-zero.
 echo "==> bench smoke: epoch-snapshot query server under load"
-PARBCC_N=20000 ./build/bench/bench_server \
-    --json build/bench_server_smoke.json > build/bench_server_smoke.log
+smoke bench_server_smoke env PARBCC_N=20000 \
+    ./build/bench/bench_server --json build/bench_server_smoke.json
 grep -q '"server"' build/bench_server_smoke.json
 if grep -q 'gate: FAIL' build/bench_server_smoke.log; then
   cat build/bench_server_smoke.log
@@ -119,13 +136,13 @@ fi
 # the fastest text ingestion and mmap-path labels identical to in-memory
 # labels on every family.  A nonzero exit is a gate failure.
 echo "==> bench smoke: zero-copy ingestion gates (A8)"
-PARBCC_N=20000 PARBCC_REPS=2 ./build/bench/bench_io \
-    --json build/bench_io_smoke.json >/dev/null
+smoke bench_io_smoke env PARBCC_N=20000 PARBCC_REPS=2 \
+    ./build/bench/bench_io --json build/bench_io_smoke.json
 grep -q '"io"' build/bench_io_smoke.json
 
 echo "==> trace smoke: ingestion segments (io_map/io_prefault)"
-PARBCC_N=20000 PARBCC_REPS=1 ./build/bench/bench_io \
-    --trace-out=build/trace_io_smoke.json >/dev/null
+smoke trace_io_smoke env PARBCC_N=20000 PARBCC_REPS=1 \
+    ./build/bench/bench_io --trace-out=build/trace_io_smoke.json
 python3 tools/validate_trace.py build/trace_io_smoke.json
 
 # End-to-end converter path on the committed fixtures: text -> .pbg

@@ -13,8 +13,9 @@
 ///  - a vertex is an articulation point iff it is incident to edges of
 ///    two different components;
 ///  - a bridge is exactly a component containing a single edge.
-/// This uniform derivation is shared by all four algorithms, so their
-/// cut reports are directly comparable in tests.
+/// The TV pipelines take their cut info from here.  HT and FastBCC
+/// read theirs off their own state (docs/ALGORITHMS.md), and this pass
+/// is the oracle the tests hold them to.
 
 namespace parbcc {
 

@@ -663,7 +663,7 @@ std::vector<vid> BatchDynamicBcc::solve_region(const EdgeList& region) {
   const auto solve = [&](const EdgeList& g) {
     if (!sequential) return biconnected_components(ctx_, g, o).edge_component;
     const Csr csr = Csr::build(ctx_.executor(), ctx_.workspace(), g);
-    return hopcroft_tarjan_bcc(g, csr).edge_component;
+    return hopcroft_tarjan_bcc(g, csr, /*cut_info=*/false).edge_component;
   };
 
   const double density = region.n == 0

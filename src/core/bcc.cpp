@@ -1,9 +1,9 @@
 #include "core/bcc.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
-#include "core/articulation.hpp"
 #include "core/drivers.hpp"
 #include "core/hopcroft_tarjan.hpp"
 #include "core/solve_frame.hpp"
@@ -31,20 +31,74 @@ class LibraryEngine final : public BccEngine {
   }
 
   BccResult run(BccContext& ctx, const EdgeList& work, vid root,
-                Trace& tr) const override {
+                bool cut_info, Trace& tr) const override {
     const PreparedGraph& pg = ctx.prepare(work);
     if (pg.conversion_seconds() > 0) {
       tr.charge(steps::kConversion, pg.conversion_seconds());
     }
     if (resolve(algorithm_, work) == BccAlgorithm::kSequential) {
-      return hopcroft_tarjan_bcc(work, pg.csr(), &tr);
+      return hopcroft_tarjan_bcc(work, pg.csr(), cut_info, &tr);
     }
-    return fast_bcc(ctx.executor(), ctx.workspace(), pg, root, tr);
+    return fast_bcc(ctx.executor(), ctx.workspace(), pg, root, cut_info, tr);
   }
 
  private:
   BccAlgorithm algorithm_;
 };
+
+/// What the frame needs to know about the caller's edges before it
+/// solves: whether any endpoint is out of range, whether any edge is a
+/// self-loop.
+struct EdgeScan {
+  bool out_of_range = false;
+  bool has_loops = false;
+};
+
+/// One parallel pass over the edges in fixed-size chunks (a small
+/// input is one chunk and runs inline).
+EdgeScan scan_edges(Executor& ex, const EdgeList& g) {
+  constexpr std::size_t kChunk = 4096;
+  const std::size_t m = g.m();
+  std::atomic<bool> out_of_range{false};
+  std::atomic<bool> has_loops{false};
+  ex.parallel_for(0, (m + kChunk - 1) / kChunk, 1, [&](std::size_t c) {
+    const std::size_t end = std::min(m, (c + 1) * kChunk);
+    bool bad = false;
+    bool loop = false;
+    for (std::size_t e = c * kChunk; e < end; ++e) {
+      const Edge& edge = g.edges[e];
+      bad |= edge.u >= g.n || edge.v >= g.n;
+      loop |= edge.u == edge.v;
+    }
+    if (bad) out_of_range.store(true, std::memory_order_relaxed);
+    if (loop) has_loops.store(true, std::memory_order_relaxed);
+  });
+  return {out_of_range.load(), has_loops.load()};
+}
+
+/// Lift a solve of the loop-free copy back onto the caller's edges:
+/// kept edges keep their labels, the i-th self-loop takes id k + i, and
+/// the bridge ids map through `kept`, which is ascending, so their
+/// order holds.  Articulation flags are unchanged by loops.
+void restore_loops(Executor& ex, const EdgeList& g,
+                   const BccContext::StrippedGraph& stripped,
+                   BccResult& result) {
+  const std::vector<eid>& kept = stripped.kept;
+  const std::vector<eid>& loops = stripped.loops;
+  std::vector<vid> full(g.m());
+  ex.parallel_for(kept.size(), [&](std::size_t j) {
+    full[kept[j]] = result.edge_component[j];
+  });
+  const vid k = result.num_components;
+  ex.parallel_for(loops.size(), [&](std::size_t i) {
+    full[loops[i]] = k + static_cast<vid>(i);
+  });
+  ex.parallel_for(result.bridges.size(), [&](std::size_t i) {
+    result.bridges[i] = kept[result.bridges[i]];
+  });
+  result.edge_component = std::move(full);
+  result.num_components = k + static_cast<vid>(loops.size());
+}
 
 }  // namespace
 
@@ -81,11 +135,10 @@ BccResult solve_frame(BccContext& ctx, const EdgeList& g,
   Executor& ex = ctx.executor();
   Workspace& ws = ctx.workspace();
 
-  for (const Edge& e : g.edges) {
-    if (e.u >= g.n || e.v >= g.n) {
-      throw std::invalid_argument(
-          "biconnected_components: edge endpoint out of range");
-    }
+  const EdgeScan scan = scan_edges(ex, g);
+  if (scan.out_of_range) {
+    throw std::invalid_argument(
+        "biconnected_components: edge endpoint out of range");
   }
   if (opt.root >= g.n && g.n > 0) {
     throw std::invalid_argument("biconnected_components: root out of range");
@@ -113,38 +166,17 @@ BccResult solve_frame(BccContext& ctx, const EdgeList& g,
   // copy lives in the context, keyed on the caller's graph identity,
   // so a warm re-solve of a loopy graph reuses both the copy and the
   // conversion cache built over it instead of rebuilding per call.
-  const bool has_loops = [&] {
-    for (const Edge& e : g.edges) {
-      if (e.u == e.v) return true;
-    }
-    return false;
-  }();
+  const bool has_loops = scan.has_loops;
   const BccContext::StrippedGraph* stripped =
       has_loops ? &ctx.strip(g) : nullptr;
   const EdgeList& work = stripped != nullptr ? stripped->graph : g;
 
   {
     TraceSpan root_span(tr, engine.name(work));
-    result = engine.run(ctx, work, opt.root, tr);
-
+    result = engine.run(ctx, work, opt.root, opt.compute_cut_info, tr);
     if (has_loops) {
       TraceSpan span(tr, "loop_components");
-      const std::vector<eid>& kept = stripped->kept;
-      std::vector<vid> full(g.m());
-      for (eid j = 0; j < kept.size(); ++j) {
-        full[kept[j]] = result.edge_component[j];
-      }
-      vid next = result.num_components;
-      for (eid e = 0; e < g.m(); ++e) {
-        if (g.edges[e].u == g.edges[e].v) full[e] = next++;
-      }
-      result.edge_component = std::move(full);
-      result.num_components = next;
-    }
-
-    if (opt.compute_cut_info) {
-      TraceSpan span(tr, "cut_info");
-      annotate_cut_info(ex, ws, g, result);
+      restore_loops(ex, g, *stripped, result);
     }
   }
 
@@ -168,8 +200,8 @@ BccResult solve_frame(BccContext& ctx, const EdgeList& g,
              static_cast<double>(result.arena_reuse_hits));
 
   // One rollup covers the whole call — the engine's (possibly many)
-  // driver solves, loop scatter-back and cut info — so the derived
-  // steps and the frame's own wall clock can no longer disagree.
+  // driver solves, its cut info and the loop scatter-back — so the
+  // derived steps and the frame's own wall clock can no longer disagree.
   result.trace = tr.report_since(trace_mark);
   result.times = derive_step_times(result.trace, total.seconds());
   return result;

@@ -51,6 +51,9 @@ class BccContext {
   /// is unsafe (a freed graph's storage can be reused by a different
   /// graph of the same size), and the fingerprint also makes in-place
   /// edge edits safe: a mutated graph simply misses and reconverts.
+  /// The fingerprint is a parallel sum of a hash of (u, v, edge index)
+  /// per edge: the same at every width, and changed by swapping two
+  /// edges as well as by rewriting an endpoint.
   /// On a cache hit the PreparedGraph's conversion charge is waived,
   /// so StepTimes::conversion reports 0 for repeat solves of the same
   /// graph.
@@ -73,10 +76,12 @@ class BccContext {
   }
 
   /// A context-owned loop-free copy of an input graph, plus the map
-  /// from surviving edges back to their original indices.
+  /// from surviving edges back to their original indices and the
+  /// indices of the self-loops, both ascending.
   struct StrippedGraph {
     EdgeList graph;
     std::vector<eid> kept;
+    std::vector<eid> loops;
   };
 
   /// Loop-free view of `g`, built on first use and cached keyed

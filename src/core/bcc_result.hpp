@@ -62,9 +62,10 @@ struct StepTimes {
   double connected_components = 0;
   double filtering = 0;
   /// Wall-clock the trace rollup could not attribute to any Fig. 4
-  /// step: dispatch overhead, cut-info annotation, label
-  /// normalization, scatter-backs.  accounted() + unattributed == total
-  /// up to clock granularity — the books balance by construction.
+  /// step: the frame's own passes (loop scatter-back, telemetry), HT's
+  /// whole DFS, and for the TV pipelines their label normalization and
+  /// cut-info pass.  accounted() + unattributed == total up to clock
+  /// granularity — the books balance by construction.
   double unattributed = 0;
   double total = 0;
 

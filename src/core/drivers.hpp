@@ -64,11 +64,14 @@ class PreparedGraph {
 /// beyond the tree structures; never materializes an auxiliary graph.
 /// A disconnected input costs one SV pass and a multi-source BFS; its
 /// forest hangs under a virtual root n.  Assumes an input without
-/// self-loops; fills edge_component with contiguous labels and
-/// num_components, recording its Fig. 4 steps into `tr`.  All O(n + m)
-/// scratch is drawn from (and returned to) `ws`; cut info is the
-/// caller's.
+/// self-loops; fills edge_component with contiguous ids numbered by
+/// each block's smallest non-head vertex (the same at every p) and
+/// num_components, recording its Fig. 4 steps into `tr`.  With
+/// `cut_info` it also fills is_articulation and the ascending bridge
+/// list from the clusters in O(n), plus one read-only pass over the
+/// edges when some block is a single edge.  All O(n + m)
+/// scratch is drawn from (and returned to) `ws`.
 BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
-                   vid root, Trace& tr);
+                   vid root, bool cut_info, Trace& tr);
 
 }  // namespace parbcc

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <atomic>
 
 #include "connectivity/concurrent_union_find.hpp"
 #include "connectivity/shiloach_vishkin.hpp"
@@ -33,6 +34,7 @@
 ///  4. Label-edge: every edge belongs to the cluster of its deeper
 ///     endpoint (the one that is not the BCC head); for cross edges
 ///     both endpoints share a cluster by step 3, so either works.
+///     Cut vertices and bridges follow from the clusters in O(n).
 ///
 /// Correctness of the criticality rule does not need a DFS tree: the
 /// test reads only preorder intervals, which any rooted spanning tree
@@ -83,7 +85,7 @@ namespace {
 }  // namespace
 
 BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
-                   vid root, Trace& tr) {
+                   vid root, bool cut_info, Trace& tr) {
   const EdgeList& g = pg.graph();
   const Csr& csr = pg.csr();
   BccResult result;
@@ -207,6 +209,9 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
   const ConcurrentUnionFind uf(cluster);
   {
     TraceSpan span(tr, steps::kConnectedComponents);
+    // The per-worker counters go back to the arena before step 4's
+    // packs take their p offsets, so those add nothing to the peak.
+    Workspace::Frame counters_frame(ws);
     ConcurrentUnionFind::init(ex, cluster);
     std::span<Padded<std::uint64_t>> thread_hooks =
         ws.alloc<Padded<std::uint64_t>>(static_cast<std::size_t>(p));
@@ -291,22 +296,89 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
     tr.counter("fastbcc_cross_edges", static_cast<double>(total_cross));
   }
 
-  // Step 4: per-edge labels off the flattened clusters.
-  {
-    TraceSpan span(tr, steps::kLabelEdge);
-    result.edge_component.resize(m);
-    ex.parallel_for(m, [&](std::size_t e) {
-      const vid u = g.edges[e].u;
-      const vid v = g.edges[e].v;
-      const vid deeper = tree.is_ancestor(u, v) ? v : u;
-      result.edge_component[e] = cluster[deeper];
-    });
-  }
+  // Step 4: per-edge labels off the flattened clusters.  The clusters
+  // that hold edges are the union-find roots with a parent edge in g
+  // (a top vertex — the root, or a child of the virtual root — is a
+  // singleton that labels nothing); numbering them in vertex order
+  // gives contiguous ids that depend on neither p nor the schedule.
+  // low and high are dead after the hook: low holds the ids, high the
+  // per-block bridge flags below.
+  const auto is_top = [&](vid v) {
+    return v == tree.root || tree.parent[v] == n;
+  };
+  std::span<vid> block_id = low;
+  TraceSpan span(tr, steps::kLabelEdge);
+  const vid k = static_cast<vid>(pack_into(
+      ex, ws, n,
+      [&](std::size_t v) {
+        return cluster[v] == v && !is_top(static_cast<vid>(v));
+      },
+      [&](std::size_t dst, std::size_t v) {
+        block_id[v] = static_cast<vid>(dst);
+      }));
+  result.num_components = k;
+  result.edge_component.resize(m);
+  ex.parallel_for(m, [&](std::size_t e) {
+    const vid u = g.edges[e].u;
+    const vid v = g.edges[e].v;
+    const vid deeper = tree.is_ancestor(u, v) ? v : u;
+    result.edge_component[e] = block_id[cluster[deeper]];
+  });
+  if (!cut_info) return result;
 
-  {
-    TraceSpan span(tr, "normalize");
-    result.num_components = normalize_labels(result.edge_component);
-  }
+  // Cut info from the clusters, O(n) (docs/ALGORITHMS.md, "Cut info"):
+  // a non-top u is a cut vertex iff a child's cluster differs from u's
+  // own, a top u iff its children span two clusters.  A block holds
+  // two or more edges iff its cluster has a second vertex (each brings
+  // its own tree edge) or its one vertex c has a parallel copy of its
+  // tree edge (c is critical, so every other edge c labels runs to
+  // parent(c)).  The per-block flags live in `high`, dead after the
+  // hook; every flag is read before it is stored.
+  TraceSpan cut_span(tr, "cut_elements");
+  std::span<vid> many = high;
+  const auto flag = [](auto& slot) {
+    std::atomic_ref f(slot);
+    if (f.load(std::memory_order_relaxed) == 0) {
+      f.store(1, std::memory_order_relaxed);
+    }
+  };
+  ex.parallel_for(k, [&](std::size_t b) { many[b] = 0; });
+  result.is_articulation.assign(n, 0);
+  ex.parallel_for(n, [&](std::size_t v) {
+    if (is_top(static_cast<vid>(v))) return;
+    const vid c = cluster[v];
+    if (c != v) flag(many[block_id[c]]);
+    const vid par = tree.parent[v];
+    const vid ref =
+        is_top(par) ? cluster[children.children(par)[0]] : cluster[par];
+    if (c != ref) flag(result.is_articulation[par]);
+  });
+  ex.parallel_for_dynamic(n, /*grain=*/512, [&](std::size_t v) {
+    if (cluster[v] != v || is_top(static_cast<vid>(v)) ||
+        many[block_id[v]] != 0) {
+      return;
+    }
+    const vid par = tree.parent[v];
+    vid copies = 0;
+    for (const vid w : csr.neighbors(static_cast<vid>(v))) {
+      copies += w == par ? 1 : 0;
+    }
+    if (copies > 1) many[block_id[v]] = 1;  // v's own block: one writer
+  });
+  std::atomic<std::size_t> singles{0};
+  ex.parallel_blocks(k, [&](int, std::size_t begin, std::size_t end) {
+    std::size_t count = 0;
+    for (std::size_t b = begin; b < end; ++b) count += many[b] == 0 ? 1 : 0;
+    singles.fetch_add(count, std::memory_order_relaxed);
+  });
+  if (singles.load() == 0) return result;
+  result.bridges.resize(singles.load());
+  pack_into(
+      ex, ws, m,
+      [&](std::size_t e) { return many[result.edge_component[e]] == 0; },
+      [&](std::size_t dst, std::size_t e) {
+        result.bridges[dst] = static_cast<eid>(e);
+      });
   return result;
 }
 

@@ -1,7 +1,7 @@
 #include "core/hopcroft_tarjan.hpp"
 
+#include <algorithm>
 #include <cassert>
-
 
 namespace parbcc {
 namespace {
@@ -15,11 +15,12 @@ struct Frame {
 }  // namespace
 
 BccResult hopcroft_tarjan_bcc(const EdgeList& g, const Csr& csr,
-                              Trace* trace) {
+                              bool cut_info, Trace* trace) {
   const vid n = g.n;
   const eid m = g.m();
   BccResult result;
   result.edge_component.assign(m, kNoVertex);
+  if (cut_info) result.is_articulation.assign(n, 0);
 
   TraceSpan dfs_span(trace, "dfs");
   std::vector<vid> disc(n, kNoVertex);
@@ -34,6 +35,7 @@ BccResult hopcroft_tarjan_bcc(const EdgeList& g, const Csr& csr,
 
   for (vid r = 0; r < n; ++r) {
     if (disc[r] != kNoVertex) continue;
+    vid root_blocks = 0;
     disc[r] = low[r] = timer_v++;
     stack.push_back({r, kNoEdge, 0});
 
@@ -72,6 +74,15 @@ BccResult hopcroft_tarjan_bcc(const EdgeList& g, const Csr& csr,
       if (low[v] >= disc[u]) {
         // u separates v's subtree: everything stacked above (and
         // including) the tree edge u-v is one biconnected component.
+        // A non-root u meets it and its own parent edge's block; the
+        // root is a cut vertex once a second block pops at it.  A block
+        // whose top edge is u-v holds that edge alone: a bridge.
+        if (cut_info) {
+          if (stack.size() > 1 || ++root_blocks == 2) {
+            result.is_articulation[u] = 1;
+          }
+          if (edge_stack.back() == up_edge) result.bridges.push_back(up_edge);
+        }
         const vid label = next_label++;
         for (;;) {
           assert(!edge_stack.empty());
@@ -95,6 +106,7 @@ BccResult hopcroft_tarjan_bcc(const EdgeList& g, const Csr& csr,
   }
 
   result.num_components = next_label;
+  std::sort(result.bridges.begin(), result.bridges.end());
   return result;
 }
 

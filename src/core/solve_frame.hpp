@@ -7,8 +7,9 @@
 
 /// \file solve_frame.hpp
 /// The frame every solve shares, whichever engine labels the edges:
-/// input checks, the self-loop split, cut info, arena and scheduler
-/// telemetry, and StepTimes derived from one trace rollup.
+/// input checks, the self-loop split and its scatter-back, arena and
+/// scheduler telemetry, and StepTimes derived from one trace rollup.
+/// Every pass the frame makes over the edges is parallel.
 
 namespace parbcc {
 
@@ -21,9 +22,11 @@ class BccEngine {
 
   /// Label the edges of `work` — the input with its self-loops split
   /// off, possibly disconnected — with contiguous ids (edge_component
-  /// and num_components only), recording spans and counters into `tr`.
+  /// and num_components), recording spans and counters into `tr`.
+  /// With `cut_info`, also fill is_articulation (n flags) and bridges
+  /// (ascending edge ids of `work`); without it, leave both empty.
   virtual BccResult run(BccContext& ctx, const EdgeList& work, vid root,
-                        Trace& tr) const = 0;
+                        bool cut_info, Trace& tr) const = 0;
 
  protected:
   ~BccEngine() = default;

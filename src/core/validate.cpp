@@ -109,7 +109,7 @@ ValidationReport validate_bcc(Executor& ex, const EdgeList& g,
       sub.edges.push_back({local[g.edges[e].u], local[g.edges[e].v]});
     }
     const Csr csr = Csr::build(ex, ws, sub);
-    const BccResult ht = hopcroft_tarjan_bcc(sub, csr);
+    const BccResult ht = hopcroft_tarjan_bcc(sub, csr, /*cut_info=*/false);
     if (ht.num_components != 1) {
       return fail(fmt("block is not biconnected", c, ht.num_components));
     }

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "connectivity/shiloach_vishkin.hpp"
+#include "core/articulation.hpp"
 #include "core/solve_frame.hpp"
 #include "paper/tv_core.hpp"
 
@@ -116,8 +117,15 @@ class TvEngine final : public BccEngine {
   }
 
   BccResult run(BccContext& ctx, const EdgeList& work, vid root,
-                Trace& tr) const override {
-    return run_general(ctx, work, opt_, root, tr);
+                bool cut_info, Trace& tr) const override {
+    BccResult result = run_general(ctx, work, opt_, root, tr);
+    if (cut_info) {
+      // The TV pipelines keep nothing past their labels to read cut
+      // info from, so it is derived from the labels.
+      TraceSpan span(tr, "cut_info");
+      annotate_cut_info(ctx.executor(), ctx.workspace(), work, result);
+    }
+    return result;
   }
 
  private:

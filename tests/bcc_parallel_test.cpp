@@ -67,7 +67,7 @@ TEST_P(BccEquivalence, MatchesSequentialTarjanAsPartition) {
   const BccResult par = testutil::solve(ex, g, algorithm, opt);
 
   const Csr csr = Csr::build(ex, ws, g);
-  BccResult seq = hopcroft_tarjan_bcc(g, csr);
+  BccResult seq = hopcroft_tarjan_bcc(g, csr, /*cut_info=*/false);
   annotate_cut_info(ex, ws, g, seq);
 
   ASSERT_EQ(par.num_components, seq.num_components);

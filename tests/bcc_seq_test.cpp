@@ -16,7 +16,7 @@ BccResult run(const EdgeList& g) {
   Executor ex(1);
   Workspace ws;
   const Csr csr = Csr::build(ex, ws, g);
-  BccResult r = hopcroft_tarjan_bcc(g, csr);
+  BccResult r = hopcroft_tarjan_bcc(g, csr, /*cut_info=*/false);
   annotate_cut_info(ex, ws, g, r);
   return r;
 }
@@ -95,7 +95,7 @@ TEST(HopcroftTarjan, DeepPathDoesNotOverflowStack) {
   Executor ex(1);
   Workspace ws;
   const Csr csr = Csr::build(ex, ws, g);
-  const BccResult r = hopcroft_tarjan_bcc(g, csr);
+  const BccResult r = hopcroft_tarjan_bcc(g, csr, /*cut_info=*/false);
   EXPECT_EQ(r.num_components, g.m());
 }
 

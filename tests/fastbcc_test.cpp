@@ -192,7 +192,8 @@ TEST_P(FastBccForest, DirectDriverMatchesHopcroftTarjan) {
   for (const auto& c : cases) {
     const PreparedGraph pg(ex, ws, *c.g);
     Trace trace(p);
-    const BccResult fast = fast_bcc(ex, ws, pg, c.root, trace);
+    const BccResult fast =
+        fast_bcc(ex, ws, pg, c.root, /*cut_info=*/false, trace);
     const BccResult ht =
         testutil::solve(ex, *c.g, Engine(BccAlgorithm::kSequential));
     ASSERT_EQ(fast.num_components, ht.num_components) << c.name;
@@ -209,12 +210,39 @@ TEST_P(FastBccForest, DirectDriverMatchesHopcroftTarjan) {
   const EdgeList connected = gen::random_connected_gnm(2000, 6000, 43);
   const PreparedGraph pg(ex, ws, connected);
   Trace trace(p);
-  fast_bcc(ex, ws, pg, /*root=*/0, trace);
+  fast_bcc(ex, ws, pg, /*root=*/0, /*cut_info=*/false, trace);
   EXPECT_EQ(trace.report().find_path("spanning_tree/component_roots"),
             nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, FastBccForest, ::testing::Values(1, 4, 12));
+
+TEST(FastBcc, LabelsAreExactAcrossWidths) {
+  // Block ids number each block's smallest non-head vertex, and every
+  // union-find root is its cluster's minimum, so the ids — not just the
+  // partition — are the same at every p for a given root.
+  const EdgeList connected = gen::random_connected_gnm(3000, 6000, 11);
+  const EdgeList forest = gen::random_gnm(3000, 3600, 12);
+  for (const EdgeList* g : {&connected, &forest}) {
+    for (const vid root : {vid{0}, vid{1234}}) {
+      std::vector<vid> first;
+      for (const int p : {1, 4, 12}) {
+        Executor ex(p);
+        SolveOptions opt;
+        opt.root = root;
+        const BccResult r =
+            testutil::solve(ex, *g, Engine(BccAlgorithm::kFastBcc), opt);
+        if (first.empty()) {
+          first = r.edge_component;
+          continue;
+        }
+        EXPECT_EQ(r.edge_component, first)
+            << (g == &connected ? "connected" : "forest") << " root=" << root
+            << " p=" << p;
+      }
+    }
+  }
+}
 
 TEST(FastBcc, DisconnectedThroughDispatcherMatchesReference) {
   Executor ex(4);

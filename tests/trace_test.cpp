@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "core/bcc.hpp"
+#include "graph/generators.hpp"
 #include "paper/solve.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
@@ -319,6 +320,34 @@ TEST(Trace, SolveRollupReachesBccResult) {
   EXPECT_GE(r.trace.counter_total("sv_rounds"), 1.0);
   EXPECT_NEAR(r.times.accounted() + r.times.unattributed, r.times.total,
               std::max(0.01 * r.times.total, 1e-6));
+}
+
+bool opens_span(const TraceReport& report, const std::string& name) {
+  for (const TracePhase& phase : report.phases) {
+    if (phase.name == name) return true;
+  }
+  return false;
+}
+
+TEST(Trace, LibraryEnginesReportCutInfoWithoutAPostPass) {
+  // HT and FastBCC return cut info from their own state, with
+  // contiguous ids: no cut_info pass and no label normalization.  The
+  // TV pipelines still derive cut info from their labels.
+  const EdgeList g = gen::random_gnm(3000, 4500, 5);  // several components
+  BccContext ctx(4);
+  for (const BccAlgorithm algorithm :
+       {BccAlgorithm::kSequential, BccAlgorithm::kFastBcc}) {
+    BccOptions opt;
+    opt.algorithm = algorithm;
+    const BccResult r = biconnected_components(ctx, g, opt);
+    ASSERT_EQ(r.is_articulation.size(), g.n) << to_string(algorithm);
+    EXPECT_FALSE(opens_span(r.trace, "cut_info")) << to_string(algorithm);
+    EXPECT_FALSE(opens_span(r.trace, "normalize")) << to_string(algorithm);
+  }
+  paper::PaperOptions popt;
+  popt.algorithm = paper::Algorithm::kTvOpt;
+  const BccResult tv = paper::solve(ctx, g, popt);
+  EXPECT_TRUE(opens_span(tv.trace, "cut_info"));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 
 #include "core/bcc.hpp"
 #include "engines.hpp"
@@ -181,6 +182,39 @@ TEST(BccContext, SameAddressSameSizeDifferentGraphMissesCache) {
   EXPECT_TRUE(
       testutil::same_partition(got.edge_component, want.edge_component));
   EXPECT_EQ(got.is_articulation, want.is_articulation);
+}
+
+TEST(BccContext, InPlaceEdgeEditMissesCache) {
+  // The fingerprint hashes each edge with its index: swapping two edges
+  // keeps the multiset of edges (an order-blind sum would still hit)
+  // but changes the CSR's edge ids, so it must miss; so must rewriting
+  // one endpoint.
+  EdgeList g = gen::random_connected_gnm(3000, 9000, 4);
+  BccContext ctx(4);
+  BccOptions opt;
+  opt.algorithm = BccAlgorithm::kFastBcc;
+  const auto expect_reconverts_and_matches_ht = [&](const char* what) {
+    const BccResult got = biconnected_components(ctx, g, opt);
+    EXPECT_GT(got.times.conversion, 0.0) << what;
+    BccContext fresh(1);
+    BccOptions ht;
+    ht.algorithm = BccAlgorithm::kSequential;
+    const BccResult want = biconnected_components(fresh, g, ht);
+    ASSERT_EQ(got.num_components, want.num_components) << what;
+    EXPECT_TRUE(
+        testutil::same_partition(got.edge_component, want.edge_component))
+        << what;
+    EXPECT_EQ(got.is_articulation, want.is_articulation) << what;
+    EXPECT_EQ(got.bridges, want.bridges) << what;
+  };
+
+  biconnected_components(ctx, g, opt);
+  std::swap(g.edges[10], g.edges[5000]);
+  expect_reconverts_and_matches_ht("swap");
+
+  g.edges[42].v = g.edges[42].v == 0 ? 1 : 0;
+  if (g.edges[42].u == g.edges[42].v) g.edges[42].u = 2;
+  expect_reconverts_and_matches_ht("endpoint rewrite");
 }
 
 TEST(BccContext, InvalidateForcesReconversion) {
