@@ -8,11 +8,9 @@
 #include <utility>
 
 #include "connectivity/shiloach_vishkin.hpp"
-#include "core/articulation.hpp"
 #include "core/bcc.hpp"
 #include "core/hopcroft_tarjan.hpp"
 #include "graph/csr.hpp"
-#include "spanning/certificate.hpp"
 
 namespace parbcc {
 
@@ -25,7 +23,6 @@ BatchDynamicBcc::BatchDynamicBcc(BccContext& ctx, EdgeList base,
         "endpoints");
   }
   full_solve();
-  reset_bookkeeping();
   reseed_components();
   // The seeding solve leaves g_'s CSR in the conversion cache (a
   // disconnected base may need one parallel build here); each incidence
@@ -57,26 +54,12 @@ BatchDynamicBcc::BatchDynamicBcc(BccContext& ctx, EdgeList base,
 }
 
 void BatchDynamicBcc::full_solve() {
-  BccOptions o;
-  o.algorithm = opt_.algorithm;
-  o.compute_cut_info = opt_.compute_cut_info;
-  result_ = biconnected_components(ctx_, g_, o);
-  // A full solve restarts the label space: first-appearance normalized,
-  // contiguous in [0, num_components).
-  result_.num_components = normalize_labels(result_.edge_component);
-}
-
-void BatchDynamicBcc::reset_bookkeeping() {
-  // Bridges are the single-edge blocks; counted from the labels so the
-  // mask holds even when cut info is not published.
+  // A full solve restarts the label space: its labels are contiguous in
+  // [0, num_components) (bcc_result.hpp), and it lists the bridges.
+  result_ = biconnected_components(ctx_, g_, BccOptions{});
   next_label_ = result_.num_components;
-  const std::vector<vid>& lab = result_.edge_component;
-  sub_count_.assign(next_label_, 0);
-  for (const vid l : lab) ++sub_count_[l];
-  bridge_mask_.resize(g_.m());
-  for (eid e = 0; e < g_.m(); ++e) {
-    bridge_mask_[e] = static_cast<std::uint8_t>(sub_count_[lab[e]] == 1);
-  }
+  bridge_mask_.assign(g_.m(), 0);
+  for (const eid b : result_.bridges) bridge_mask_[b] = 1;
 }
 
 void BatchDynamicBcc::reseed_components() {
@@ -143,8 +126,8 @@ bool BatchDynamicBcc::split_check(vid u, vid v, bool was_bridge) {
   // small for the peripheral blocks churn targets.  A deleted bridge
   // can never meet; the sides only race to run dry.
   while (true) {
-    const bool can0 = !front[0]->empty() && explored[0] <= opt_.search_cap;
-    const bool can1 = !front[1]->empty() && explored[1] <= opt_.search_cap;
+    const bool can0 = !front[0]->empty() && explored[0] <= kSearchCap;
+    const bool can1 = !front[1]->empty() && explored[1] <= kSearchCap;
     int s;
     if (can0 && can1) {
       s = cost[0] <= cost[1] ? 0 : 1;
@@ -301,8 +284,8 @@ BatchDynamicBcc::Probe BatchDynamicBcc::search_pair(vid u, vid v) {
     // Expand the cheaper live frontier (fewer arcs to scan); a capped
     // side is frozen but keeps its marks, so the other side can still
     // meet it.
-    const bool can0 = !front[0]->empty() && explored[0] <= opt_.search_cap;
-    const bool can1 = !front[1]->empty() && explored[1] <= opt_.search_cap;
+    const bool can0 = !front[0]->empty() && explored[0] <= kSearchCap;
+    const bool can1 = !front[1]->empty() && explored[1] <= kSearchCap;
     int s;
     if (can0 && can1) {
       s = cost[0] <= cost[1] ? 0 : 1;
@@ -542,6 +525,7 @@ void BatchDynamicBcc::collect_region(double touch_limit) {
   if (arcs <= arc_budget) return;
 
   // Hubs made the flood dearer than a sweep: one pass over the labels.
+  if (trace_) trace_->counter("batch_region_sweeps", 1.0);
   region_.clear();
   for (eid e = 0; e < m; ++e) {
     if (!(label_flags_[lab[e]] & kFlagged)) continue;
@@ -645,64 +629,6 @@ void BatchDynamicBcc::rebuild_edges(std::span<const Edge> insertions,
   }
 }
 
-std::vector<vid> BatchDynamicBcc::solve_region(const EdgeList& region) {
-  BccOptions o;
-  o.algorithm = opt_.algorithm;
-  o.compute_cut_info = false;
-  // The region is a union of scattered peripheral blocks — hundreds of
-  // tiny connected components.  The dispatcher's per-component loop
-  // would pay a parallel pipeline's fixed costs (spans, barriers,
-  // arena frames) on every few-edge piece, and even its sequential
-  // path pays a trace rollup, a fingerprint and a conversion-cache
-  // entry per call, so below a generous cutoff the region goes
-  // straight to Hopcroft-Tarjan; parallel solves only pay off on
-  // regions big enough to flirt with the damage threshold anyway.
-  constexpr std::uint64_t kSequentialRegionCutoff = 1u << 16;
-  const bool sequential = static_cast<std::uint64_t>(region.n) + region.m() <
-                          kSequentialRegionCutoff;
-  const auto solve = [&](const EdgeList& g) {
-    if (!sequential) return biconnected_components(ctx_, g, o).edge_component;
-    const Csr csr = Csr::build(ctx_.executor(), ctx_.workspace(), g);
-    return hopcroft_tarjan_bcc(g, csr, /*cut_info=*/false).edge_component;
-  };
-
-  const double density = region.n == 0
-                             ? 0.0
-                             : static_cast<double>(region.m()) /
-                                   static_cast<double>(region.n);
-  if (density <= opt_.certificate_density) {
-    return solve(region);
-  }
-
-  // Dense region: solve the k = 2 BFS certificate (Theorem 2 — T u F
-  // preserves the whole block structure) and scatter labels onto the
-  // omitted edges.  An omitted edge {x, y} closes a cycle with its F1
-  // tree path, so it shares a block with the parent tree edge of its
-  // deeper endpoint; BFS levels across an edge differ by at most one,
-  // so on a level tie either parent edge lies on that cycle.
-  SparseCertificate cert = sparse_certificate_vertex(
-      ctx_.executor(), ctx_.workspace(), region, 2);
-  const EdgeList cert_graph = cert.subgraph(region);
-  stats_.certificate_edges = cert_graph.m();
-  const std::vector<vid> cert_labels = solve(cert_graph);
-
-  std::vector<vid> labels(region.m(), kNoVertex);
-  for (std::size_t i = 0; i < cert.edges.size(); ++i) {
-    labels[cert.edges[i]] = cert_labels[i];
-  }
-  for (eid e = 0; e < region.m(); ++e) {
-    if (labels[e] != kNoVertex) continue;
-    const vid x = region.edges[e].u;
-    const vid y = region.edges[e].v;
-    const vid d = cert.f1_level[x] >= cert.f1_level[y] ? x : y;
-    // The deeper endpoint is never an F1 root: roots sit at level 0
-    // and a neighbor of a root is at level 1 exactly.
-    assert(cert.f1_parent_edge[d] != kNoEdge);
-    labels[e] = labels[cert.f1_parent_edge[d]];
-  }
-  return labels;
-}
-
 const BccResult& BatchDynamicBcc::apply_batch(
     std::span<const Edge> insertions, std::span<const eid> deletions) {
   TraceSpan span(trace_, "batch_apply");
@@ -739,7 +665,7 @@ const BccResult& BatchDynamicBcc::apply_batch(
       force_full_ || static_cast<double>(touched) >
                          opt_.damage_threshold * static_cast<double>(n);
 
-  if (!fall_back && opt_.compute_cut_info) {
+  if (!fall_back) {
     // The standing bridges the region swallows are the seeds of its
     // single-edge blocks; read in the pre-batch numbering, before any
     // edge moves.
@@ -763,14 +689,13 @@ const BccResult& BatchDynamicBcc::apply_batch(
     stats_.fell_back = true;
     ++fallbacks_;
     full_solve();
-    reset_bookkeeping();
     reseed_components();
     return result_;
   }
   stats_.region_edges = static_cast<eid>(region_.size());
 
   {
-    TraceSpan solve_span(trace_, "certificate_solve");
+    TraceSpan solve_span(trace_, "region_solve");
     vid region_blocks = 0;
     if (!region_.empty()) {
       // Compact vertex ids by first appearance, stamped in mark_b_ so
@@ -791,16 +716,22 @@ const BccResult& BatchDynamicBcc::apply_batch(
         region_graph_.edges.push_back({cu, compact(ed.v)});
       }
       region_graph_.n = rn;
-      const std::vector<vid> sub_labels = solve_region(region_graph_);
+      // Hopcroft-Tarjan, linear in the region.  Building a k = 2
+      // certificate first was slower on every dense family measured, and
+      // the full entry point (solve frame, kAuto) won only on single
+      // dense regions past ~200k edges at p >= 2 (EXPERIMENTS.md A13).
+      const Csr csr =
+          Csr::build(ctx_.executor(), ctx_.workspace(), region_graph_);
+      const BccResult sub =
+          hopcroft_tarjan_bcc(region_graph_, csr, /*cut_info=*/false);
+      const std::vector<vid>& sub_labels = sub.edge_component;
       // Splice: the region's blocks take fresh label values past every
       // standing one, so unchanged blocks keep their labels and the
       // published array stays partition-equal to a from-scratch solve
       // of g_ (label values are never canonical across engines, see
-      // bcc_result.hpp; the partition is).  Every solve_region label
-      // appears on some region edge, so the count is its max + 1.
-      for (const vid l : sub_labels) {
-        region_blocks = std::max(region_blocks, l + 1);
-      }
+      // bcc_result.hpp; the partition is).  HT's labels are contiguous
+      // in [0, num_components).
+      region_blocks = sub.num_components;
       sub_count_.assign(region_blocks, 0);
       for (const vid l : sub_labels) ++sub_count_[l];
       const vid offset = next_label_;
@@ -811,8 +742,6 @@ const BccResult& BatchDynamicBcc::apply_batch(
         if (bridge) moved_bridges_.push_back(region_[i]);
       }
       next_label_ += region_blocks;
-      // Drop cache entries keyed on the batch's temporary subgraphs.
-      ctx_.invalidate();
     }
     // The flagged blocks vanished with the region (every edge of a
     // flagged label was a region member or deleted); the region solve's
@@ -828,21 +757,14 @@ const BccResult& BatchDynamicBcc::apply_batch(
   // keep per-label scratch (here and in callers sizing by
   // label_bound()) proportional to the graph.  Amortized O(1) per
   // spliced edge.  The threshold is 64-bit (renormalize_label_threshold)
-  // — vid arithmetic wraps past n + m = 2^31.  Renormalization is
-  // produce-then-swap: normalize_labels rewrites every element, and
-  // doing that inside the standing array would tear any published
-  // snapshot or caller-held span mid-pass into a mix of old and new
-  // label values (an inconsistent partition, not just non-canonical
-  // ids).  Writing into a fresh buffer and swapping makes the visible
-  // mutation a single pointer-level replacement.
+  // — vid arithmetic wraps past n + m = 2^31.  The pass rewrites the
+  // labels in place, as the splice does: publishers deep-copy result().
   const std::uint64_t renorm_limit =
       opt_.renorm_label_limit != 0
           ? opt_.renorm_label_limit
           : renormalize_label_threshold(g_.n, g_.m());
   if (static_cast<std::uint64_t>(next_label_) > renorm_limit) {
-    std::vector<vid> fresh(result_.edge_component);
-    result_.num_components = normalize_labels(fresh);
-    result_.edge_component = std::move(fresh);
+    result_.num_components = normalize_labels(result_.edge_component);
     next_label_ = result_.num_components;
   }
 
@@ -866,11 +788,6 @@ const BccResult& BatchDynamicBcc::apply_batch(
 }
 
 void BatchDynamicBcc::patch_cut_info(eid base) {
-  if (!opt_.compute_cut_info) {
-    result_.is_articulation.clear();
-    result_.bridges.clear();
-    return;
-  }
   // Articulation status (incident to >= 2 distinct labels) can change
   // only where an incident label changed — exactly the touched set.
   const std::vector<vid>& lab = result_.edge_component;

@@ -52,10 +52,7 @@
 /// block-cut-tree paths, and the union of per-edge tree paths is
 /// exactly the set of blocks any added-edge combination can merge.
 /// (2) It extracts that region plus the inserted edges as a compact
-/// subgraph and solves only it, going through a sparse
-/// 2-vertex-connectivity certificate (`sparse_certificate_vertex`)
-/// first when the region is dense — the omitted edges are labeled
-/// afterwards by the certificate's F1 scatter rule; and (3) splices
+/// subgraph and solves only it, with Hopcroft-Tarjan; and (3) splices
 /// the region's fresh labels back with previously unused label values,
 /// patching the cut info only where it can change.
 ///
@@ -66,7 +63,7 @@
 ///  - the region is collected by flooding each flagged block from a
 ///    seed edge along its own label over the incidence lists (one
 ///    label sweep over all edges only when hubs make the flood cost
-///    more than half of one);
+///    more than half of one, counted as `batch_region_sweeps`);
 ///  - a deletion that is the only one in its (non-bridge) block cannot
 ///    disconnect anything, so it skips the split check;
 ///  - deletions compact `graph().edges` by swapping the last edge into
@@ -75,7 +72,7 @@
 ///    en masse);
 ///  - spliced region labels take fresh ids from a monotone counter
 ///    (`label_bound()` is the exclusive upper bound); the published
-///    array is renormalized opportunistically only when the id space
+///    array is renormalized in place, and only when the id space
 ///    outgrows ~2(n + m), so labels are *partition*-canonical but not
 ///    contiguous — exactly the guarantee bcc_result.hpp already limits
 ///    callers to.  `num_components` stays exact by arithmetic: flagged
@@ -94,8 +91,12 @@
 /// parallel Shiloach-Vishkin pass; construction also copies the
 /// incidence lists, in parallel, from the solve's cached CSR rows.
 ///
+/// A bidirectional search (insertion path or deletion split check)
+/// whose both sides pass kSearchCap vertices without a verdict also
+/// forces the full solve.
+///
 /// Tracing: every batch opens a `batch_apply` span with `damage_probe`
-/// and (on the incremental path) `certificate_solve` nested inside, and
+/// and (on the incremental path) `region_solve` nested inside, and
 /// charges the `batch_touched_vertices` / `batch_fallbacks` counters —
 /// the streaming bench's segments are validated against exactly these
 /// names by tools/validate_trace.py.
@@ -122,27 +123,10 @@ struct BatchDynamicOptions {
   /// splice beats the full pipeline; above it the region solve
   /// converges to the full solve while still paying the probe.
   double damage_threshold = 0.15;
-  /// Route the region solve through a sparse k=2 BFS certificate when
-  /// the region has more than this many edges per vertex; sparser
-  /// regions are solved directly (the certificate could not drop enough
-  /// edges to pay for its construction).
-  double certificate_density = 3.0;
-  /// Algorithm for the region and fallback solves.
-  BccAlgorithm algorithm = BccAlgorithm::kAuto;
-  /// Maintain `BccResult::is_articulation` / `bridges` after each batch
-  /// (patched incrementally where the region touches them).
-  bool compute_cut_info = true;
-  /// Per-side exploration cap of the bidirectional searches (both the
-  /// insertion path searches and the deletion split checks).  A search
-  /// whose both sides hit the cap without a verdict is undecidable
-  /// within budget and forces a full re-solve (counted as a fallback).
-  /// The default covers meets across the bulk of a power-law giant
-  /// component while bounding the worst batch.
-  vid search_cap = 1u << 16;
   /// Renormalize the published labels once label_bound() exceeds this;
   /// 0 means renormalize_label_threshold(n, m) of the standing graph.
-  /// Tests and churn benches set a tiny limit to force the
-  /// copy-on-renormalize path on every batch.
+  /// Tests set a tiny limit to force the renormalization on every
+  /// batch.
   std::uint64_t renorm_label_limit = 0;
   /// Event sink shared by every batch (spans + counters as above).
   Trace* trace = nullptr;
@@ -155,10 +139,8 @@ struct BatchStats {
   /// Edges of the extracted region subgraph (insertions included); 0
   /// when the batch fell back.
   eid region_edges = 0;
-  /// Edges of the sparse certificate the region solve ran on; 0 when
-  /// the region was solved directly or the batch fell back.
-  eid certificate_edges = 0;
-  /// True when the damage threshold forced a full re-solve.
+  /// True when the batch fell back to a full re-solve (damage past the
+  /// threshold, or a search past kSearchCap).
   bool fell_back = false;
 };
 
@@ -176,7 +158,7 @@ class BatchDynamicBcc {
   /// labels, bridges and stats are always in this numbering.
   const EdgeList& graph() const { return g_; }
 
-  /// The standing result: labels (and cut info) of graph(), updated by
+  /// The standing result: labels and cut info of graph(), updated by
   /// every apply_batch.  Labels are partition-canonical with values in
   /// [0, label_bound()) — contiguous right after construction or a
   /// fallback, sparse after splices until the opportunistic
@@ -190,7 +172,7 @@ class BatchDynamicBcc {
 
   const BatchStats& last_batch() const { return stats_; }
 
-  /// Full re-solves forced by the damage threshold since construction.
+  /// Batches that fell back to a full re-solve since construction.
   std::uint64_t fallbacks() const { return fallbacks_; }
 
   /// Monotone epoch counter: 0 after construction, +1 per apply_batch
@@ -213,9 +195,9 @@ class BatchDynamicBcc {
   /// Verdict of one bidirectional path search (see search_pair).
   enum class Probe { kMeet, kUndecided };
 
+  /// Solve g_ from scratch (kAuto, with cut info) and restart the
+  /// label counter and the bridge mask from its result.
   void full_solve();
-  /// Rebuild the bridge mask and the label counter after a full solve.
-  void reset_bookkeeping();
   /// Rebuild comp_id_ / the component union-find from scratch: one
   /// connected_components_sv pass, whose smallest-vertex-id labels are
   /// the roots of an identity union-find (construction and fallback
@@ -232,7 +214,7 @@ class BatchDynamicBcc {
   /// relabeled under a fresh id (cost = its size).  `was_bridge` skips
   /// the contact test: a deleted bridge always disconnects.  Returns
   /// false — component ids unreliable — when both sides hit
-  /// opt_.search_cap; the caller must then force a full re-solve,
+  /// kSearchCap; the caller must then force a full re-solve,
   /// which reseeds.
   bool split_check(vid u, vid v, bool was_bridge);
   /// Bumps search_epoch_ (resetting the stamp arrays on wrap) and
@@ -285,9 +267,6 @@ class BatchDynamicBcc {
   /// (which reseeds) is already decided.
   void rebuild_edges(std::span<const Edge> insertions,
                      bool maintain_components);
-  /// Labels of a compact region subgraph, by a direct solve or (when
-  /// dense enough) a sparse-certificate solve plus the F1 scatter rule.
-  std::vector<vid> solve_region(const EdgeList& region);
   /// Recompute is_articulation for the touched vertices (no other
   /// vertex's incident label multiset changed) and patch the ascending
   /// bridge list: drop the region's standing bridges and those past
@@ -303,8 +282,12 @@ class BatchDynamicBcc {
   std::uint64_t fallbacks_ = 0;
   std::uint64_t version_ = 0;
   Trace* trace_ = nullptr;  // opt_.trace, or null (spans become no-ops)
+  /// Per-side exploration cap of the bidirectional searches (insertion
+  /// paths and deletion split checks).  It covers meets across the bulk
+  /// of a power-law giant component while bounding the worst batch.
+  static constexpr vid kSearchCap = 1u << 16;
   /// Set by the probe or a split check when a search was undecidable
-  /// within opt_.search_cap; apply_batch then falls back regardless of
+  /// within kSearchCap; apply_batch then falls back regardless of
   /// damage.
   bool force_full_ = false;
 
@@ -350,8 +333,8 @@ class BatchDynamicBcc {
   std::vector<eid> region_;
   std::vector<eid> edge_slot_;
   /// Per-edge bridge flags, aligned with g_.edges across swaps and
-  /// splices.  Single-edge blocks are bridges whether or not cut info
-  /// is published: the probe and the split checks read it.
+  /// splices: the probe, the split checks and the bridge-list patch
+  /// read it.
   std::vector<std::uint8_t> bridge_mask_;
   /// Standing bridges the region swallows (pre-batch ids), and the
   /// final positions of moved non-region bridges plus the region's new

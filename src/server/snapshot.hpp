@@ -20,7 +20,7 @@
 ///  - **No shared storage.**  Construction deep-copies everything it
 ///    needs from the engine's standing result (labels are normalized
 ///    into a private contiguous copy), so later apply_batch mutations
-///    — including the copy-on-renormalize label rewrite — can never
+///    — including the in-place label renormalization — can never
 ///    touch a published epoch.
 ///  - **Const-only queries.**  Every accessor is const and touches only
 ///    immutable arrays, so any number of threads can query one epoch

@@ -209,6 +209,7 @@ TEST(BatchDynamic, HubRegionFallsBackToLabelSweep) {
   // flagged triangle scans the hub's 120 arcs, past half of m = 180,
   // so the region is collected by the label sweep instead.
   constexpr vid kTriangles = 60;
+  Trace trace(4);
   EdgeList g(1 + 2 * kTriangles, {});
   for (vid t = 0; t < kTriangles; ++t) {
     const vid a = 1 + 2 * t;
@@ -219,12 +220,16 @@ TEST(BatchDynamic, HubRegionFallsBackToLabelSweep) {
   BccContext ctx(4);
   BatchDynamicOptions opt;
   opt.damage_threshold = 1.0;
+  opt.trace = &trace;
   BatchDynamicBcc dyn(ctx, g, opt);
   const std::vector<eid> dels = {2, 5, 8};  // three rims
   const std::vector<Edge> ins = {{1, 3}, {7, 9}};
+  const Trace::Mark mark = trace.mark();
   dyn.apply_batch(ins, dels);
   expect_matches_static(dyn);
   ASSERT_FALSE(dyn.last_batch().fell_back);
+  EXPECT_EQ(trace.report_since(mark).counter_total("batch_region_sweeps"),
+            1.0);
 }
 
 TEST(BatchDynamic, FallbackReseedKeepsComponentIdsExact) {
@@ -343,10 +348,8 @@ TEST(BatchDynamic, FallbackBoundary) {
   }
 }
 
-TEST(BatchDynamic, DenseRegionTakesCertificateRoute) {
-  // K20 region: density ~9.5 edges/vertex, far past the default
-  // certificate_density of 3 — the region solve must go through the
-  // k = 2 BFS certificate and scatter the omitted edges.
+TEST(BatchDynamic, DenseRegionMatchesStatic) {
+  // K20 region: ~9.5 edges per vertex, one block.
   BccContext ctx(4);
   BatchDynamicOptions opt;
   opt.damage_threshold = 1.0;
@@ -356,9 +359,30 @@ TEST(BatchDynamic, DenseRegionTakesCertificateRoute) {
   const Edge chord{0, 1};
   dyn.apply_batch({&chord, 1}, {&victim, 1});
   expect_matches_static(dyn);
-  ASSERT_GT(dyn.last_batch().certificate_edges, 0u);
-  ASSERT_LT(dyn.last_batch().certificate_edges,
-            dyn.last_batch().region_edges);
+  ASSERT_FALSE(dyn.last_batch().fell_back);
+
+  // A chain of 40 K8s: each batch deletes a few clique edges (flagging
+  // their dense blocks) and re-inserts the previous batch's victims.
+  BatchDynamicBcc chain(ctx, gen::clique_chain(40, 8), opt);
+  Xoshiro256 rng(40);
+  std::vector<Edge> down;
+  for (int round = 0; round < 8; ++round) {
+    std::vector<eid> dels;
+    const eid m = chain.graph().m();
+    for (int i = 0; i < 4; ++i) {
+      const eid e = static_cast<eid>(rng() % m);
+      if (std::find(dels.begin(), dels.end(), e) == dels.end()) {
+        dels.push_back(e);
+      }
+    }
+    const std::vector<Edge> ins = std::move(down);
+    down.clear();
+    for (const eid e : dels) down.push_back(chain.graph().edges[e]);
+    chain.apply_batch(ins, dels);
+    expect_matches_static(chain);
+    ASSERT_FALSE(chain.last_batch().fell_back);
+    ASSERT_GT(chain.last_batch().region_edges, 0u);
+  }
 }
 
 TEST(BatchDynamic, SparseRegionSolvedDirectly) {
@@ -369,7 +393,39 @@ TEST(BatchDynamic, SparseRegionSolvedDirectly) {
   const Edge chord{0, 5};
   dyn.apply_batch({&chord, 1}, {});
   expect_matches_static(dyn);
-  ASSERT_EQ(dyn.last_batch().certificate_edges, 0u);
+}
+
+TEST(BatchDynamic, SplitCheckPastSearchCapFallsBack) {
+  // Deleting two opposite edges of a 300k cycle leaves two 150k arcs:
+  // the split check's sides both pass the 2^16 search cap before either
+  // runs dry, so the verdict is unaffordable and the batch falls back.
+  constexpr vid n = 300000;
+  BccContext ctx(4);
+  BatchDynamicOptions opt;
+  opt.damage_threshold = 1.0;
+  BatchDynamicBcc dyn(ctx, gen::cycle(n), opt);
+  const std::vector<eid> dels = {0, n / 2};
+  dyn.apply_batch({}, dels);
+  ASSERT_TRUE(dyn.last_batch().fell_back);
+  ASSERT_EQ(dyn.fallbacks(), 1u);
+  expect_matches_static(dyn);
+}
+
+TEST(BatchDynamic, PathSearchPastSearchCapFallsBack) {
+  // The chord {0, n - 1} closes a 300k path into a cycle: the two
+  // search sides meet only in the middle, 150k vertices out, far past
+  // the cap, so the batch falls back.
+  constexpr vid n = 300000;
+  BccContext ctx(4);
+  BatchDynamicOptions opt;
+  opt.damage_threshold = 1.0;
+  BatchDynamicBcc dyn(ctx, gen::path(n), opt);
+  const Edge chord{0, n - 1};
+  dyn.apply_batch({&chord, 1}, {});
+  ASSERT_TRUE(dyn.last_batch().fell_back);
+  ASSERT_EQ(dyn.fallbacks(), 1u);
+  expect_matches_static(dyn);
+  ASSERT_EQ(dyn.result().num_components, 1u);
 }
 
 TEST(BatchDynamic, RejectsMalformedBatches) {
@@ -402,11 +458,11 @@ TEST(BatchDynamic, EmitsBatchSpansAndCounters) {
 
   ASSERT_NE(report.find_path("batch_apply"), nullptr);
   ASSERT_NE(report.find_path("batch_apply/damage_probe"), nullptr);
-  ASSERT_NE(report.find_path("batch_apply/certificate_solve"), nullptr);
+  ASSERT_NE(report.find_path("batch_apply/region_solve"), nullptr);
   EXPECT_GT(report.counter_total("batch_touched_vertices"), 0.0);
   EXPECT_EQ(report.counter_total("batch_fallbacks"), 0.0);
 
-  // A forced fallback charges the counter and skips certificate_solve.
+  // A forced fallback charges the counter and skips region_solve.
   const Trace::Mark mark2 = trace.mark();
   BatchDynamicOptions strict = opt;
   strict.damage_threshold = 0.0;
@@ -415,7 +471,7 @@ TEST(BatchDynamic, EmitsBatchSpansAndCounters) {
   dyn2.apply_batch({&chord2, 1}, {});
   const TraceReport report2 = trace.report_since(mark2);
   EXPECT_EQ(report2.counter_total("batch_fallbacks"), 1.0);
-  EXPECT_EQ(report2.find_path("batch_apply/certificate_solve"), nullptr);
+  EXPECT_EQ(report2.find_path("batch_apply/region_solve"), nullptr);
 }
 
 TEST(BatchDynamic, RenormThresholdComputedIn64Bit) {
@@ -432,8 +488,8 @@ TEST(BatchDynamic, RenormThresholdComputedIn64Bit) {
 }
 
 TEST(BatchDynamic, ForcedRenormalizationKeepsPartition) {
-  // renorm_label_limit = 1 triggers the copy-on-renormalize path after
-  // every batch: the standing result must keep matching the static
+  // renorm_label_limit = 1 triggers the renormalization after every
+  // batch: the standing result must keep matching the static
   // solve, and the label space must be contiguous again each time.
   BccContext ctx(2);
   BatchDynamicOptions opt;
@@ -474,9 +530,6 @@ TEST(BatchDynamic, LongStreamKeepsBooks) {
     ASSERT_GE(dyn.fallbacks(), last_fallbacks);
     ASSERT_EQ(dyn.fallbacks() > last_fallbacks, dyn.last_batch().fell_back);
     last_fallbacks = dyn.fallbacks();
-    if (dyn.last_batch().fell_back) {
-      ASSERT_EQ(dyn.last_batch().certificate_edges, 0u);
-    }
   }
 }
 

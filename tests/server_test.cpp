@@ -356,9 +356,9 @@ TEST(Service, PublishesEpochsInOrder) {
 }
 
 TEST(Service, OldEpochSurvivesRenormalizingBatches) {
-  // renorm_label_limit = 1 forces the copy-on-renormalize path on every
-  // batch: if renormalization rewrote shared storage in place, the
-  // retained epoch's answers would shift under us.
+  // renorm_label_limit = 1 forces the renormalization on every batch,
+  // which rewrites the engine's labels in place: if a snapshot shared
+  // that storage, the retained epoch's answers would shift under us.
   BccContext ctx(2);
   BatchDynamicOptions opt;
   opt.renorm_label_limit = 1;

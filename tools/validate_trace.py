@@ -29,7 +29,7 @@ Checks, per segment of the Chrome export written by bench_fig4:
      bench_dynamic) carry the batch-dynamic engine's telemetry: a
      batch_apply span with damage_probe nested per batch, the
      batch_touched_vertices / batch_fallbacks counters, and a
-     certificate_solve span whenever at least one batch took the
+     region_solve span whenever at least one batch took the
      incremental path (batch_fallbacks < batch_apply calls).  Static
      segments must carry no batch span at all, and the
      all-segments-present check of step 3 applies only to artifacts
@@ -134,7 +134,7 @@ REQUIRED_FASTBCC_COUNTERS = [
 
 # The batch-dynamic engine's spans (batch_dynamic.hpp): required in
 # dynamic segments, forbidden in static ones.
-BATCH_SPANS = ["batch_apply", "damage_probe", "certificate_solve"]
+BATCH_SPANS = ["batch_apply", "damage_probe", "region_solve"]
 REQUIRED_DYNAMIC_COUNTERS = ["batch_touched_vertices", "batch_fallbacks"]
 
 # The mmap loader's spans (io_binary.hpp): required in io segments,
@@ -192,13 +192,13 @@ def check_dynamic_segment(label, report):
         if counter not in counters:
             fail(f"{label}: counter {counter!r} missing")
     # batch_fallbacks totals the fallen-back batches; any batch that did
-    # not fall back must have opened a certificate_solve span.
+    # not fall back must have opened a region_solve span.
     if counters["batch_fallbacks"] < calls["batch_apply"] and \
-            calls.get("certificate_solve", 0) <= 0:
+            calls.get("region_solve", 0) <= 0:
         fail(
             f"{label}: {calls['batch_apply']} batches, only "
             f"{counters['batch_fallbacks']:.0f} fell back, yet no "
-            "certificate_solve span — the incremental path went untraced"
+            "region_solve span — the incremental path went untraced"
         )
 
 
