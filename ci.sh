@@ -12,7 +12,8 @@
 # binary readers, the zero-copy ingestion pipeline on the committed
 # fixtures, the query server's epoch publication + TCP surface, and
 # the post-labeling cut-info / block-cut-tree passes, all at 12-way
-# width under both loop-scheduling models).
+# width under both loop-scheduling models), and an AddressSanitizer
+# tree running the untrusted-input parser tests (text and .pbg).
 # Exits non-zero on the first failure.
 #
 #   ./ci.sh              # full gate
@@ -133,7 +134,7 @@ if grep -q 'gate: FAIL' build/bench_server_smoke.log; then
 fi
 
 # bench_io hard-gates the ingestion stack itself: warm-mmap load >= 20x
-# the fastest text ingestion and mmap-path labels identical to in-memory
+# the parallel text ingestion and mmap-path labels identical to in-memory
 # labels on every family.  A nonzero exit is a gate failure.
 echo "==> bench smoke: zero-copy ingestion gates (A8)"
 smoke bench_io_smoke env PARBCC_N=20000 PARBCC_REPS=2 \
@@ -179,5 +180,18 @@ cmake --build build-tsan -j "$JOBS" --target stress_test csr_test \
 
 echo "==> tsan: ctest -L sanitize-smoke"
 ctest --test-dir build-tsan -L sanitize-smoke --output-on-failure
+
+# The parsers take hostile bytes (malformed text, flipped and truncated
+# .pbg files): ASan turns an out-of-bounds read there into a failure.
+echo "==> asan: configure (build-asan/, PARBCC_SANITIZE=address)"
+cmake -B build-asan -S . -DPARBCC_SANITIZE=address >/dev/null
+
+echo "==> asan: build the input-parser tests"
+cmake --build build-asan -j "$JOBS" --target io_test graph_test \
+    realgraph_test
+
+echo "==> asan: ctest io_test graph_test realgraph_test"
+ctest --test-dir build-asan -R '^(io_test|graph_test|realgraph_test)$' \
+    --output-on-failure
 
 echo "==> ci.sh: all green"

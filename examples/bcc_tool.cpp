@@ -15,12 +15,13 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "core/bcc.hpp"
 #include "core/validate.hpp"
 #include "graph/generators.hpp"
-#include "graph/io.hpp"
+#include "graph/text_parse.hpp"
 #include "paper/solve.hpp"
 
 namespace {
@@ -36,16 +37,22 @@ using namespace parbcc;
   std::exit(2);
 }
 
-EdgeList read_input(const std::string& path, const std::string& format) {
-  std::ifstream is(path);
-  if (!is) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+EdgeList read_input(Executor& ex, const std::string& path,
+                    const std::string& format) {
+  io::TextFormat parsed_format = io::TextFormat::kEdgeList;
+  if (format == "dimacs") {
+    parsed_format = io::TextFormat::kDimacs;
+  } else if (format == "metis") {
+    parsed_format = io::TextFormat::kMetis;
+  } else if (format != "plain") {
+    usage();
+  }
+  try {
+    return io::read_text_graph(ex, path, parsed_format);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     std::exit(1);
   }
-  if (format == "dimacs") return io::read_dimacs(is);
-  if (format == "metis") return io::read_metis(is);
-  if (format == "plain") return io::read_edge_list(is);
-  usage();
 }
 
 /// An --algo value: one of the library's engines, or (tv set) one of
@@ -97,6 +104,7 @@ int main(int argc, char** argv) {
   }
   if (output.empty() || (input.empty() && gen_spec.empty())) usage();
 
+  BccContext ctx(threads);
   EdgeList g;
   if (!gen_spec.empty()) {
     std::uint64_t n = 0, m = 0, seed = 1;
@@ -111,10 +119,9 @@ int main(int argc, char** argv) {
     g = gen::random_connected_gnm(static_cast<vid>(n), static_cast<eid>(m),
                                   seed);
   } else {
-    g = read_input(input, format);
+    g = read_input(ctx.executor(), input, format);
   }
 
-  BccContext ctx(threads);
   BccResult result;
   if (algo.tv) {
     paper::PaperOptions options;

@@ -15,15 +15,17 @@
 #include "core/bcc.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "graph/text_parse.hpp"
 
 int main(int argc, char** argv) {
   using namespace parbcc;
 
-  const EdgeList g = argc > 1 ? io::read_edge_list_file(argv[1])
+  BccContext ctx(/*threads=*/4);
+  const EdgeList g = argc > 1 ? io::read_text_graph(ctx.executor(), argv[1],
+                                                    io::TextFormat::kEdgeList)
                               : gen::random_connected_gnm(5000, 9000, 99);
   std::printf("graph: %u vertices, %u edges\n", g.n, g.m());
 
-  BccContext ctx(/*threads=*/4);
   BccOptions options;
   options.algorithm = BccAlgorithm::kAuto;
   const BccResult r = biconnected_components(ctx, g, options);

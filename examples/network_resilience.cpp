@@ -17,7 +17,7 @@
 #include "core/bcc.hpp"
 #include "core/block_cut_tree.hpp"
 #include "graph/generators.hpp"
-#include "graph/io.hpp"
+#include "graph/text_parse.hpp"
 
 namespace {
 
@@ -39,11 +39,13 @@ parbcc::EdgeList demo_topology() {
 int main(int argc, char** argv) {
   using namespace parbcc;
 
-  EdgeList net = argc > 1 ? io::read_edge_list_file(argv[1]) : demo_topology();
-  std::printf("network: %u routers, %u links\n", net.n, net.m());
-
   BccContext ctx(4);
   Executor& ex = ctx.executor();
+  EdgeList net = argc > 1 ? io::read_text_graph(ex, argv[1],
+                                                io::TextFormat::kEdgeList)
+                          : demo_topology();
+  std::printf("network: %u routers, %u links\n", net.n, net.m());
+
   BccOptions options;
   options.algorithm = BccAlgorithm::kAuto;
   const BccResult analysis = biconnected_components(ctx, net, options);

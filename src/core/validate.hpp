@@ -9,8 +9,10 @@
 /// \file validate.hpp
 /// Certificate checking for a biconnected-components result.
 ///
-/// The checker verifies, without re-running any BCC algorithm, the
-/// local exchange properties that characterise the block partition:
+/// The checker verifies the local exchange properties that
+/// characterise the block partition.  It runs no BCC algorithm on the
+/// whole graph, but check (3) runs Hopcroft-Tarjan on every block of
+/// more than 64 edges:
 ///
 ///  (1) labels are total and contiguous in [0, num_components);
 ///  (2) every component's edge set is connected (blocks are connected

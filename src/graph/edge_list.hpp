@@ -27,6 +27,11 @@ struct Edge {
   vid other(vid x) const { return x == u ? v : u; }
 };
 
+/// The largest counts an untrusted input (text or .pbg) may declare:
+/// n stays clear of the kNoVertex sentinel, and 2m arcs fit an eid.
+inline constexpr std::uint64_t kMaxVertices = kNoVertex - 1;
+inline constexpr std::uint64_t kMaxEdges = 0x7fffffffull;
+
 /// Storage for an edge array that either owns a vector or borrows a
 /// read-only span (e.g. the edges section of an mmap'd .pbg file — see
 /// io_binary.hpp).  Borrowing is what makes zero-copy ingestion

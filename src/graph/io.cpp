@@ -1,61 +1,11 @@
 #include "graph/io.hpp"
 
-#include <algorithm>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace parbcc::io {
-namespace {
-
-/// Read the next non-comment, non-blank line into `line`.
-bool next_content_line(std::istream& is, std::string& line) {
-  while (std::getline(is, line)) {
-    std::size_t i = 0;
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    if (i == line.size() || line[i] == '#') continue;
-    return true;
-  }
-  return false;
-}
-
-// Headers are untrusted input: the counts they declare are validated
-// against the 32-bit id space before any narrowing cast (a silently
-// truncated vertex id aliases a different vertex, which is far worse
-// than rejecting the file), and the edge-count reserve is capped so a
-// hostile `m` cannot force a multi-GB allocation up front — the vector
-// still grows naturally if the body really delivers that many edges.
-
-/// Entries (not bytes) a declared edge count may pre-reserve.
-constexpr std::uint64_t kReserveCap = 1u << 20;
-
-vid checked_vertex_count(std::uint64_t n, const char* format) {
-  // Strictly below the sentinel so no valid id can alias kNoVertex.
-  if (n >= kNoVertex) {
-    throw std::runtime_error(std::string(format) + ": vertex count " +
-                             std::to_string(n) +
-                             " exceeds the 32-bit id limit " +
-                             std::to_string(kNoVertex - 1));
-  }
-  return static_cast<vid>(n);
-}
-
-void check_edge_count(std::uint64_t m, const char* format) {
-  if (m >= kNoEdge) {
-    throw std::runtime_error(std::string(format) + ": edge count " +
-                             std::to_string(m) +
-                             " exceeds the 32-bit id limit " +
-                             std::to_string(kNoEdge - 1));
-  }
-}
-
-std::size_t capped_reserve(std::uint64_t m) {
-  return static_cast<std::size_t>(std::min(m, kReserveCap));
-}
-
-}  // namespace
 
 void write_edge_list(std::ostream& os, const EdgeList& g) {
   os << g.n << ' ' << g.m() << '\n';
@@ -71,90 +21,12 @@ void write_edge_list_file(const std::string& path, const EdgeList& g) {
   if (!os) throw std::runtime_error("write failed: " + path);
 }
 
-EdgeList read_edge_list(std::istream& is) {
-  std::string line;
-  if (!next_content_line(is, line)) {
-    throw std::runtime_error("edge list: missing header line");
-  }
-  EdgeList g;
-  std::uint64_t n = 0, m = 0;
-  {
-    std::istringstream header(line);
-    if (!(header >> n >> m)) {
-      throw std::runtime_error("edge list: malformed header: " + line);
-    }
-  }
-  g.n = checked_vertex_count(n, "edge list");
-  check_edge_count(m, "edge list");
-  g.edges.reserve(capped_reserve(m));
-  for (std::uint64_t i = 0; i < m; ++i) {
-    if (!next_content_line(is, line)) {
-      throw std::runtime_error("edge list: unexpected end of input");
-    }
-    std::istringstream row(line);
-    std::uint64_t u = 0, v = 0;
-    if (!(row >> u >> v)) {
-      throw std::runtime_error("edge list: malformed edge line: " + line);
-    }
-    if (u >= n || v >= n) {
-      throw std::runtime_error("edge list: endpoint out of range: " + line);
-    }
-    g.edges.push_back({static_cast<vid>(u), static_cast<vid>(v)});
-  }
-  return g;
-}
-
-EdgeList read_edge_list_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("cannot open for reading: " + path);
-  return read_edge_list(is);
-}
-
 void write_dimacs(std::ostream& os, const EdgeList& g) {
   os << "c generated by parbcc\n";
   os << "p edge " << g.n << ' ' << g.m() << '\n';
   for (const Edge& e : g.edges) {
     os << "e " << e.u + 1 << ' ' << e.v + 1 << '\n';
   }
-}
-
-EdgeList read_dimacs(std::istream& is) {
-  EdgeList g;
-  bool have_header = false;
-  std::uint64_t n = 0, m = 0;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == 'c') continue;
-    std::istringstream row(line);
-    if (line[0] == 'p') {
-      std::string p, kind;
-      if (!(row >> p >> kind >> n >> m) || kind != "edge") {
-        throw std::runtime_error("dimacs: malformed problem line: " + line);
-      }
-      if (have_header) throw std::runtime_error("dimacs: duplicate header");
-      have_header = true;
-      g.n = checked_vertex_count(n, "dimacs");
-      check_edge_count(m, "dimacs");
-      g.edges.reserve(capped_reserve(m));
-      continue;
-    }
-    if (line[0] == 'e') {
-      if (!have_header) throw std::runtime_error("dimacs: edge before header");
-      std::string e;
-      std::uint64_t u = 0, v = 0;
-      if (!(row >> e >> u >> v) || u < 1 || v < 1 || u > n || v > n) {
-        throw std::runtime_error("dimacs: malformed edge line: " + line);
-      }
-      g.edges.push_back({static_cast<vid>(u - 1), static_cast<vid>(v - 1)});
-      continue;
-    }
-    throw std::runtime_error("dimacs: unrecognized line: " + line);
-  }
-  if (!have_header) throw std::runtime_error("dimacs: missing header");
-  if (g.edges.size() != m) {
-    throw std::runtime_error("dimacs: edge count mismatch");
-  }
-  return g;
 }
 
 void write_metis(std::ostream& os, const EdgeList& g) {
@@ -173,48 +45,6 @@ void write_metis(std::ostream& os, const EdgeList& g) {
     }
     os << '\n';
   }
-}
-
-EdgeList read_metis(std::istream& is) {
-  std::string line;
-  if (!next_content_line(is, line)) {
-    throw std::runtime_error("metis: missing header");
-  }
-  std::uint64_t n = 0, m = 0, fmt = 0;
-  {
-    std::istringstream header(line);
-    if (!(header >> n >> m)) {
-      throw std::runtime_error("metis: malformed header: " + line);
-    }
-    if (header >> fmt && fmt != 0) {
-      throw std::runtime_error("metis: weighted formats are unsupported");
-    }
-  }
-  EdgeList g;
-  g.n = checked_vertex_count(n, "metis");
-  check_edge_count(m, "metis");
-  g.edges.reserve(capped_reserve(m));
-  for (std::uint64_t v = 0; v < n; ++v) {
-    if (!std::getline(is, line)) {
-      throw std::runtime_error("metis: unexpected end of input");
-    }
-    std::istringstream row(line);
-    std::uint64_t w = 0;
-    while (row >> w) {
-      if (w < 1 || w > n) {
-        throw std::runtime_error("metis: neighbour out of range: " + line);
-      }
-      // Each undirected edge appears twice; keep the copy where the
-      // current vertex is the smaller endpoint (ties impossible).
-      if (v < w - 1 ) {
-        g.edges.push_back({static_cast<vid>(v), static_cast<vid>(w - 1)});
-      }
-    }
-  }
-  if (g.edges.size() != m) {
-    throw std::runtime_error("metis: edge count mismatch");
-  }
-  return g;
 }
 
 }  // namespace parbcc::io

@@ -6,42 +6,25 @@
 #include "graph/edge_list.hpp"
 
 /// \file io.hpp
-/// Plain-text edge-list serialization.
+/// Text writers for the plain edge-list, DIMACS and METIS formats.
 ///
-/// Format (whitespace separated, '#' starts a comment line):
-///   n m
-///   u v          (m lines, 0-based endpoints)
-///
-/// This is deliberately minimal: the paper's inputs are synthetic, and
-/// the examples use files only to show round-tripping a workload.
-///
-/// All readers treat their input as untrusted: declared vertex/edge
-/// counts are validated against the 32-bit id space before any
-/// narrowing cast, endpoints are range-checked against the declared n,
-/// and a hostile edge count cannot force a large up-front allocation
-/// (the speculative reserve is capped; the body must actually deliver
-/// the edges).  Violations throw std::runtime_error naming the format
-/// and the offending value.
+/// Each writer emits what the matching parser in text_parse.hpp reads
+/// back (read_text_graph with kEdgeList, kDimacs or kMetis), edge for
+/// edge.  The paper's inputs are synthetic; files exist to round-trip a
+/// workload and to feed the converters.
 
 namespace parbcc::io {
 
+/// Plain format: "n m" header, then m lines "u v" with 0-based ids.
 void write_edge_list(std::ostream& os, const EdgeList& g);
 void write_edge_list_file(const std::string& path, const EdgeList& g);
 
-/// Throws std::runtime_error on malformed input.
-EdgeList read_edge_list(std::istream& is);
-EdgeList read_edge_list_file(const std::string& path);
-
-/// DIMACS challenge format: "c" comments, one "p edge <n> <m>" header,
-/// then m lines "e <u> <v>" with 1-based endpoints.
+/// DIMACS: a "c" comment, "p edge n m", then m lines "e u v" (1-based).
 void write_dimacs(std::ostream& os, const EdgeList& g);
-EdgeList read_dimacs(std::istream& is);
 
-/// METIS graph format (unweighted, fmt field absent or 0): header
-/// "<n> <m>", then line i lists the 1-based neighbours of vertex i;
-/// every edge appears in both endpoint lines.  Self-loops are not
-/// representable and are rejected on write.
+/// METIS (unweighted): header "n m", then line i lists the 1-based
+/// neighbours of vertex i; every edge appears in both endpoint lines.
+/// Self-loops are not representable and are rejected.
 void write_metis(std::ostream& os, const EdgeList& g);
-EdgeList read_metis(std::istream& is);
 
 }  // namespace parbcc::io

@@ -50,12 +50,6 @@ constexpr std::size_t kOffHeaderChecksum =
     kOffSections + kSecCount * 24;  // 0xc8
 static_assert(kOffHeaderChecksum + 8 <= kPbgHeaderBytes);
 
-/// 2m arcs must fit an eid, and n must stay clear of the kNoVertex
-/// sentinel — the same 32-bit-id-space rules io::read_edge_list
-/// enforces on text input.
-constexpr std::uint64_t kMaxEdges = 0x7fffffffull;
-constexpr std::uint64_t kMaxVertices = 0xfffffffeull;
-
 struct SectionDesc {
   std::uint64_t offset = 0;
   std::uint64_t bytes = 0;

@@ -41,8 +41,8 @@
 /// order is unspecified by contract, so canonicalization is invisible
 /// to the algorithms).
 ///
-/// The loader treats the file as untrusted, exactly like
-/// io::read_edge_list treats text: magic/version/header-checksum,
+/// The loader treats the file as untrusted, exactly like the text
+/// parsers (text_parse.hpp) treat text: magic/version/header-checksum,
 /// unsupported flags, hostile n/m (ids must fit the 32-bit space, 2m
 /// must fit an eid), section bounds vs. the real file size, and offsets
 /// monotonicity are all rejected with a named error *before any

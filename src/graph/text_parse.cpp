@@ -9,12 +9,10 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "graph/io.hpp"
 #include "scan/compact.hpp"
 #include "sort/radix_sort.hpp"
 #include "util/workspace.hpp"
@@ -22,9 +20,6 @@
 namespace parbcc::io {
 
 namespace {
-
-constexpr std::uint64_t kMaxEdges = 0x7fffffffull;
-constexpr std::uint64_t kMaxVertices = 0xfffffffeull;
 
 inline bool is_space(char c) {
   return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' ||
@@ -49,6 +44,62 @@ inline bool scan_u64(const char*& p, const char* end, std::uint64_t& out) {
 
 inline void skip_blanks(const char*& p, const char* end) {
   while (p < end && (*p == ' ' || *p == '\t' || *p == '\r')) ++p;
+}
+
+/// Skip blanks; true when the line (ended by '\n' or `end`) is done.
+inline bool at_line_end(const char*& p, const char* end) {
+  skip_blanks(p, end);
+  return p == end || *p == '\n';
+}
+
+/// Scan two blank-separated unsigned decimals ("n m", "u v").
+inline bool scan_pair(const char*& p, const char* end, std::uint64_t& a,
+                      std::uint64_t& b) {
+  if (!scan_u64(p, end, a)) return false;
+  skip_blanks(p, end);
+  return scan_u64(p, end, b);
+}
+
+/// The blank-delimited token at `p`; advances past it and its blanks.
+std::string_view next_token(const char*& p, const char* end) {
+  const char* start = p;
+  while (p < end && !is_space(*p)) ++p;
+  const std::string_view token(start, static_cast<std::size_t>(p - start));
+  skip_blanks(p, end);
+  return token;
+}
+
+/// "<format>: malformed line "<the line at line_at, cut at 80 bytes>"".
+std::string malformed_line(const char* format, std::string_view text,
+                           std::size_t line_at) {
+  const std::size_t len =
+      std::min<std::size_t>(text.find('\n', line_at) - line_at, 80);
+  return std::string(format) + ": malformed line \"" +
+         std::string(text.substr(line_at, len)) + "\"";
+}
+
+/// Header counts must fit the 32-bit id space: n stays clear of the
+/// kNoVertex sentinel and 2m arcs fit an eid.  Returns n narrowed.
+vid checked_counts(const char* format, std::uint64_t n, std::uint64_t m) {
+  if (n > kMaxVertices) {
+    throw std::runtime_error(std::string(format) + ": vertex count " +
+                             std::to_string(n) +
+                             " exceeds the 32-bit id space");
+  }
+  if (m > kMaxEdges) {
+    throw std::runtime_error(std::string(format) + ": edge count " +
+                             std::to_string(m) + " exceeds 2^31 - 1");
+  }
+  return static_cast<vid>(n);
+}
+
+void check_body_edges(const char* format, std::uint64_t declared,
+                      std::size_t got) {
+  if (got != declared) {
+    throw std::runtime_error(std::string(format) + ": header declares " +
+                             std::to_string(declared) +
+                             " edges but the body has " + std::to_string(got));
+  }
 }
 
 /// Newline-aligned chunk boundaries over text[begin, text.size()):
@@ -114,11 +165,8 @@ void parse_chunks(Executor& ex, std::string_view text, std::size_t begin,
       if (q < line_end && *q != '#') {
         if (!parse_line(q, line_end, sink)) {
           errors[c].failed = true;
-          errors[c].message =
-              std::string(format_name) + ": malformed line \"" +
-              std::string(p, static_cast<std::size_t>(
-                                 std::min<std::ptrdiff_t>(line_end - p, 80))) +
-              "\"";
+          errors[c].message = malformed_line(
+              format_name, text, static_cast<std::size_t>(p - text.data()));
           return;
         }
       }
@@ -210,26 +258,13 @@ EdgeList parse_edge_list(Executor& ex, std::string_view text) {
     throw std::runtime_error("edge list: missing header line");
   }
   const char* hp = text.data() + header_at;
-  const char* hend = text.data() + text.size();
+  const char* hend = text.data() + body;
   std::uint64_t n64 = 0;
   std::uint64_t m64 = 0;
-  if (!scan_u64(hp, hend, n64)) {
-    throw std::runtime_error("edge list: bad vertex count in header");
+  if (!scan_pair(hp, hend, n64, m64) || !at_line_end(hp, hend)) {
+    throw std::runtime_error(malformed_line("edge list", text, header_at));
   }
-  skip_blanks(hp, hend);
-  if (!scan_u64(hp, hend, m64)) {
-    throw std::runtime_error("edge list: bad edge count in header");
-  }
-  if (n64 > kMaxVertices) {
-    throw std::runtime_error("edge list: vertex count " +
-                             std::to_string(n64) +
-                             " exceeds the 32-bit id space");
-  }
-  if (m64 > kMaxEdges) {
-    throw std::runtime_error("edge list: edge count " + std::to_string(m64) +
-                             " exceeds 2^31 - 1");
-  }
-  const vid n = static_cast<vid>(n64);
+  const vid n = checked_counts("edge list", n64, m64);
 
   const int chunks = pick_chunks(ex, text.size() - body);
   std::vector<std::vector<Edge>> parts;
@@ -238,11 +273,9 @@ EdgeList parse_edge_list(Executor& ex, std::string_view text) {
       [n](const char*& q, const char* line_end, std::vector<Edge>& sink) {
         std::uint64_t u = 0;
         std::uint64_t v = 0;
-        if (!scan_u64(q, line_end, u)) return false;
-        skip_blanks(q, line_end);
-        if (!scan_u64(q, line_end, v)) return false;
-        skip_blanks(q, line_end);
-        if (q != line_end) return false;
+        if (!scan_pair(q, line_end, u, v) || !at_line_end(q, line_end)) {
+          return false;
+        }
         if (u >= n || v >= n) return false;
         sink.push_back({static_cast<vid>(u), static_cast<vid>(v)});
         return true;
@@ -252,11 +285,7 @@ EdgeList parse_edge_list(Executor& ex, std::string_view text) {
   EdgeList g;
   g.n = n;
   g.edges = EdgeStore(concat_edges(ex, parts));
-  if (g.m() != m64) {
-    throw std::runtime_error("edge list: header declares " +
-                             std::to_string(m64) + " edges but the body has " +
-                             std::to_string(g.m()));
-  }
+  check_body_edges("edge list", m64, g.m());
   return g;
 }
 
@@ -275,16 +304,9 @@ EdgeList parse_dimacs(Executor& ex, std::string_view text) {
     const char* qe = text.data() + line_end;
     skip_blanks(q, qe);
     if (q < qe && *q == 'p') {
-      ++q;
-      skip_blanks(q, qe);
-      while (q < qe && !is_space(*q)) ++q;  // the "edge" tag
-      skip_blanks(q, qe);
-      if (!scan_u64(q, qe, n64)) {
-        throw std::runtime_error("dimacs: bad vertex count in p line");
-      }
-      skip_blanks(q, qe);
-      if (!scan_u64(q, qe, m64)) {
-        throw std::runtime_error("dimacs: bad edge count in p line");
+      if (next_token(q, qe) != "p" || next_token(q, qe) != "edge" ||
+          !scan_pair(q, qe, n64, m64) || !at_line_end(q, qe)) {
+        throw std::runtime_error(malformed_line("dimacs", text, pos));
       }
       have_p = true;
       body = line_end < text.size() ? line_end + 1 : text.size();
@@ -294,15 +316,7 @@ EdgeList parse_dimacs(Executor& ex, std::string_view text) {
     pos = line_end + 1;
   }
   if (!have_p) throw std::runtime_error("dimacs: missing p line");
-  if (n64 > kMaxVertices) {
-    throw std::runtime_error("dimacs: vertex count " + std::to_string(n64) +
-                             " exceeds the 32-bit id space");
-  }
-  if (m64 > kMaxEdges) {
-    throw std::runtime_error("dimacs: edge count " + std::to_string(m64) +
-                             " exceeds 2^31 - 1");
-  }
-  const vid n = static_cast<vid>(n64);
+  const vid n = checked_counts("dimacs", n64, m64);
 
   const int chunks = pick_chunks(ex, text.size() - body);
   std::vector<std::vector<Edge>> parts;
@@ -310,14 +324,15 @@ EdgeList parse_dimacs(Executor& ex, std::string_view text) {
       ex, text, body, chunks, parts,
       [n](const char*& q, const char* line_end, std::vector<Edge>& sink) {
         if (*q == 'c') return true;  // body comments allowed
-        if (*q != 'e') return false;
-        ++q;
+        if (*q != 'e' || ++q == line_end || (*q != ' ' && *q != '\t')) {
+          return false;
+        }
         skip_blanks(q, line_end);
         std::uint64_t u = 0;
         std::uint64_t v = 0;
-        if (!scan_u64(q, line_end, u)) return false;
-        skip_blanks(q, line_end);
-        if (!scan_u64(q, line_end, v)) return false;
+        if (!scan_pair(q, line_end, u, v) || !at_line_end(q, line_end)) {
+          return false;
+        }
         if (u == 0 || v == 0 || u > n || v > n) return false;  // 1-based
         sink.push_back({static_cast<vid>(u - 1), static_cast<vid>(v - 1)});
         return true;
@@ -327,11 +342,68 @@ EdgeList parse_dimacs(Executor& ex, std::string_view text) {
   EdgeList g;
   g.n = n;
   g.edges = EdgeStore(concat_edges(ex, parts));
-  if (g.m() != m64) {
-    throw std::runtime_error("dimacs: p line declares " +
-                             std::to_string(m64) + " edges but the body has " +
-                             std::to_string(g.m()));
+  check_body_edges("dimacs", m64, g.m());
+  return g;
+}
+
+EdgeList parse_metis(std::string_view text) {
+  std::size_t header_at = 0;
+  std::size_t pos = 0;  // start of the next vertex row
+  if (!header_line(text, header_at, pos)) {
+    throw std::runtime_error("metis: missing header line");
   }
+  const char* p = text.data() + header_at;
+  const char* end = text.data() + text.size();
+  std::uint64_t n64 = 0;
+  std::uint64_t m64 = 0;
+  std::uint64_t fmt = 0;
+  const bool counts = scan_pair(p, end, n64, m64);
+  skip_blanks(p, end);
+  scan_u64(p, end, fmt);  // optional
+  if (!counts || !at_line_end(p, end)) {
+    throw std::runtime_error(malformed_line("metis", text, header_at));
+  }
+  if (fmt != 0) {
+    throw std::runtime_error("metis: weighted formats are unsupported");
+  }
+  const vid n = checked_counts("metis", n64, m64);
+
+  // Row v lists v's neighbours, so every edge appears in two rows; the
+  // copy in its smaller endpoint's row is kept.
+  std::vector<Edge> edges;
+  for (vid v = 0; v < n; ++v) {
+    if (pos >= text.size()) {
+      throw std::runtime_error("metis: fewer rows than the header's " +
+                               std::to_string(n) + " vertices");
+    }
+    p = text.data() + pos;
+    skip_blanks(p, end);
+    std::uint64_t w = 0;
+    while (scan_u64(p, end, w)) {
+      if (w == 0 || w > n) {
+        throw std::runtime_error(malformed_line("metis", text, pos));
+      }
+      if (v < w - 1) edges.push_back({v, static_cast<vid>(w - 1)});
+      skip_blanks(p, end);
+    }
+    if (p < end && *p != '\n') {
+      throw std::runtime_error(malformed_line("metis", text, pos));
+    }
+    pos = static_cast<std::size_t>(p - text.data()) + 1;
+  }
+  // Past the last row only blank and '#' lines may follow.
+  std::size_t extra_at = 0;
+  std::size_t extra_end = 0;
+  if (pos < text.size() &&
+      header_line(text.substr(pos), extra_at, extra_end)) {
+    throw std::runtime_error("metis: more rows than the header's " +
+                             std::to_string(n) + " vertices");
+  }
+
+  EdgeList g;
+  g.n = n;
+  g.edges = EdgeStore(std::move(edges));
+  check_body_edges("metis", m64, g.m());
   return g;
 }
 
@@ -460,22 +532,21 @@ EdgeList read_text_graph(Executor& ex, const std::string& path,
   TraceSpan parse_span(trace, "io_parse");
 
   if (format == TextFormat::kAuto) {
-    // DIMACS announces itself with c/p lines; a '#'-commented file
-    // with no "n m" header is SNAP; a bare two-column body with no
-    // header is SNAP too (an edge-list header is two ints, but so is
-    // an edge — the header-count cross-check disambiguates: try edge
-    // list first, fall back).
-    std::size_t at = 0;
-    std::size_t body = 0;
+    // DIMACS announces itself with c/p lines.  An edge list and a METIS
+    // file both open with an "n m" header, and a headerless SNAP line
+    // looks like one too; the body cross-checks the header, so try edge
+    // list, then METIS, and fall back to SNAP.
     if (!text.empty() && (text[0] == 'c' || text[0] == 'p')) {
       format = TextFormat::kDimacs;
-    } else if (header_line(text, at, body)) {
+    } else {
       try {
         return parse_edge_list(ex, text);
       } catch (const std::runtime_error&) {
-        format = TextFormat::kSnap;
       }
-    } else {
+      try {
+        return parse_metis(text);
+      } catch (const std::runtime_error&) {
+      }
       format = TextFormat::kSnap;
     }
   }
@@ -486,10 +557,8 @@ EdgeList read_text_graph(Executor& ex, const std::string& path,
       return parse_dimacs(ex, text);
     case TextFormat::kSnap:
       return parse_snap(ex, text, trace);
-    case TextFormat::kMetis: {
-      std::istringstream stream(text);
-      return read_metis(stream);
-    }
+    case TextFormat::kMetis:
+      return parse_metis(text);
     case TextFormat::kAuto:
       break;  // unreachable
   }

@@ -8,50 +8,63 @@
 #include "util/trace.hpp"
 
 /// \file text_parse.hpp
-/// Chunked parallel parsing of text graph formats.
+/// The text graph readers: one parser per format.
 ///
-/// The serial readers in io.hpp stream through an istream one token at
-/// a time — correct, hardened, and the bottleneck the moment the input
-/// is hundreds of megabytes (bench_io measures the gap).  These
-/// parsers split the byte range into newline-aligned chunks, parse
-/// each chunk into a thread-private edge buffer with a branch-light
-/// integer scanner, and concatenate the buffers with a prefix-summed
-/// parallel copy, so edge order (and therefore edge ids) still matches
-/// the serial reader line for line.
+/// The line-oriented formats (plain edge list, DIMACS, SNAP) split the
+/// byte range into newline-aligned chunks, parse each chunk into a
+/// thread-private edge buffer with a branch-light integer scanner, and
+/// concatenate the buffers with a prefix-summed parallel copy, so edge
+/// order (and therefore edge ids) follows the file line for line.
+/// METIS rows are positional (row i lists vertex i's neighbours), so
+/// its parser is serial, over the same scanner and caps.
 ///
-/// SNAP input adds a densify and a dedupe, both sort-based and
-/// parallel: a radix sort of (raw id, endpoint position) pairs whose
-/// run heads are counted per block and prefix-summed into dense ids,
-/// then a radix sort of one (lo, hi) key per edge whose first copies
-/// are packed into the result.  Each is a few linear passes (the
-/// radix passes stop at the highest live byte): on a 1.2M-line,
-/// 150k-id file they take ~0.08 s at p = 4 and ~0.25 s at p = 1
-/// (4-vCPU Xeon), next to a 0.02 s / 0.07 s line parse.
+/// Grammar.  Fields are unsigned decimals separated by blanks (space,
+/// tab, a CR before the newline); blank lines and '#' lines are skipped
+/// wherever a header or edge line may appear.  A header or edge line
+/// ends after its fields:
+///   edge list  header "n m", then m lines "u v" (0-based, < n);
+///   DIMACS     'c' comment lines, one "p edge n m" header, then m
+///              lines "e u v" (1-based, <= n) with 'c' lines between;
+///   METIS      header "n m [fmt]" (fmt absent or 0: unweighted), then
+///              exactly n rows, row i the 1-based neighbours of vertex
+///              i (a blank row is an isolated vertex), and every edge in
+///              both its endpoints' rows; only blank and '#' lines follow;
+///   SNAP       headerless "u v" lines with arbitrary 64-bit ids; any
+///              further column (a weight) is ignored.
 ///
-/// Inputs stay untrusted: the same caps the serial readers enforce
-/// (n/m within the 32-bit id space, endpoints < n, no oversized
-/// speculative allocation) apply, with errors naming the format and
-/// the offending line.  Parse errors inside a chunk are collected and
-/// rethrown on the orchestrator — worker threads never throw.
+/// SNAP input adds a densify and a dedupe, two parallel radix sorts
+/// (see parse_snap; EXPERIMENTS.md A10 has their stage timings).
+///
+/// Inputs are untrusted: declared counts must fit the 32-bit id space
+/// (n < 2^32 - 1, m < 2^31) before any narrowing cast, endpoints are
+/// range-checked against the declared n, and no allocation is sized by
+/// a header alone.  Every violation throws std::runtime_error naming
+/// the format and the offending value or line.  Parse errors inside a
+/// chunk are collected and rethrown on the orchestrator — worker
+/// threads never throw.
 
 namespace parbcc::io {
 
-/// Formats the parallel front end understands.  kMetis is
-/// line-position-dependent (row i lists vertex i's neighbours), so it
-/// delegates to the serial reader rather than fake a parallel parse.
+/// The formats read_text_graph understands; each reaches exactly one
+/// parse function below.
 enum class TextFormat {
-  kAuto,      // sniff: DIMACS "p edge", "# "-commented SNAP, else edge list
-  kEdgeList,  // io.hpp plain format: "n m" header, "u v" lines, # comments
-  kDimacs,    // "c" comments, "p edge n m", "e u v" 1-based
-  kSnap,      // headerless "u v" lines with arbitrary ids, # comments
-  kMetis,     // serial fallback (see io.hpp)
+  kAuto,      // sniff: 'c'/'p' first byte is DIMACS, else edge list,
+              // else METIS, else SNAP
+  kEdgeList,  // parse_edge_list
+  kDimacs,    // parse_dimacs
+  kSnap,      // parse_snap
+  kMetis,     // parse_metis
 };
 
-/// Parse the io.hpp plain edge-list format from an in-memory buffer.
+/// Parse the plain edge-list format from an in-memory buffer.
 EdgeList parse_edge_list(Executor& ex, std::string_view text);
 
 /// Parse DIMACS from an in-memory buffer.
 EdgeList parse_dimacs(Executor& ex, std::string_view text);
+
+/// Parse unweighted METIS from an in-memory buffer (serial).  Edges come
+/// out in row order, each from its smaller endpoint's row.
+EdgeList parse_metis(std::string_view text);
 
 /// Parse a SNAP-style headerless edge list: arbitrary (possibly
 /// sparse, possibly 64-bit) ids densified by sorted order, one

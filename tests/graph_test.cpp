@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "graph/text_parse.hpp"
 #include "test_util.hpp"
 #include "util/thread_pool.hpp"
 
@@ -316,18 +319,42 @@ TEST(Generators, BarbellShape) {
   EXPECT_TRUE(g.validate());
 }
 
+EdgeList parse_edge_list(const std::string& text) {
+  Executor ex(2);
+  return io::parse_edge_list(ex, text);
+}
+
+EdgeList parse_dimacs(const std::string& text) {
+  Executor ex(2);
+  return io::parse_dimacs(ex, text);
+}
+
+EdgeList parse_metis(const std::string& text) { return io::parse_metis(text); }
+
+/// `parse(text)` must throw a std::runtime_error whose message starts
+/// with "<format>:".
+void expect_rejected(EdgeList (*parse)(const std::string&),
+                     const std::string& text, const std::string& format) {
+  try {
+    parse(text);
+    ADD_FAILURE() << format << " accepted \"" << text << "\"";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(format + ":", 0), 0u) << e.what();
+  }
+}
+
 TEST(GraphIo, RoundTrip) {
   const EdgeList g = gen::random_gnm(30, 100, 8);
   std::stringstream ss;
   io::write_edge_list(ss, g);
-  const EdgeList back = io::read_edge_list(ss);
+  const EdgeList back = parse_edge_list(ss.str());
   EXPECT_EQ(back.n, g.n);
   EXPECT_EQ(back.edges, g.edges);
 }
 
 TEST(GraphIo, CommentsAndBlankLinesIgnored) {
-  std::stringstream ss("# header\n\n3 2\n# edge one\n0 1\n\n1 2\n");
-  const EdgeList g = io::read_edge_list(ss);
+  const EdgeList g =
+      parse_edge_list("# header\n\n3 2\n# edge one\n0 1\n\n1 2\n");
   EXPECT_EQ(g.n, 3u);
   ASSERT_EQ(g.m(), 2u);
   EXPECT_EQ(g.edges[1], (Edge{1, 2}));
@@ -337,28 +364,16 @@ TEST(GraphIo, DimacsRoundTrip) {
   const EdgeList g = gen::random_gnm(25, 60, 3);
   std::stringstream ss;
   io::write_dimacs(ss, g);
-  const EdgeList back = io::read_dimacs(ss);
+  const EdgeList back = parse_dimacs(ss.str());
   EXPECT_EQ(back.n, g.n);
   EXPECT_EQ(back.edges, g.edges);
 }
 
 TEST(GraphIo, DimacsMalformedThrows) {
-  {
-    std::stringstream ss("e 1 2\n");  // edge before header
-    EXPECT_THROW(io::read_dimacs(ss), std::runtime_error);
-  }
-  {
-    std::stringstream ss("p edge 3 2\ne 1 2\n");  // missing edge
-    EXPECT_THROW(io::read_dimacs(ss), std::runtime_error);
-  }
-  {
-    std::stringstream ss("p edge 3 1\ne 0 2\n");  // 1-based violated
-    EXPECT_THROW(io::read_dimacs(ss), std::runtime_error);
-  }
-  {
-    std::stringstream ss("p tour 3 1\ne 1 2\n");  // wrong kind
-    EXPECT_THROW(io::read_dimacs(ss), std::runtime_error);
-  }
+  expect_rejected(parse_dimacs, "e 1 2\n", "dimacs");  // no header
+  expect_rejected(parse_dimacs, "p edge 3 2\ne 1 2\n", "dimacs");  // short
+  expect_rejected(parse_dimacs, "p edge 3 1\ne 0 2\n", "dimacs");  // 0-based
+  expect_rejected(parse_dimacs, "p tour 3 1\ne 1 2\n", "dimacs");  // kind
 }
 
 TEST(GraphIo, MetisRoundTrip) {
@@ -366,7 +381,7 @@ TEST(GraphIo, MetisRoundTrip) {
   EdgeList g(5, {{0, 1}, {1, 2}, {2, 0}, {0, 3}});
   std::stringstream ss;
   io::write_metis(ss, g);
-  const EdgeList back = io::read_metis(ss);
+  const EdgeList back = parse_metis(ss.str());
   EXPECT_EQ(back.n, g.n);
   EXPECT_EQ(canonical_edge_set(back), canonical_edge_set(g));
   EXPECT_EQ(back.m(), g.m());
@@ -376,29 +391,15 @@ TEST(GraphIo, MetisRejectsSelfLoopsAndWeights) {
   EdgeList looped(2, {{1, 1}});
   std::stringstream out;
   EXPECT_THROW(io::write_metis(out, looped), std::runtime_error);
-  std::stringstream weighted("2 1 1\n2 3\n1 3\n");
-  EXPECT_THROW(io::read_metis(weighted), std::runtime_error);
-  std::stringstream truncated("3 2\n2\n1\n");  // missing third line
-  EXPECT_THROW(io::read_metis(truncated), std::runtime_error);
+  expect_rejected(parse_metis, "2 1 1\n2 3\n1 3\n", "metis");  // weighted
+  expect_rejected(parse_metis, "3 2\n2\n1\n", "metis");  // no third row
 }
 
 TEST(GraphIo, MalformedInputsThrow) {
-  {
-    std::stringstream ss("");
-    EXPECT_THROW(io::read_edge_list(ss), std::runtime_error);
-  }
-  {
-    std::stringstream ss("3 2\n0 1\n");  // missing an edge
-    EXPECT_THROW(io::read_edge_list(ss), std::runtime_error);
-  }
-  {
-    std::stringstream ss("3 1\n0 7\n");  // endpoint out of range
-    EXPECT_THROW(io::read_edge_list(ss), std::runtime_error);
-  }
-  {
-    std::stringstream ss("bogus\n");
-    EXPECT_THROW(io::read_edge_list(ss), std::runtime_error);
-  }
+  expect_rejected(parse_edge_list, "", "edge list");
+  expect_rejected(parse_edge_list, "3 2\n0 1\n", "edge list");  // short
+  expect_rejected(parse_edge_list, "3 1\n0 7\n", "edge list");  // range
+  expect_rejected(parse_edge_list, "bogus\n", "edge list");
 }
 
 }  // namespace

@@ -53,43 +53,88 @@ class IoRoundTrip : public ::testing::TestWithParam<int> {
   }
 };
 
+/// The executor the in-memory parse tests share: 4 workers, so a body
+/// of more than 16 KiB splits into several chunks.
+Executor& executor() {
+  static Executor ex(4);
+  return ex;
+}
+
+EdgeList parse_edge_list(const std::string& text) {
+  return io::parse_edge_list(executor(), text);
+}
+
+EdgeList parse_dimacs(const std::string& text) {
+  return io::parse_dimacs(executor(), text);
+}
+
+EdgeList parse_metis(const std::string& text) { return io::parse_metis(text); }
+
+EdgeList parse_snap(const std::string& text) {
+  return io::parse_snap(executor(), text);
+}
+
+/// `parse(text)` must throw a std::runtime_error whose message names
+/// `format` (and, when given, contains `detail`).
+template <typename Parse>
+void expect_text_rejected(const Parse& parse, const std::string& text,
+                          const std::string& format,
+                          const std::string& detail = "") {
+  try {
+    parse(text);
+    ADD_FAILURE() << format << " accepted \"" << text << "\"";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind(format + ":", 0), 0u) << what;
+    EXPECT_NE(what.find(detail), std::string::npos) << what;
+  }
+}
+
+void expect_edge_list_rejected(const std::string& text) {
+  expect_text_rejected(parse_edge_list, text, "edge list");
+}
+
+void expect_dimacs_rejected(const std::string& text) {
+  expect_text_rejected(parse_dimacs, text, "dimacs");
+}
+
+void expect_metis_rejected(const std::string& text) {
+  expect_text_rejected(parse_metis, text, "metis");
+}
+
+void expect_same_edges(const EdgeList& got, const EdgeList& want) {
+  ASSERT_EQ(got.n, want.n);
+  ASSERT_EQ(got.m(), want.m());
+  for (eid e = 0; e < want.m(); ++e) {
+    ASSERT_EQ(got.edges[e].u, want.edges[e].u) << "e=" << e;
+    ASSERT_EQ(got.edges[e].v, want.edges[e].v) << "e=" << e;
+  }
+}
+
 TEST_P(IoRoundTrip, EdgeList) {
   const EdgeList g = input();
   std::stringstream ss;
   io::write_edge_list(ss, g);
-  const EdgeList back = io::read_edge_list(ss);
-  EXPECT_EQ(back.n, g.n);
-  ASSERT_EQ(back.edges.size(), g.edges.size());
-  for (std::size_t i = 0; i < g.edges.size(); ++i) {
-    EXPECT_EQ(back.edges[i].u, g.edges[i].u);
-    EXPECT_EQ(back.edges[i].v, g.edges[i].v);
-  }
+  expect_same_edges(parse_edge_list(ss.str()), g);
 }
 
 TEST_P(IoRoundTrip, Dimacs) {
   const EdgeList g = input();
   std::stringstream ss;
   io::write_dimacs(ss, g);
-  const EdgeList back = io::read_dimacs(ss);
-  EXPECT_EQ(back.n, g.n);
-  EXPECT_EQ(edge_set(back), edge_set(g));
+  expect_same_edges(parse_dimacs(ss.str()), g);
 }
 
 TEST_P(IoRoundTrip, Metis) {
   const EdgeList g = input();
   std::stringstream ss;
   io::write_metis(ss, g);
-  const EdgeList back = io::read_metis(ss);
+  const EdgeList back = parse_metis(ss.str());
   EXPECT_EQ(back.n, g.n);
   EXPECT_EQ(edge_set(back), edge_set(g));
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, IoRoundTrip, ::testing::Range(0, 5));
-
-EdgeList parse_edge_list(const std::string& text) {
-  std::istringstream is(text);
-  return io::read_edge_list(is);
-}
 
 TEST(IoEdgeList, AcceptsCommentsAndBlankLines) {
   const EdgeList g =
@@ -101,81 +146,79 @@ TEST(IoEdgeList, AcceptsCommentsAndBlankLines) {
 }
 
 TEST(IoEdgeList, RejectsMalformedInput) {
-  EXPECT_THROW(parse_edge_list(""), std::runtime_error);
-  EXPECT_THROW(parse_edge_list("# only comments\n"), std::runtime_error);
-  EXPECT_THROW(parse_edge_list("nonsense\n"), std::runtime_error);
-  EXPECT_THROW(parse_edge_list("3\n"), std::runtime_error);        // no m
-  EXPECT_THROW(parse_edge_list("3 2\n0 1\n"), std::runtime_error); // truncated
-  EXPECT_THROW(parse_edge_list("3 1\n0\n"), std::runtime_error);   // bad edge
-  EXPECT_THROW(parse_edge_list("3 1\nx y\n"), std::runtime_error);
+  expect_edge_list_rejected("");
+  expect_edge_list_rejected("# only comments\n");
+  expect_edge_list_rejected("nonsense\n");
+  expect_edge_list_rejected("3\n");         // no m
+  expect_edge_list_rejected("3 2\n0 1\n");  // truncated
+  expect_edge_list_rejected("3 1\n0\n");    // bad edge
+  expect_edge_list_rejected("3 1\nx y\n");
 }
 
 TEST(IoEdgeList, RejectsOutOfRangeEndpoints) {
-  EXPECT_THROW(parse_edge_list("3 1\n0 3\n"), std::runtime_error);
-  EXPECT_THROW(parse_edge_list("3 1\n7 1\n"), std::runtime_error);
+  expect_edge_list_rejected("3 1\n0 3\n");
+  expect_edge_list_rejected("3 1\n7 1\n");
   // Endpoints are checked against the declared n even when they would
   // fit in 32 bits.
-  EXPECT_THROW(parse_edge_list("2 1\n0 4294967295\n"), std::runtime_error);
+  expect_edge_list_rejected("2 1\n0 4294967295\n");
 }
 
 TEST(IoEdgeList, RejectsHeaderExceedingIdSpace) {
   // A vertex count at or past kNoVertex would alias the sentinel after
   // the narrowing cast; the reader must reject it, not truncate.
-  EXPECT_THROW(parse_edge_list("5000000000 1\n0 1\n"), std::runtime_error);
-  EXPECT_THROW(parse_edge_list("4294967295 0\n"), std::runtime_error);
-  try {
-    parse_edge_list("18446744073709551615 0\n");
-    FAIL() << "expected rejection";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("vertex count"), std::string::npos);
-  }
+  expect_edge_list_rejected("5000000000 1\n0 1\n");
+  expect_edge_list_rejected("4294967295 0\n");
+  expect_text_rejected(parse_edge_list, "18446744073709551615 0\n",
+                       "edge list", "vertex count");
   // Largest representable id is fine.
   const EdgeList g = parse_edge_list("4294967294 0\n");
   EXPECT_EQ(g.n, kNoVertex - 1);
 }
 
 TEST(IoEdgeList, HostileEdgeCountDoesNotPreallocate) {
-  // An edge count near the id limit passes validation but must not
-  // reserve() gigabytes up front: the reader caps the speculative
-  // reserve and then fails on the missing body, quickly and cheaply.
-  EXPECT_THROW(parse_edge_list("10 4294967294\n0 1\n"), std::runtime_error);
-  EXPECT_THROW(parse_edge_list("10 4294967295\n"), std::runtime_error);
-}
-
-EdgeList parse_dimacs(const std::string& text) {
-  std::istringstream is(text);
-  return io::read_dimacs(is);
+  // An edge count past the eid space is rejected from the header, and
+  // no count is trusted for an up-front allocation: the body must
+  // deliver the edges.
+  expect_text_rejected(parse_edge_list, "10 4294967294\n0 1\n", "edge list",
+                       "edge count");
+  expect_edge_list_rejected("10 4294967295\n");
+  expect_edge_list_rejected("10 2147483647\n0 1\n");
 }
 
 TEST(IoDimacs, RejectsMalformedInput) {
-  EXPECT_THROW(parse_dimacs(""), std::runtime_error);
-  EXPECT_THROW(parse_dimacs("c only a comment\n"), std::runtime_error);
-  EXPECT_THROW(parse_dimacs("p edge 3\n"), std::runtime_error);
-  EXPECT_THROW(parse_dimacs("p graph 3 1\ne 1 2\n"), std::runtime_error);
-  EXPECT_THROW(parse_dimacs("e 1 2\np edge 3 1\n"), std::runtime_error);
-  EXPECT_THROW(parse_dimacs("p edge 3 1\np edge 3 1\ne 1 2\n"),
-               std::runtime_error);
-  EXPECT_THROW(parse_dimacs("p edge 3 1\nz 1 2\n"), std::runtime_error);
-  EXPECT_THROW(parse_dimacs("p edge 3 2\ne 1 2\n"), std::runtime_error);
-  EXPECT_THROW(parse_dimacs("p edge 3 1\ne 0 2\n"), std::runtime_error);
-  EXPECT_THROW(parse_dimacs("p edge 3 1\ne 1 4\n"), std::runtime_error);
-  EXPECT_THROW(parse_dimacs("p edge 5000000000 0\n"), std::runtime_error);
-}
-
-EdgeList parse_metis(const std::string& text) {
-  std::istringstream is(text);
-  return io::read_metis(is);
+  expect_dimacs_rejected("");
+  expect_dimacs_rejected("c only a comment\n");
+  expect_dimacs_rejected("p edge 3\n");
+  expect_dimacs_rejected("p graph 3 1\ne 1 2\n");
+  expect_dimacs_rejected("e 1 2\np edge 3 1\n");
+  expect_dimacs_rejected("p edge 3 1\np edge 3 1\ne 1 2\n");
+  expect_dimacs_rejected("p edge 3 1\nz 1 2\n");
+  expect_dimacs_rejected("p edge 3 2\ne 1 2\n");
+  expect_dimacs_rejected("p edge 3 1\ne 0 2\n");
+  expect_dimacs_rejected("p edge 3 1\ne 1 4\n");
+  expect_dimacs_rejected("p edge 5000000000 0\n");
 }
 
 TEST(IoMetis, RejectsMalformedInput) {
-  EXPECT_THROW(parse_metis(""), std::runtime_error);
-  EXPECT_THROW(parse_metis("3\n"), std::runtime_error);
-  EXPECT_THROW(parse_metis("3 1 1\n2 3\n1\n1\n"), std::runtime_error);
-  EXPECT_THROW(parse_metis("3 1\n2\n"), std::runtime_error);    // truncated
-  EXPECT_THROW(parse_metis("3 1\n4\n\n\n"), std::runtime_error);
-  EXPECT_THROW(parse_metis("3 1\n0\n\n\n"), std::runtime_error);
-  EXPECT_THROW(parse_metis("3 2\n2\n1\n\n"), std::runtime_error); // count
-  EXPECT_THROW(parse_metis("5000000000 0\n"), std::runtime_error);
+  expect_metis_rejected("");
+  expect_metis_rejected("3\n");
+  expect_text_rejected(parse_metis, "3 1 1\n2 3\n1\n1\n", "metis",
+                       "weighted");
+  expect_metis_rejected("3 1\n2\n");  // truncated
+  expect_metis_rejected("3 1\n4\n\n\n");
+  expect_metis_rejected("3 1\n0\n\n\n");
+  expect_metis_rejected("3 2\n2\n1\n\n");  // count
+  expect_metis_rejected("5000000000 0\n");
+  expect_metis_rejected("2 1\n2\n1\n1 2\n");  // a row past the n-th
+}
+
+TEST(IoMetis, AcceptsFmtZeroAndTrailingBlankLines) {
+  const EdgeList g = parse_metis("# comment\n3 2 0\n2 3\n1\n1\n\n# end\n");
+  EXPECT_EQ(g.n, 3u);
+  EXPECT_EQ(edge_set(g),
+            (std::multiset<std::pair<vid, vid>>{{0, 1}, {0, 2}}));
+  // The last row needs no newline.
+  EXPECT_EQ(parse_metis("2 1\n2\n1").m(), 1u);
 }
 
 TEST(IoMetis, RejectsSelfLoopsOnWrite) {
@@ -184,35 +227,88 @@ TEST(IoMetis, RejectsSelfLoopsOnWrite) {
   EXPECT_THROW(io::write_metis(ss, g), std::runtime_error);
 }
 
-// ---------------------------------------------------------------------------
-// Parallel text parsers: must agree with the serial readers line for
-// line, and reject the same malformed inputs — from any thread count.
+TEST(TextGrammar, RejectsTrailingFields) {
+  // Headers and edge lines end after their fields in every format.
+  expect_edge_list_rejected("3 1 x\n0 1\n");
+  expect_edge_list_rejected("3 1\n0 1 junk\n");
+  expect_dimacs_rejected("p edge 3 1 9\ne 1 2\n");
+  expect_dimacs_rejected("p edge 3 1\ne 1 2 junk\n");
+  expect_dimacs_rejected("p edge 3 1\ne1 2\n");  // a blank ends the tag
+  expect_metis_rejected("3 1 0 7\n2\n1\n\n");
+  expect_metis_rejected("3 1\n2 x\n1\n\n");
+  // SNAP keeps its weight column.
+  EXPECT_EQ(parse_snap("1 2 0.5\n2 3\tw\n").m(), 2u);
+}
 
-TEST(ParallelParse, MatchesSerialEdgeListReader) {
-  const EdgeList g = gen::random_gnm(300, 2500, 19);
-  std::stringstream ss;
-  io::write_edge_list(ss, g);
-  const std::string text = ss.str();
-  for (const int p : {1, 4, 12}) {
-    Executor ex(p);
-    const EdgeList parsed = io::parse_edge_list(ex, text);
-    ASSERT_EQ(parsed.n, g.n);
-    ASSERT_EQ(parsed.m(), g.m());
-    for (eid e = 0; e < g.m(); ++e) {
-      ASSERT_EQ(parsed.edges[e].u, g.edges[e].u) << e;
-      ASSERT_EQ(parsed.edges[e].v, g.edges[e].v) << e;
+// ---------------------------------------------------------------------------
+// The parsers from every thread count: the writers are the reference,
+// over the committed fixtures, and an error anywhere in the body is
+// reported by the format.
+
+TEST(ParallelParse, FixturesRoundTripThroughEveryWriter) {
+  struct Writer {
+    io::TextFormat format;
+    void (*write)(std::ostream&, const EdgeList&);
+  };
+  const Writer writers[] = {{io::TextFormat::kEdgeList, io::write_edge_list},
+                            {io::TextFormat::kDimacs, io::write_dimacs},
+                            {io::TextFormat::kMetis, io::write_metis}};
+  Executor ex1(1);
+  Executor ex4(4);
+  Executor ex12(12);
+  for (const char* name :
+       {"clique-chain", "road-grid", "social-comm", "web-pa"}) {
+    const EdgeList g = io::read_text_graph(
+        ex4, std::string(PARBCC_TEST_DATA_DIR) + "/" + name + ".txt",
+        io::TextFormat::kSnap);
+    ASSERT_GT(g.m(), 0u) << name;
+    for (const Writer& w : writers) {
+      const std::string path = ::testing::TempDir() + name + "." +
+                               std::to_string(static_cast<int>(w.format));
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        w.write(out, g);
+        ASSERT_TRUE(out.good()) << path;
+      }
+      for (Executor* ex : {&ex1, &ex4, &ex12}) {
+        for (const io::TextFormat format : {w.format, io::TextFormat::kAuto}) {
+          SCOPED_TRACE(std::string(name) + " writer " +
+                       std::to_string(static_cast<int>(w.format)) +
+                       " read as " + std::to_string(static_cast<int>(format)) +
+                       " at p=" + std::to_string(ex->threads()));
+          expect_same_edges(io::read_text_graph(*ex, path, format), g);
+        }
+      }
     }
   }
 }
 
-TEST(ParallelParse, MatchesSerialDimacsReader) {
-  const EdgeList g = gen::random_gnm(200, 1200, 23);
-  std::stringstream ss;
-  io::write_dimacs(ss, g);
-  Executor ex(8);
-  const EdgeList parsed = io::parse_dimacs(ex, ss.str());
-  EXPECT_EQ(parsed.n, g.n);
-  EXPECT_EQ(edge_set(parsed), edge_set(g));
+TEST(ParallelParse, MalformedLineInLastChunkNamesFormat) {
+  // At p = 4 a body of B bytes parses in min(B / 16 KiB, 16) chunks, so
+  // a body of >= 128 KiB has >= 8; the bad line ends the body, in the
+  // last chunk.
+  const EdgeList g = gen::random_gnm(3000, 30000, 31);
+  std::stringstream plain;
+  io::write_edge_list(plain, g);
+  std::stringstream dimacs;
+  io::write_dimacs(dimacs, g);
+  std::string snap;
+  for (const Edge& e : g.edges) {
+    snap += std::to_string(e.u) + '\t' + std::to_string(e.v) + '\n';
+  }
+  const struct {
+    std::string text;
+    EdgeList (*parse)(const std::string&);
+    const char* format;
+    const char* bad_line;
+  } cases[] = {{plain.str(), parse_edge_list, "edge list", "0 x"},
+               {dimacs.str(), parse_dimacs, "dimacs", "e 1 x"},
+               {snap, parse_snap, "snap", "1 x"}};
+  for (const auto& c : cases) {
+    ASSERT_GE(c.text.size(), std::size_t{8} << 14) << c.format;
+    expect_text_rejected(c.parse, c.text + c.bad_line + "\n", c.format,
+                         std::string("malformed line \"") + c.bad_line);
+  }
 }
 
 TEST(ParallelParse, SnapDensifiesDedupesAndDropsLoops) {
@@ -241,6 +337,10 @@ TEST(ParallelParse, RejectsMalformedInput) {
   EXPECT_THROW(io::parse_dimacs(ex, "p edge 3 1\ne 0 2\n"),
                std::runtime_error);
   EXPECT_THROW(io::parse_dimacs(ex, "p edge 3 2\ne 1 2\n"),
+               std::runtime_error);
+  EXPECT_THROW(io::parse_dimacs(ex, "p graph 3 1\ne 1 2\n"),
+               std::runtime_error);
+  EXPECT_THROW(io::parse_dimacs(ex, "p col 3 1\ne 1 2\n"),
                std::runtime_error);
   EXPECT_THROW(io::parse_snap(ex, "1 2\nnonsense\n"), std::runtime_error);
   EXPECT_THROW(io::parse_snap(ex, "1\n"), std::runtime_error);
