@@ -746,5 +746,188 @@ TEST(TcpServer, ConcurrentClientsDuringMutation) {
   EXPECT_GE(srv.stats().connections_accepted.load(), 4u);
 }
 
+
+// --- Served churn: bench_e2e's serve-churn checks, deterministic ---
+
+struct ChurnBatch {
+  std::vector<Edge> insertions;
+  std::vector<eid> deletions;
+};
+
+/// One query of the uniform five-op mix over ids in range.
+Query random_query(Xoshiro256& rng, vid n, eid m) {
+  Query q;
+  q.op = static_cast<Op>(1 + rng() % 5);
+  if (q.op == Op::kBlockId) {
+    q.a = static_cast<std::uint32_t>(rng() % m);
+  } else {
+    q.a = static_cast<std::uint32_t>(rng() % n);
+    q.b = static_cast<std::uint32_t>(rng() % n);
+  }
+  return q;
+}
+
+constexpr int kChurnBatches = 12;
+
+/// Serve `base` at p = 2 over TCP while two reader threads query it and
+/// the test thread sends `kChurnBatches` mutation batches of about 1% of
+/// m over a writer connection (each batch fails m / 200 random links and
+/// recovers as many earlier failures).  The stream and every version's
+/// fresh-solve snapshot are drawn up front against a replica engine, so
+/// every reply is checked against the snapshot of its own version.  The
+/// writer sends a batch only after a reader has seen the previous
+/// version, and the readers stop only once they have seen the final
+/// one, so every version reaches a reader whatever the schedule.
+/// Returns the served engine's fallback count.
+std::uint64_t run_served_churn(const EdgeList& base,
+                               const BatchDynamicOptions& opt,
+                               std::uint64_t seed) {
+  constexpr int kReaders = 2;
+  constexpr std::size_t kQueries = 32;
+  const vid n = base.n;
+  const eid m = base.m();
+
+  std::vector<ChurnBatch> stream;
+  std::vector<Snapshot> fresh;
+  {
+    BccContext rctx(2);
+    BatchDynamicBcc replica(rctx, base);
+    fresh.push_back(make_snapshot(rctx, replica.graph(), 0));
+    Xoshiro256 rng(seed);
+    std::vector<Edge> down;
+    const eid per_side = std::max<eid>(m / 200, 1);
+    for (int b = 0; b < kChurnBatches; ++b) {
+      ChurnBatch batch;
+      std::vector<eid> ids(replica.graph().m());
+      for (eid e = 0; e < ids.size(); ++e) ids[e] = e;
+      for (eid i = 0; i < per_side; ++i) {
+        std::swap(ids[i], ids[i + rng() % (ids.size() - i)]);
+        batch.deletions.push_back(ids[i]);
+      }
+      for (eid i = 0; i < per_side && !down.empty(); ++i) {
+        const std::size_t j = rng() % down.size();
+        batch.insertions.push_back(down[j]);
+        down[j] = down.back();
+        down.pop_back();
+      }
+      for (const eid e : batch.deletions) {
+        down.push_back(replica.graph().edges[e]);
+      }
+      replica.apply_batch(batch.insertions, batch.deletions);
+      fresh.push_back(make_snapshot(rctx, replica.graph(),
+                                    static_cast<std::uint64_t>(b + 1)));
+      stream.push_back(std::move(batch));
+    }
+  }
+
+  BccContext ctx(2);
+  BccService svc(ctx, base, opt);
+  BccServer srv(svc);
+  std::vector<std::atomic<bool>> seen(kChurnBatches + 1);
+  std::atomic<bool> failed{false};
+  std::atomic<std::uint64_t> replies{0};
+  std::atomic<std::uint64_t> wrong{0};
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      try {
+        BccClient client("127.0.0.1", srv.port());
+        Xoshiro256 rng(seed * 10 + static_cast<std::uint64_t>(t));
+        std::vector<Query> qs(kQueries);
+        while (!failed.load(std::memory_order_relaxed)) {
+          for (Query& q : qs) q = random_query(rng, n, m);
+          const QueryReply r = client.query(qs);
+          replies.fetch_add(1, std::memory_order_relaxed);
+          if (r.version > kChurnBatches || r.results.size() != qs.size()) {
+            ADD_FAILURE() << "reply of version " << r.version << " with "
+                          << r.results.size() << " results";
+            failed.store(true);
+            return;
+          }
+          const Snapshot& want = fresh[r.version];
+          for (std::size_t i = 0; i < qs.size(); ++i) {
+            if (r.results[i] != server::evaluate_query(want, qs[i])) {
+              wrong.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+          seen[r.version].store(true, std::memory_order_release);
+          if (r.version == kChurnBatches) return;
+        }
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "reader " << t << ": " << e.what();
+        failed.store(true);
+      }
+    });
+  }
+
+  const auto wait_seen = [&](int version) {
+    while (!seen[static_cast<std::size_t>(version)].load(
+               std::memory_order_acquire) &&
+           !failed.load()) {
+      std::this_thread::yield();
+    }
+  };
+  try {
+    BccClient writer("127.0.0.1", srv.port());
+    wait_seen(0);
+    for (int b = 0; b < kChurnBatches && !failed.load(); ++b) {
+      const InfoReply info = writer.apply_batch(stream[b].insertions,
+                                                stream[b].deletions);
+      EXPECT_EQ(info.version, static_cast<std::uint64_t>(b + 1));
+      wait_seen(b + 1);
+    }
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "writer: " << e.what();
+    failed.store(true);
+  }
+  for (std::thread& t : readers) t.join();
+  srv.stop();
+
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(wrong.load(), 0u) << "of " << replies.load() << " replies";
+  for (int v = 0; v <= kChurnBatches; ++v) {
+    EXPECT_TRUE(seen[static_cast<std::size_t>(v)].load())
+        << "version " << v << " reached no reader";
+  }
+  EXPECT_EQ(srv.stats().error_replies.load(), 0u);
+
+  // The final epoch equals a fresh solve of the final graph.
+  const std::shared_ptr<const Snapshot> epoch = svc.snapshot();
+  const Snapshot& last = fresh.back();
+  EXPECT_EQ(epoch->version(), static_cast<std::uint64_t>(kChurnBatches));
+  EXPECT_EQ(epoch->num_blocks(), last.num_blocks());
+  EXPECT_EQ(epoch->num_cut_vertices(), last.num_cut_vertices());
+  EXPECT_EQ(epoch->m(), last.m());
+  eid wrong_blocks = 0;
+  for (eid e = 0; e < last.m(); ++e) {
+    wrong_blocks += epoch->block_id(e) != last.block_id(e) ? 1 : 0;
+  }
+  vid wrong_cuts = 0;
+  for (vid v = 0; v < n; ++v) {
+    wrong_cuts += epoch->is_cut(v) != last.is_cut(v) ? 1 : 0;
+  }
+  EXPECT_EQ(wrong_blocks, 0u);
+  EXPECT_EQ(wrong_cuts, 0u);
+  return svc.engine().fallbacks();
+}
+
+// A cactus: deleting links splits cycles into paths and bridges, so the
+// default options keep most batches on the incremental path.
+EdgeList churn_base() { return gen::random_cactus(300, 8, 41); }
+
+TEST(ServedChurn, RepliesMatchFreshSolvesOfTheirVersion) {
+  EXPECT_LT(run_served_churn(churn_base(), {}, 41),
+            static_cast<std::uint64_t>(kChurnBatches));
+}
+
+TEST(ServedChurn, EveryBatchFallsBackAndReseeds) {
+  // damage_threshold = 0: every batch re-solves and reseeds the
+  // component ids while the readers run.
+  BatchDynamicOptions opt;
+  opt.damage_threshold = 0;
+  EXPECT_GE(run_served_churn(churn_base(), opt, 41), 1u);
+}
+
 }  // namespace
 }  // namespace parbcc
