@@ -8,7 +8,8 @@
 //  (b) low/high aggregation: sparse-table RMQ vs level sweeps;
 //  (c) frontier engines: BFS top-down vs bottom-up vs the
 //      direction-optimizing hybrid (edge inspections + round mix), and
-//      Shiloach-Vishkin classic vs FastSV (convergence rounds), on a
+//      Shiloach-Vishkin classic vs FastSV (convergence rounds) beside
+//      the library's union-find connected_components, on a
 //      low-diameter random graph and a high-diameter torus;
 //  (d) the aux pipeline: fused union-find hooking (AuxMode::kFused)
 //      against the staged/compacted G' + Shiloach-Vishkin chain
@@ -27,7 +28,8 @@
 // the paper attributes to "list ranking instead of prefix sums" is
 // directly visible.  Section (c) hard-fails (exit 1) if the hybrid BFS
 // does not beat top-down on inspections for the low-diameter family or
-// FastSV does not converge in fewer rounds than classic; section (d)
+// FastSV does not converge in fewer rounds than classic, or if the
+// union-find's labels differ from SV's; section (d)
 // hard-fails if the fused route's aux chain (label_edge +
 // connected_components) is not faster than the materialized chain, if
 // its workspace high-water mark is not smaller (the 3m staging buffer
@@ -41,7 +43,7 @@
 #include <string_view>
 
 #include "bench_common.hpp"
-#include "connectivity/shiloach_vishkin.hpp"
+#include "connectivity/components.hpp"
 #include "core/bcc.hpp"
 #include "dynamic_churn.hpp"
 #include "engines.hpp"
@@ -49,6 +51,7 @@
 #include "graph/csr.hpp"
 #include "paper/euler_tour.hpp"
 #include "paper/lowhigh.hpp"
+#include "paper/shiloach_vishkin.hpp"
 #include "paper/sv_tree.hpp"
 #include "paper/traversal_tree.hpp"
 #include "paper/tv_core.hpp"
@@ -151,6 +154,21 @@ bool frontier_section(Executor& ex, JsonWriter& json, const char* family,
                 sv_rounds[0], family);
     ok = false;
   }
+
+  // The library's own routine (concurrent union-find) beside the
+  // paper's SV: same contract, so the labels must match element for
+  // element.
+  std::vector<vid> uf_labels(g.n);
+  const RepStats uf = timed_reps(
+      [&] { connected_components(ex, ws, g.n, g.edges, uf_labels); });
+  std::printf("    %-32s %10.3f %10.3f %14s %8s\n", "union-find", uf.min,
+              uf.median, "-", "-");
+  json.add({"ablation-frontier", g.n, g.m(), ex.threads(),
+            std::string(family) + "/union-find", {}, uf.min, uf.median, {}});
+  if (uf_labels != labels) {
+    std::printf("!! union-find labels differ from SV's on %s\n", family);
+    ok = false;
+  }
   std::printf("\n");
   return ok;
 }
@@ -198,7 +216,7 @@ bool aux_fusion_section(Executor& ex, JsonWriter& json, const char* family,
       TvCoreTimes t;
       labels[i] = tv_label_edges(ex, ws, g.edges, tree, owner,
                                  LowHighMethod::kLevelSweep, &children,
-                                 &levels, SvMode::kAuto, routes[i].mode, &t);
+                                 &levels, SvMode::kFastSV, routes[i].mode, &t);
       const double c = t.label_edge + t.connected_components;
       if (c < chain[i]) {
         chain[i] = c;
@@ -708,7 +726,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n(c) frontier engines: BFS direction + SV convergence\n");
+  std::printf(
+      "\n(c) frontier engines: BFS direction + SV convergence + union-find\n");
   // Low-diameter, above-average density: the hybrid's home turf, so
   // the inspection assertion applies here.
   ok &= frontier_section(ex, json, "random-8n", g, true);

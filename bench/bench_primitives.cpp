@@ -10,7 +10,7 @@
 #include <numeric>
 #include <random>
 
-#include "connectivity/shiloach_vishkin.hpp"
+#include "connectivity/components.hpp"
 #include "core/bcc.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
@@ -180,20 +180,20 @@ void BM_RadixSort(benchmark::State& state) {
 }
 BENCHMARK(BM_RadixSort)->Arg(1)->Arg(4)->Iterations(3)->Unit(benchmark::kMillisecond);
 
-void BM_ConnectedComponentsSV(benchmark::State& state) {
+void BM_ConnectedComponents(benchmark::State& state) {
   Executor ex(static_cast<int>(state.range(0)));
   Workspace ws;
   const EdgeList& g = graph_fixture();
   std::vector<vid> labels(g.n);
   for (auto _ : state) {
-    connected_components_sv(ex, ws, g.n, g.edges, labels);
+    connected_components(ex, ws, g.n, g.edges, labels);
     benchmark::DoNotOptimize(labels.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.m()));
 }
-BENCHMARK(BM_ConnectedComponentsSV)
+BENCHMARK(BM_ConnectedComponents)
     ->Arg(1)
     ->Arg(4)
     ->Arg(12)

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "connectivity/shiloach_vishkin.hpp"
+#include "connectivity/components.hpp"
 #include "core/batch_dynamic.hpp"
 #include "util/timer.hpp"
 

@@ -53,6 +53,21 @@ if grep -rn --include='*.cpp' --include='*.hpp' '#include "paper/' \
   echo "fence: a production source includes a paper/ header" >&2
   exit 1
 fi
+# Shiloach-Vishkin is the paper's connectivity (TV steps 1 and 6): its
+# names stay in src/paper/, and production code calls the union-find
+# connected_components.  connectivity/shiloach_vishkin.hpp only forwards
+# to connectivity/components.hpp for bench_e2e.cpp, its one includer.
+if grep -rnE --include='*.cpp' --include='*.hpp' \
+    '\b(SvMode|SvStats|connected_components_sv)\b' src | grep -v '^src/paper/'; then
+  echo "fence: production source names the paper's Shiloach-Vishkin" >&2
+  exit 1
+fi
+if grep -rl --include='*.cpp' --include='*.hpp' --exclude-dir='build*' \
+    --exclude-dir=.bench_build '#include "connectivity/shiloach_vishkin.hpp"' . |
+    grep -vx './bench/e2e/bench_e2e.cpp'; then
+  echo "fence: include connectivity/components.hpp, not the forwarding header" >&2
+  exit 1
+fi
 for bin in build/bench/e2e/bench_e2e build/tools/pbgstat \
            build/tools/edgelist2pbg; do
   if nm -C "$bin" | grep -E 'parbcc::paper::|tv_[a-z]+_bcc'; then
@@ -174,7 +189,7 @@ cmake -B build-tsan -S . -DPARBCC_SANITIZE=thread >/dev/null
 echo "==> tsan: build smoke set"
 cmake --build build-tsan -j "$JOBS" --target stress_test csr_test \
     workspace_test frontier_test trace_test concurrent_uf_test \
-    auxgraph_test fastbcc_test scheduler_test batch_dynamic_test \
+    connectivity_test auxgraph_test fastbcc_test scheduler_test batch_dynamic_test \
     io_test server_test realgraph_test articulation_test blockcut_test \
     two_edge_connected_test
 

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "connectivity/shiloach_vishkin.hpp"
+#include "connectivity/components.hpp"
 #include "core/block_cut_tree.hpp"
 
 namespace parbcc {
@@ -17,7 +17,8 @@ std::vector<Edge> biconnectivity_augmentation(Executor& ex, const EdgeList& g,
   const BlockCutTree tree =
       build_block_cut_tree(ex, ws, g, result.edge_component,
                            result.num_components, result.is_articulation);
-  const std::vector<vid> comp = connected_components_seq(g.n, g.edges);
+  std::vector<vid> comp(g.n);
+  connected_components(ex, ws, g.n, g.edges, comp);
 
   // Group attachment vertices by connected component.
   //  - component with >= 2 blocks: one non-cut vertex per leaf block

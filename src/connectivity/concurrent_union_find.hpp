@@ -10,9 +10,9 @@
 
 /// \file concurrent_union_find.hpp
 /// Lock-free disjoint-set forest over a caller-owned parent array —
-/// the hooking structure behind FastBCC's skeleton connectivity
-/// (core/fast_bcc.cpp, step 3) and the paper library's fused
-/// auxiliary-graph pipeline (paper/aux_graph.hpp, AuxMode::kFused).
+/// the hooking structure behind connected_components (components.hpp),
+/// FastBCC's skeleton connectivity (core/fast_bcc.cpp, step 3) and the
+/// paper's fused aux-graph pipeline (paper/aux_graph.hpp, kFused).
 ///
 /// Scheme: union-by-minimum-id with CAS-arbitrated root hooking and
 /// path-halving finds (the "simple" concurrent algorithm of
@@ -31,11 +31,11 @@
 ///
 /// Because every hook strictly decreases the root id, the quiescent
 /// fixpoint is schedule-independent: each tree's root is the minimum
-/// id of its component, matching connected_components_sv's label
-/// contract exactly.  Callers separate the hook phase from the read
-/// phase with an Executor barrier (any parallel_for boundary); within
-/// a phase all accesses go through relaxed atomic_ref, so the
-/// structure is safe under ThreadSanitizer at full SPMD width.
+/// id of its component, which is connected_components's label
+/// contract.  Callers separate the hook phase from the read phase with
+/// an Executor barrier (any parallel_for boundary); within a phase all
+/// accesses go through relaxed atomic_ref, so the structure is safe
+/// under ThreadSanitizer at full SPMD width.
 ///
 /// Telemetry: unite/find take an accumulator for parent-chain steps
 /// traversed, and unite returns whether it performed the hook — the
@@ -48,8 +48,6 @@ class ConcurrentUnionFind {
  public:
   /// Wrap a parent array; call init (or fill parent[v] = v) before use.
   explicit ConcurrentUnionFind(std::span<vid> parent) : parent_(parent) {}
-
-  vid size() const { return static_cast<vid>(parent_.size()); }
 
   /// parent[v] = v for all v, in parallel.
   static void init(Executor& ex, std::span<vid> parent) {

@@ -8,9 +8,9 @@
 /// \file union_find.hpp
 /// Sequential disjoint-set forest (union by rank, path halving).
 ///
-/// Used as the correctness oracle for the parallel Shiloach-Vishkin
-/// implementations and as the cycle filter when assembling spanning
-/// forests from hook edges.
+/// Used by the certificate checks in core/validate.cpp and, in the
+/// tests, as the sequential oracle for the parallel connected-components
+/// routines and the cycle check on spanning forests.
 
 namespace parbcc {
 
@@ -40,8 +40,6 @@ class UnionFind {
   }
 
   bool same(vid a, vid b) { return find(a) == find(b); }
-
-  vid size() const { return static_cast<vid>(parent_.size()); }
 
  private:
   std::vector<vid> parent_;

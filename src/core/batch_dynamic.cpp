@@ -7,7 +7,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "connectivity/shiloach_vishkin.hpp"
+#include "connectivity/components.hpp"
 #include "core/bcc.hpp"
 #include "core/hopcroft_tarjan.hpp"
 #include "graph/csr.hpp"
@@ -63,12 +63,12 @@ void BatchDynamicBcc::full_solve() {
 }
 
 void BatchDynamicBcc::reseed_components() {
-  // SV's smallest-vertex-id labels are valid roots in [0, n) under an
-  // identity union-find.  Construction and every fallback re-solve come
+  // Smallest-vertex-id component labels are valid roots in [0, n) under
+  // an identity union-find.  Construction and every fallback re-solve come
   // through here; the incremental path maintains the ids instead.
   comp_id_.resize(g_.n);
-  connected_components_sv(ctx_.executor(), ctx_.workspace(), g_.n, g_.edges,
-                          comp_id_);
+  connected_components(ctx_.executor(), ctx_.workspace(), g_.n, g_.edges,
+                       comp_id_);
   comp_parent_.resize(g_.n);
   for (vid v = 0; v < g_.n; ++v) comp_parent_[v] = v;
   comp_size_.assign(g_.n, 0);

@@ -88,7 +88,7 @@
 /// as much as solving, so the engine falls back to a full solve through
 /// the shared `BccContext` path (counter `batch_fallbacks`).  The
 /// fallback, like construction, seeds the component ids with one
-/// parallel Shiloach-Vishkin pass; construction also copies the
+/// parallel connected-components pass; construction also copies the
 /// incidence lists, in parallel, from the solve's cached CSR rows.
 ///
 /// A bidirectional search (insertion path or deletion split check)
@@ -199,7 +199,7 @@ class BatchDynamicBcc {
   /// label counter and the bridge mask from its result.
   void full_solve();
   /// Rebuild comp_id_ / the component union-find from scratch: one
-  /// connected_components_sv pass, whose smallest-vertex-id labels are
+  /// connected_components pass, whose smallest-vertex-id labels are
   /// the roots of an identity union-find (construction and fallback
   /// re-solves; the incremental path maintains the ids exactly instead).
   void reseed_components();

@@ -62,11 +62,11 @@ class PreparedGraph {
 /// edges and cross edges hook, back edges are implied — and each edge
 /// is labeled by its deeper endpoint's cluster.  O(n) arena scratch
 /// beyond the tree structures; never materializes an auxiliary graph.
-/// A disconnected input costs one SV pass and a multi-source BFS; its
-/// forest hangs under a virtual root n.  Assumes an input without
-/// self-loops; fills edge_component with contiguous ids numbered by
-/// each block's smallest non-head vertex (the same at every p) and
-/// num_components, recording its Fig. 4 steps into `tr`.  With
+/// A disconnected input costs one connected-components pass and a
+/// multi-source BFS; its forest hangs under a virtual root n.  Assumes
+/// an input without self-loops; fills edge_component with contiguous
+/// ids numbered by each block's smallest non-head vertex (the same at
+/// every p) and num_components, recording its Fig. 4 steps into `tr`.  With
 /// `cut_info` it also fills is_articulation and the ascending bridge
 /// list from the clusters in O(n), plus one read-only pass over the
 /// edges when some block is a single edge.  All O(n + m)

@@ -1,8 +1,8 @@
 #include <algorithm>
 #include <atomic>
 
+#include "connectivity/components.hpp"
 #include "connectivity/concurrent_union_find.hpp"
-#include "connectivity/shiloach_vishkin.hpp"
 #include "core/drivers.hpp"
 #include "eulertour/tree_computations.hpp"
 #include "graph/csr.hpp"
@@ -97,8 +97,9 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
 
   // Step 1: BFS spanning tree (Beamer hybrid, as TV-filter).  A BFS
   // that reaches every vertex proves the graph connected for free.
-  // Otherwise one SV pass names a root per component (`root` stands in
-  // for its own component's) and a multi-source BFS spans the forest.
+  // Otherwise one connected-components pass names a root per component
+  // (`root` stands in for its own component's) and a multi-source BFS
+  // spans the forest.
   BfsTree bfs;
   vid num_roots = 0;
   {
@@ -110,8 +111,8 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
       {
         TraceSpan roots_span(tr, "component_roots");
         std::span<vid> label = ws.alloc<vid>(n);
-        connected_components_sv(ex, ws, n, g.edges, label);
-        // SV labels each component by its smallest vertex; `root`
+        connected_components(ex, ws, n, g.edges, label);
+        // Each component is labeled by its smallest vertex; `root`
         // replaces that representative in its own component.
         const vid root_label = label[root];
         num_roots = static_cast<vid>(pack_indices_span(

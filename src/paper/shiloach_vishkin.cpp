@@ -1,12 +1,41 @@
-#include "connectivity/shiloach_vishkin.hpp"
+#include "paper/shiloach_vishkin.hpp"
 
-#include <algorithm>
 #include <atomic>
 
-#include "connectivity/union_find.hpp"
-#include "util/padded.hpp"
-
 namespace parbcc {
+
+bool any_set(std::span<const Padded<bool>> flags) {
+  for (const auto& c : flags) {
+    if (c.value) return true;
+  }
+  return false;
+}
+
+void shortcut_pass(Executor& ex, std::span<vid> label, vid n,
+                   std::span<Padded<bool>> thread_changed) {
+  ex.parallel_blocks(n, [&](int tid, std::size_t begin, std::size_t end) {
+    bool changed = false;
+    for (std::size_t v = begin; v < end; ++v) {
+      const vid l = std::atomic_ref(label[v]).load(std::memory_order_relaxed);
+      const vid ll = std::atomic_ref(label[l]).load(std::memory_order_relaxed);
+      if (ll != l) {
+        std::atomic_ref(label[v]).store(ll, std::memory_order_relaxed);
+        changed = true;
+      }
+    }
+    if (changed) thread_changed[static_cast<std::size_t>(tid)].value = true;
+  });
+}
+
+bool shortcut_to_fixpoint(Executor& ex, std::span<vid> label, vid n,
+                          std::span<Padded<bool>> thread_changed) {
+  for (bool any = false;; any = true) {
+    for (auto& c : thread_changed) c.value = false;
+    shortcut_pass(ex, label, n, thread_changed);
+    if (!any_set(thread_changed)) return any;
+  }
+}
+
 namespace {
 
 /// Priority min-write: lower `slot` to `val` if val is smaller.
@@ -22,34 +51,6 @@ inline bool write_min(vid& slot, vid val) {
     }
   }
   return false;
-}
-
-/// Pointer-jump every label until a full pass changes nothing, leaving
-/// label[label[v]] == label[v] for all v — so the next hooking pass
-/// reads roots, not chain interiors.  Returns true iff any jump fired.
-bool shortcut_to_fixpoint(Executor& ex, std::span<vid> label, vid n,
-                          std::span<Padded<bool>> thread_changed) {
-  bool any = false;
-  for (;;) {
-    for (auto& c : thread_changed) c.value = false;
-    ex.parallel_blocks(n, [&](int tid, std::size_t begin, std::size_t end) {
-      bool changed = false;
-      for (std::size_t v = begin; v < end; ++v) {
-        const vid l = std::atomic_ref(label[v]).load(std::memory_order_relaxed);
-        const vid ll = std::atomic_ref(label[l]).load(std::memory_order_relaxed);
-        if (ll != l) {
-          std::atomic_ref(label[v]).store(ll, std::memory_order_relaxed);
-          changed = true;
-        }
-      }
-      if (changed) thread_changed[static_cast<std::size_t>(tid)].value = true;
-    });
-    bool pass = false;
-    for (const auto& c : thread_changed) pass = pass || c.value;
-    if (!pass) break;
-    any = true;
-  }
-  return any;
 }
 
 void components_classic(Executor& ex, vid n, std::span<const Edge> edges,
@@ -84,23 +85,8 @@ void components_classic(Executor& ex, vid n, std::span<const Edge> edges,
       if (changed) thread_changed[static_cast<std::size_t>(tid)].value = true;
     });
 
-    // Shortcut: one pointer jump for every vertex.
-    ex.parallel_blocks(n, [&](int tid, std::size_t begin, std::size_t end) {
-      bool changed = false;
-      for (std::size_t v = begin; v < end; ++v) {
-        const vid l = std::atomic_ref(label[v]).load(std::memory_order_relaxed);
-        const vid ll = std::atomic_ref(label[l]).load(std::memory_order_relaxed);
-        if (ll != l) {
-          std::atomic_ref(label[v]).store(ll, std::memory_order_relaxed);
-          changed = true;
-        }
-      }
-      if (changed) thread_changed[static_cast<std::size_t>(tid)].value = true;
-    });
-
-    bool any = false;
-    for (const auto& c : thread_changed) any = any || c.value;
-    if (!any) break;
+    shortcut_pass(ex, label, n, thread_changed);
+    if (!any_set(thread_changed)) break;
   }
 }
 
@@ -145,12 +131,9 @@ void components_fastsv(Executor& ex, vid n, std::span<const Edge> edges,
       }
       if (changed) thread_changed[static_cast<std::size_t>(tid)].value = true;
     });
-    bool any = false;
-    for (const auto& c : thread_changed) any = any || c.value;
-
+    const bool hooked = any_set(thread_changed);
     // Full pointer jumping: flatten all chains before the next pass.
-    any = shortcut_to_fixpoint(ex, label, n, thread_changed) || any;
-    if (!any) break;
+    if (!shortcut_to_fixpoint(ex, label, n, thread_changed) && !hooked) break;
   }
 }
 
@@ -173,41 +156,6 @@ void connected_components_sv(Executor& ex, Workspace& ws, vid n,
   } else {
     components_fastsv(ex, n, edges, label, thread_changed, stats);
   }
-}
-
-std::vector<vid> connected_components_seq(vid n, std::span<const Edge> edges) {
-  UnionFind uf(n);
-  for (const Edge& e : edges) uf.unite(e.u, e.v);
-  // Convert to the same contract as the parallel version: the label is
-  // the minimum vertex id of the component.
-  std::vector<vid> min_of_root(n, kNoVertex);
-  for (vid v = 0; v < n; ++v) {
-    const vid r = uf.find(v);
-    if (min_of_root[r] == kNoVertex) min_of_root[r] = v;  // v ascending
-  }
-  std::vector<vid> out(n);
-  for (vid v = 0; v < n; ++v) out[v] = min_of_root[uf.find(v)];
-  return out;
-}
-
-vid count_components(std::span<const vid> labels) {
-  vid count = 0;
-  for (std::size_t v = 0; v < labels.size(); ++v) {
-    if (labels[v] == v) ++count;
-  }
-  return count;
-}
-
-vid normalize_labels(std::span<vid> labels) {
-  vid domain = 0;
-  for (const vid l : labels) domain = std::max(domain, l + 1);
-  std::vector<vid> remap(domain, kNoVertex);
-  vid next = 0;
-  for (auto& l : labels) {
-    if (remap[l] == kNoVertex) remap[l] = next++;
-    l = remap[l];
-  }
-  return next;
 }
 
 }  // namespace parbcc

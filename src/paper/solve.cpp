@@ -3,9 +3,10 @@
 #include <optional>
 #include <vector>
 
-#include "connectivity/shiloach_vishkin.hpp"
+#include "connectivity/components.hpp"
 #include "core/articulation.hpp"
 #include "core/solve_frame.hpp"
+#include "paper/shiloach_vishkin.hpp"
 #include "paper/tv_core.hpp"
 
 namespace parbcc::paper {

@@ -37,12 +37,6 @@ SpanningForest sv_forest_impl(Executor& ex, Workspace& ws, vid n,
   std::span<Padded<bool>> thread_changed =
       ws.alloc<Padded<bool>>(static_cast<std::size_t>(p));
 
-  const auto any_changed = [&] {
-    bool any = false;
-    for (const auto& c : thread_changed) any = any || c.value;
-    return any;
-  };
-
   for (;;) {
     ++out.rounds;
     for (auto& c : thread_changed) c.value = false;
@@ -76,28 +70,17 @@ SpanningForest sv_forest_impl(Executor& ex, Workspace& ws, vid n,
       }
       if (changed) thread_changed[static_cast<std::size_t>(tid)].value = true;
     });
-    bool round_changed = any_changed();
+    bool round_changed = any_set(thread_changed);
 
     // Shortcut: pointer-jump every vertex — once in classic mode, to a
     // fully flattened fixpoint in fast mode.
-    for (;;) {
+    if (fast) {
+      round_changed =
+          shortcut_to_fixpoint(ex, label, n, thread_changed) || round_changed;
+    } else {
       for (auto& c : thread_changed) c.value = false;
-      ex.parallel_blocks(n, [&](int tid, std::size_t begin, std::size_t end) {
-        bool changed = false;
-        for (std::size_t v = begin; v < end; ++v) {
-          const vid l = std::atomic_ref(label[v]).load(std::memory_order_relaxed);
-          const vid ll =
-              std::atomic_ref(label[l]).load(std::memory_order_relaxed);
-          if (ll != l) {
-            std::atomic_ref(label[v]).store(ll, std::memory_order_relaxed);
-            changed = true;
-          }
-        }
-        if (changed) thread_changed[static_cast<std::size_t>(tid)].value = true;
-      });
-      if (!any_changed()) break;
-      round_changed = true;
-      if (!fast) break;
+      shortcut_pass(ex, label, n, thread_changed);
+      round_changed = any_set(thread_changed) || round_changed;
     }
 
     if (!round_changed) break;

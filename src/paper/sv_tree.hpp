@@ -3,8 +3,8 @@
 #include <span>
 #include <vector>
 
-#include "connectivity/shiloach_vishkin.hpp"
 #include "graph/edge_list.hpp"
+#include "paper/shiloach_vishkin.hpp"
 #include "util/thread_pool.hpp"
 #include "util/types.hpp"
 #include "util/workspace.hpp"
@@ -46,7 +46,7 @@ struct SpanningForest {
 /// Spanning forest over all edges.
 SpanningForest sv_spanning_forest(Executor& ex, Workspace& ws, vid n,
                                   std::span<const Edge> edges,
-                                  SvMode mode = SvMode::kAuto);
+                                  SvMode mode = SvMode::kFastSV);
 
 /// Spanning forest over the subset `subset` (edge indices into
 /// `edges`); returned tree_edges are indices into `edges`, not into
@@ -54,6 +54,6 @@ SpanningForest sv_spanning_forest(Executor& ex, Workspace& ws, vid n,
 SpanningForest sv_spanning_forest(Executor& ex, Workspace& ws, vid n,
                                   std::span<const Edge> edges,
                                   std::span<const eid> subset,
-                                  SvMode mode = SvMode::kAuto);
+                                  SvMode mode = SvMode::kFastSV);
 
 }  // namespace parbcc

@@ -3,8 +3,8 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "connectivity/shiloach_vishkin.hpp"
 #include "paper/aux_graph.hpp"
+#include "paper/shiloach_vishkin.hpp"
 #include "util/timer.hpp"
 
 namespace parbcc {

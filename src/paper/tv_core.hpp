@@ -3,12 +3,12 @@
 #include <span>
 #include <vector>
 
-#include "connectivity/shiloach_vishkin.hpp"
 #include "core/drivers.hpp"
 #include "eulertour/tree_computations.hpp"
 #include "graph/edge_list.hpp"
 #include "paper/aux_graph.hpp"
 #include "paper/lowhigh.hpp"
+#include "paper/shiloach_vishkin.hpp"
 #include "paper/solve.hpp"
 #include "util/thread_pool.hpp"
 #include "util/workspace.hpp"
@@ -65,7 +65,7 @@ std::vector<vid> tv_label_edges(Executor& ex, Workspace& ws,
                                 LowHighMethod method,
                                 const ChildrenCsr* children,
                                 const LevelStructure* levels,
-                                SvMode sv_mode = SvMode::kAuto,
+                                SvMode sv_mode = SvMode::kFastSV,
                                 AuxMode aux_mode = AuxMode::kFused,
                                 TvCoreTimes* times = nullptr,
                                 Trace* trace = nullptr);

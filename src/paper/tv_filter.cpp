@@ -1,6 +1,6 @@
 #include <stdexcept>
 
-#include "connectivity/shiloach_vishkin.hpp"
+#include "connectivity/components.hpp"
 #include "graph/csr.hpp"
 #include "paper/sv_tree.hpp"
 #include "paper/tv_core.hpp"
@@ -62,7 +62,7 @@ BccResult tv_filter_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
         },
         candidates);
     forest = sv_spanning_forest(ex, ws, n, g.edges,
-                                candidates.first(num_candidates), SvMode::kAuto);
+                                candidates.first(num_candidates));
     tr.counter("filter_candidates", static_cast<double>(num_candidates));
     tr.counter("sv_rounds", static_cast<double>(forest.rounds));
   }
@@ -124,7 +124,7 @@ BccResult tv_filter_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
   }
   const std::vector<vid> h_labels =
       tv_label_edges(ex, ws, h_edges, tree, owner, LowHighMethod::kLevelSweep,
-                     &children, &levels, SvMode::kAuto, opt.aux_mode, nullptr,
+                     &children, &levels, SvMode::kFastSV, opt.aux_mode, nullptr,
                      &tr);
 
   // Alg. 2 step 4: scatter H labels back; every filtered edge (u,v)

@@ -1,6 +1,6 @@
 #include <stdexcept>
 
-#include "connectivity/shiloach_vishkin.hpp"
+#include "connectivity/components.hpp"
 #include "graph/csr.hpp"
 #include "paper/traversal_tree.hpp"
 #include "paper/tv_core.hpp"
@@ -53,7 +53,7 @@ BccResult tv_opt_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
   }
   result.edge_component =
       tv_label_edges(ex, ws, g.edges, tree, owner, LowHighMethod::kLevelSweep,
-                     &children, &levels, SvMode::kAuto, opt.aux_mode, nullptr,
+                     &children, &levels, SvMode::kFastSV, opt.aux_mode, nullptr,
                      &tr);
 
   {

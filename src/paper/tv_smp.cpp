@@ -1,6 +1,6 @@
 #include <stdexcept>
 
-#include "connectivity/shiloach_vishkin.hpp"
+#include "connectivity/components.hpp"
 #include "paper/euler_tour.hpp"
 #include "paper/sv_tree.hpp"
 #include "paper/tv_core.hpp"
@@ -16,7 +16,7 @@ BccResult tv_smp_bcc(Executor& ex, Workspace& ws, const EdgeList& g,
   SpanningForest forest;
   {
     TraceSpan span(tr, steps::kSpanningTree);
-    forest = sv_spanning_forest(ex, ws, g.n, g.edges, SvMode::kAuto);
+    forest = sv_spanning_forest(ex, ws, g.n, g.edges);
     tr.counter("sv_rounds", static_cast<double>(forest.rounds));
   }
   if (forest.num_components != 1) {
@@ -37,7 +37,7 @@ BccResult tv_smp_bcc(Executor& ex, Workspace& ws, const EdgeList& g,
   }
   result.edge_component =
       tv_label_edges(ex, ws, g.edges, tree, owner, LowHighMethod::kRmq,
-                     nullptr, nullptr, SvMode::kAuto, opt.aux_mode, nullptr,
+                     nullptr, nullptr, SvMode::kFastSV, opt.aux_mode, nullptr,
                      &tr);
 
   {

@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "connectivity/shiloach_vishkin.hpp"
+#include "connectivity/components.hpp"
 #include "core/block_cut_tree.hpp"
 #include "scan/compact.hpp"
 

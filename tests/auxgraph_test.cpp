@@ -198,10 +198,10 @@ TEST_P(FusedVsMaterialized, IdenticalLabelsOnFuzzFamilies) {
   Manual fx = bfs_fixture(ex, g);
   const std::vector<vid> mat = tv_label_edges(
       ex, ws, g.edges, fx.tree, fx.owner, LowHighMethod::kLevelSweep,
-      &fx.children, &fx.levels, SvMode::kAuto, AuxMode::kMaterialized);
+      &fx.children, &fx.levels, SvMode::kFastSV, AuxMode::kMaterialized);
   const std::vector<vid> fused = tv_label_edges(
       ex, ws, g.edges, fx.tree, fx.owner, LowHighMethod::kLevelSweep,
-      &fx.children, &fx.levels, SvMode::kAuto, AuxMode::kFused);
+      &fx.children, &fx.levels, SvMode::kFastSV, AuxMode::kFused);
   EXPECT_EQ(fused, mat);
 }
 

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "connectivity/shiloach_vishkin.hpp"
+#include "connectivity/components.hpp"
 #include "core/batch_dynamic.hpp"
 #include "core/bcc.hpp"
 #include "graph/generators.hpp"

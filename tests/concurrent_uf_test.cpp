@@ -4,17 +4,17 @@
 #include <vector>
 
 #include "connectivity/concurrent_union_find.hpp"
-#include "connectivity/shiloach_vishkin.hpp"
 #include "graph/generators.hpp"
+#include "test_util.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/workspace.hpp"
 
-/// Unit tests of the lock-free union-find behind the fused aux-graph
-/// kernel.  The contract under test: after any schedule of concurrent
-/// unite calls followed by a barrier, every find returns the minimum
-/// vertex id of the component — the same labels
-/// connected_components_sv and the sequential oracle produce.
+/// Unit tests of the lock-free union-find behind connected_components,
+/// FastBCC's skeleton and the fused aux-graph kernel.  The contract
+/// under test: after any schedule of concurrent unite calls followed by
+/// a barrier, every find returns the minimum vertex id of the component
+/// — the labels the sequential oracle produces.
 
 namespace parbcc {
 namespace {
@@ -51,7 +51,7 @@ TEST(ConcurrentUnionFind, SequentialMatchesOracleExactly) {
   const ConcurrentUnionFind uf{parent};
   ConcurrentUnionFind::init(ex, parent);
   hook_all(ex, uf, g.edges);
-  EXPECT_EQ(labels_of(uf, g.n), connected_components_seq(g.n, g.edges));
+  EXPECT_EQ(labels_of(uf, g.n), testutil::connected_components_seq(g.n, g.edges));
 }
 
 class CufParam : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -70,7 +70,7 @@ TEST_P(CufParam, ConcurrentHooksConvergeToComponentMinima) {
   ConcurrentUnionFind::init(ex, parent);
   const std::uint64_t hooks = hook_all(ex, uf, g.edges);
 
-  const std::vector<vid> expect = connected_components_seq(g.n, g.edges);
+  const std::vector<vid> expect = testutil::connected_components_seq(g.n, g.edges);
   EXPECT_EQ(labels_of(uf, g.n), expect);
 
   // Forest accounting: every successful hook merged two components.
@@ -100,7 +100,7 @@ TEST(ConcurrentUnionFind, FlattenLeavesStarForest) {
   for (vid v = 0; v < g.n; ++v) {
     EXPECT_EQ(parent[parent[v]], parent[v]) << "not a star at " << v;
   }
-  EXPECT_EQ(labels_of(uf, g.n), connected_components_seq(g.n, g.edges));
+  EXPECT_EQ(labels_of(uf, g.n), testutil::connected_components_seq(g.n, g.edges));
 }
 
 TEST(ConcurrentUnionFind, UniteReportsEachMergeOnce) {

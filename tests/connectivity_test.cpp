@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <set>
+#include <span>
+#include <tuple>
+#include <vector>
 
-#include "connectivity/shiloach_vishkin.hpp"
+#include "connectivity/components.hpp"
 #include "connectivity/union_find.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
@@ -10,6 +12,15 @@
 
 namespace parbcc {
 namespace {
+
+/// Roots of a component-minimum labeling: label[v] == v exactly there.
+vid count_roots(std::span<const vid> labels) {
+  vid count = 0;
+  for (std::size_t v = 0; v < labels.size(); ++v) {
+    if (labels[v] == v) ++count;
+  }
+  return count;
+}
 
 TEST(UnionFind, BasicUniteAndFind) {
   UnionFind uf(6);
@@ -23,72 +34,95 @@ TEST(UnionFind, BasicUniteAndFind) {
   EXPECT_FALSE(uf.same(4, 5));
 }
 
-TEST(SvComponents, LabelIsComponentMinimum) {
+TEST(Components, LabelIsComponentMinimum) {
   Executor ex(4);
   Workspace ws;
   // Two components: {0,1,2} and {3,4}.
   EdgeList g(5, {{2, 1}, {1, 0}, {4, 3}});
   std::vector<vid> labels(g.n);
-  connected_components_sv(ex, ws, g.n, g.edges, labels);
+  connected_components(ex, ws, g.n, g.edges, labels);
   EXPECT_EQ(labels, (std::vector<vid>{0, 0, 0, 3, 3}));
-  EXPECT_EQ(count_components(labels), 2u);
+  EXPECT_EQ(count_roots(labels), 2u);
 }
 
-TEST(SvComponents, IsolatedVerticesAreOwnComponents) {
+TEST(Components, IsolatedVerticesAreOwnComponents) {
   Executor ex(2);
   Workspace ws;
   EdgeList g(4, {{1, 2}});
   std::vector<vid> labels(g.n);
-  connected_components_sv(ex, ws, g.n, g.edges, labels);
+  connected_components(ex, ws, g.n, g.edges, labels);
   EXPECT_EQ(labels[0], 0u);
   EXPECT_EQ(labels[1], 1u);
   EXPECT_EQ(labels[2], 1u);
   EXPECT_EQ(labels[3], 3u);
-  EXPECT_EQ(count_components(labels), 3u);
+  EXPECT_EQ(count_roots(labels), 3u);
 }
 
-TEST(SvComponents, EmptyGraph) {
+TEST(Components, EmptyGraph) {
   Executor ex(2);
   Workspace ws;
   std::vector<vid> labels;
-  connected_components_sv(ex, ws, 0, {}, labels);
+  connected_components(ex, ws, 0, {}, labels);
   EXPECT_TRUE(labels.empty());
 }
 
-class SvParam : public ::testing::TestWithParam<std::tuple<int, int>> {};
+class ComponentsParam
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
-TEST_P(SvParam, MatchesSequentialUnionFindOnRandomGraphs) {
+TEST_P(ComponentsParam, MatchesSequentialUnionFindOnRandomGraphs) {
   const auto [threads, seed] = GetParam();
   Executor ex(threads);
   Workspace ws;
   // Sparse enough to be well disconnected.
   const EdgeList g = gen::random_gnm(2000, 1500, seed);
   std::vector<vid> par(g.n);
-  connected_components_sv(ex, ws, g.n, g.edges, par);
-  const auto seq = connected_components_seq(g.n, g.edges);
+  connected_components(ex, ws, g.n, g.edges, par);
+  const auto seq = testutil::connected_components_seq(g.n, g.edges);
   EXPECT_EQ(par, seq);  // same contract: component-minimum labels
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, SvParam,
-                         ::testing::Combine(::testing::Values(1, 2, 4, 8),
+INSTANTIATE_TEST_SUITE_P(Sweep, ComponentsParam,
+                         ::testing::Combine(::testing::Values(1, 2, 4, 8, 12),
                                             ::testing::Values(1, 2, 3, 4, 5)));
 
-TEST(SvComponents, LongPathStressesShortcutting) {
+TEST(Components, LongPathStressesShortcutting) {
   Executor ex(4);
   Workspace ws;
   const EdgeList g = gen::path(20000);
   std::vector<vid> labels(g.n);
-  connected_components_sv(ex, ws, g.n, g.edges, labels);
+  connected_components(ex, ws, g.n, g.edges, labels);
   for (const vid l : labels) ASSERT_EQ(l, 0u);
 }
 
-TEST(SvComponents, DenseSingleComponent) {
+TEST(Components, DenseSingleComponent) {
   Executor ex(4);
   Workspace ws;
   const EdgeList g = gen::complete(60);
   std::vector<vid> labels(g.n);
-  connected_components_sv(ex, ws, g.n, g.edges, labels);
+  connected_components(ex, ws, g.n, g.edges, labels);
   for (const vid l : labels) ASSERT_EQ(l, 0u);
+}
+
+TEST(Components, SelfLoopsJoinNothing) {
+  Executor ex(4);
+  Workspace ws;
+  // Loops on a hub of {0,1,2}, on an isolated vertex and inside {4,5}.
+  EdgeList g(6, {{1, 1}, {2, 1}, {0, 2}, {3, 3}, {5, 4}, {4, 4}, {1, 1}});
+  std::vector<vid> labels(g.n);
+  connected_components(ex, ws, g.n, g.edges, labels);
+  EXPECT_EQ(labels, (std::vector<vid>{0, 0, 0, 3, 4, 4}));
+  EXPECT_EQ(count_roots(labels), 3u);
+}
+
+TEST(Components, ParallelEdgesAreOneLink) {
+  Executor ex(4);
+  Workspace ws;
+  // Three copies of {1,3} (both orientations), two of {4,2}.
+  EdgeList g(5, {{3, 1}, {1, 3}, {3, 1}, {4, 2}, {2, 4}});
+  std::vector<vid> labels(g.n);
+  connected_components(ex, ws, g.n, g.edges, labels);
+  EXPECT_EQ(labels, (std::vector<vid>{0, 1, 2, 1, 2}));
+  EXPECT_EQ(count_roots(labels), 3u);
 }
 
 TEST(NormalizeLabels, CompactsByFirstAppearance) {

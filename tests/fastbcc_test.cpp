@@ -144,9 +144,9 @@ TEST(FastBcc, TraceExposesSkeletonSpansAndCounters) {
 }
 
 /// Disconnected inputs straight into the driver, no dispatcher: the
-/// forest front end (one SV pass naming a root per component, a
-/// multi-source BFS, the forest hung under a virtual root) must give
-/// HT's partition at every width.
+/// forest front end (one connected-components pass naming a root per
+/// component, a multi-source BFS, the forest hung under a virtual root)
+/// must give HT's partition at every width.
 class FastBccForest : public ::testing::TestWithParam<int> {};
 
 EdgeList giant_plus_dust() {

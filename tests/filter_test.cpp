@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "connectivity/shiloach_vishkin.hpp"
 #include "core/bcc.hpp"
 #include "engines.hpp"
 #include "graph/csr.hpp"

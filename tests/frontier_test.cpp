@@ -5,10 +5,11 @@
 #include <tuple>
 #include <vector>
 
-#include "connectivity/shiloach_vishkin.hpp"
+#include "connectivity/components.hpp"
 #include "forest.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
+#include "paper/shiloach_vishkin.hpp"
 #include "paper/sv_tree.hpp"
 #include "spanning/bfs_tree.hpp"
 #include "test_util.hpp"
@@ -18,7 +19,9 @@
 /// Property suite for the two frontier engines: the
 /// direction-optimizing BFS (top-down / bottom-up / hybrid must be
 /// interchangeable) and Shiloach-Vishkin (classic / FastSV must agree
-/// on labels, FastSV must converge in strictly fewer rounds).
+/// on labels with each other and with the library's union-find
+/// connected_components, FastSV must converge in strictly fewer
+/// rounds).
 
 namespace parbcc {
 namespace {
@@ -171,7 +174,12 @@ TEST_P(SvModeParam, ClassicAndFastSvAgreeWithSequentialUnionFind) {
   Workspace ws;
   // Sparse enough to be well disconnected.
   const EdgeList g = gen::random_gnm(2000, 1500, seed);
-  const auto seq = connected_components_seq(g.n, g.edges);
+  const auto seq = testutil::connected_components_seq(g.n, g.edges);
+  {
+    std::vector<vid> par(g.n);
+    connected_components(ex, ws, g.n, g.edges, par);
+    EXPECT_EQ(par, seq);  // the production union-find, same contract
+  }
   for (const SvMode mode : {SvMode::kClassic, SvMode::kFastSV}) {
     SvStats stats;
     std::vector<vid> par(g.n);
@@ -193,7 +201,8 @@ TEST_P(SvModeParam, ForestHasExactlyNMinusCEdgesInEveryMode) {
     EXPECT_EQ(forest.num_components, comps);
     EXPECT_EQ(forest.tree_edges.size(), g.n - comps);
     EXPECT_TRUE(is_forest(g.n, g.edges, forest.tree_edges));
-    EXPECT_EQ(forest.comp, connected_components_seq(g.n, g.edges));
+    EXPECT_EQ(forest.comp,
+              testutil::connected_components_seq(g.n, g.edges));
   }
 }
 

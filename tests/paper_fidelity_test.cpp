@@ -2,7 +2,7 @@
 
 #include <map>
 
-#include "connectivity/shiloach_vishkin.hpp"
+#include "connectivity/components.hpp"
 #include "connectivity/union_find.hpp"
 #include "core/bcc.hpp"
 #include "eulertour/tree_computations.hpp"

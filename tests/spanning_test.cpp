@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "connectivity/shiloach_vishkin.hpp"
 #include "connectivity/union_find.hpp"
 #include "forest.hpp"
 #include "graph/csr.hpp"
@@ -39,7 +38,7 @@ TEST_P(SpanParam, SvForestIsMaximalAcyclicOnRandomGraphs) {
   expect_spanning_forest(g, forest.tree_edges);
   EXPECT_EQ(forest.num_components, testutil::component_count(g));
   // Component labels must match union-find.
-  EXPECT_EQ(forest.comp, connected_components_seq(g.n, g.edges));
+  EXPECT_EQ(forest.comp, testutil::connected_components_seq(g.n, g.edges));
 }
 
 TEST_P(SpanParam, TraversalTreeIsValidRootedSpanningTree) {

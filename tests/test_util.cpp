@@ -70,6 +70,20 @@ vid component_count(const EdgeList& g) {
   return count;
 }
 
+std::vector<vid> connected_components_seq(vid n, std::span<const Edge> edges) {
+  UnionFind uf(n);
+  for (const Edge& e : edges) uf.unite(e.u, e.v);
+  // Vertices ascend, so the first one seen under a root is its minimum.
+  std::vector<vid> min_of_root(n, kNoVertex);
+  for (vid v = 0; v < n; ++v) {
+    const vid r = uf.find(v);
+    if (min_of_root[r] == kNoVertex) min_of_root[r] = v;
+  }
+  std::vector<vid> out(n);
+  for (vid v = 0; v < n; ++v) out[v] = min_of_root[uf.find(v)];
+  return out;
+}
+
 std::vector<std::uint8_t> brute_force_articulation(const EdgeList& g) {
   const vid base = component_count(g);
   std::vector<std::uint8_t> out(g.n, 0);

@@ -48,6 +48,10 @@ std::vector<eid> brute_force_bridges(const EdgeList& g);
 /// Number of connected components (isolated vertices count).
 vid component_count(const EdgeList& g);
 
+/// Sequential union-find component labels with the parallel routines'
+/// contract: label[v] is the smallest vertex id of v's component.
+std::vector<vid> connected_components_seq(vid n, std::span<const Edge> edges);
+
 /// True iff labelings a and b induce the same partition of indices.
 bool same_partition(std::span<const vid> a, std::span<const vid> b);
 

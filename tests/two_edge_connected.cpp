@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "connectivity/shiloach_vishkin.hpp"
+#include "connectivity/components.hpp"
 #include "scan/compact.hpp"
 #include "test_util.hpp"
 
@@ -36,7 +36,7 @@ TwoEdgeConnected two_edge_connected_components(Executor& ex,
   kept.reserve(survivors.size());
   for (const eid e : survivors) kept.push_back(g.edges[e]);
   out.vertex_component.resize(g.n);
-  connected_components_sv(ex, ws, g.n, kept, out.vertex_component);
+  connected_components(ex, ws, g.n, kept, out.vertex_component);
   out.num_components = normalize_labels(out.vertex_component);
   return out;
 }

@@ -16,7 +16,7 @@
 /// pair stays connected after any single edge failure; equivalently,
 /// the connected components left after deleting all bridges.  Computed
 /// here by reusing a biconnectivity result (bridges are the single-edge
-/// blocks) plus one Shiloach-Vishkin pass over the non-bridge edges.
+/// blocks) plus one connected_components pass over the non-bridge edges.
 
 namespace parbcc {
 

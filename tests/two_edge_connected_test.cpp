@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "connectivity/shiloach_vishkin.hpp"
+#include "connectivity/components.hpp"
 #include "connectivity/union_find.hpp"
 #include "core/bcc.hpp"
 #include "graph/generators.hpp"
