@@ -281,12 +281,6 @@ bool fastbcc_section(Executor& ex, JsonWriter& json, const char* family,
   double best[2] = {0, 0};
   std::size_t peak[2] = {0, 0};
   std::vector<vid> labels[2];
-  // Engine-vs-engine cells (and the kAuto pick below) stay on the
-  // paper's static schedule: the committed BENCH_fastbcc.json baselines
-  // were measured under it, and the schedule comparison has its own
-  // section (f) with both engines as arms.
-  const ExecMode prev_mode = ex.mode();
-  ex.set_mode(ExecMode::kSpmd);
   SolveOptions opt;
   opt.compute_cut_info = false;
   for (int i = 0; i < 2; ++i) {
@@ -330,7 +324,6 @@ bool fastbcc_section(Executor& ex, JsonWriter& json, const char* family,
   // span it opened.
   BccContext auto_ctx(ex);
   const BccResult ra = solve(auto_ctx, g, BccAlgorithm::kAuto, opt);
-  ex.set_mode(prev_mode);
   const char* picked = "?";
   for (const Engine alg :
        {Engine(BccAlgorithm::kSequential), Engine(paper::Algorithm::kTvOpt),
@@ -351,231 +344,6 @@ bool fastbcc_section(Executor& ex, JsonWriter& json, const char* family,
   std::printf("    fastbcc/tv-filter: %.2fx  (%.0f%% saved)\n\n",
               best[0] > 0 ? best[1] / best[0] : 0.0,
               best[0] > 0 ? 100.0 * (1.0 - best[1] / best[0]) : 0.0);
-  return ok;
-}
-
-/// Section (f), part 1: the skew-sensitive kernel.  Wall-clock speedup
-/// from rebalancing needs real processors; on an oversubscribed host
-/// the machine-independent signal is the *static* schedule's per-slot
-/// work assignment counted in arcs inspected (BfsTree::slot_inspected:
-/// every neighbour scan is charged to the worker slot that executed
-/// it).  Top-down BFS is exactly the kernel the nested regions target:
-/// per-frontier-vertex work is its degree, and a power-law frontier
-/// parks the hub mass on the static blocks owning the low ids — root's
-/// adjacency is scanned in id order, so the claim buffers put the hubs
-/// at the front of the next frontier and kSpmd's block partition hands
-/// them all to the low slots.  The max-slot arcs over the balanced
-/// share sum/p is the factor by which every barrier round's straggler
-/// would out-wait a balanced schedule on a real SMP.  Hard-fails if
-/// that factor is below 1.5x on the skewed family (`assert_skew`), if
-/// the control family shows it too (a flat instance must stay under
-/// 1.35x — otherwise the metric is measuring the harness, not the
-/// schedule), or if the stolen schedule costs more than 5% (+2 ms
-/// epsilon) wall-clock.  Busy-CPU profiles are recorded for real-SMP
-/// runs but not gated: under oversubscription the first thread to get
-/// a CPU slice wins nearly every discovery CAS and does all the claim
-/// work (degree lookups, buffer appends), inflating its busy share by
-/// ~1.5x even on a flat instance — an artifact of the host, not the
-/// partition.  Likewise the BFS tree itself is compared on its
-/// schedule-independent outputs (level array, reached count): parent
-/// identity is CAS-arbitrated, so two valid schedules legitimately
-/// pick different parents within the same level.
-bool bfs_kernel_section(Executor& ex, JsonWriter& json, const char* family,
-                        const EdgeList& g, bool assert_skew) {
-  Workspace ws;
-  bool ok = true;
-  const Csr csr = Csr::build(ex, ws, g);
-  std::printf("  bfs-top-down/%s (n = %u, m = %u, p = %d)\n", family, g.n,
-              g.m(), ex.threads());
-  std::printf("    %-12s %10s %10s %13s %13s %9s %9s\n", "schedule", "min(s)",
-              "median(s)", "max-arcs", "arcs-imb", "tasks", "steals");
-
-  const struct {
-    ExecMode mode;
-    const char* name;
-  } modes[] = {{ExecMode::kWorkSteal, "work-steal"}, {ExecMode::kSpmd, "spmd"}};
-  const ExecMode saved = ex.mode();
-  double best[2] = {0, 0};
-  double imb[2] = {0, 0};
-  SchedulerStats stats[2];
-  BfsTree trees[2];
-  ex.set_busy_accounting(true);
-  for (int i = 0; i < 2; ++i) {
-    ex.set_mode(modes[i].mode);
-    const RepStats st = timed_reps(
-        [&] {
-          ex.reset_scheduler_stats();
-          trees[i] = bfs_tree(ex, ws, csr, {&kRoot, 1}, BfsMode::kTopDown);
-        },
-        /*min_reps=*/3);
-    stats[i] = ex.scheduler_stats();
-    std::uint64_t max_busy = 0;
-    std::uint64_t sum_busy = 0;
-    for (const std::uint64_t ns : stats[i].busy_ns) {
-      max_busy = std::max(max_busy, ns);
-      sum_busy += ns;
-    }
-    std::uint64_t max_arcs = 0;
-    std::uint64_t sum_arcs = 0;
-    for (const std::uint64_t a : trees[i].slot_inspected) {
-      max_arcs = std::max(max_arcs, a);
-      sum_arcs += a;
-    }
-    imb[i] = sum_arcs > 0 ? static_cast<double>(max_arcs) * ex.threads() /
-                                static_cast<double>(sum_arcs)
-                          : 0.0;
-    best[i] = st.min;
-    std::printf("    %-12s %10.3f %10.3f %13llu %12.2fx %9llu %9llu\n",
-                modes[i].name, st.min, st.median,
-                static_cast<unsigned long long>(max_arcs), imb[i],
-                static_cast<unsigned long long>(stats[i].tasks),
-                static_cast<unsigned long long>(stats[i].steals));
-    json.add({"ablation-scheduler", g.n, g.m(), ex.threads(),
-              std::string("bfs-top-down/") + family + "/" + modes[i].name, {},
-              st.min, st.median,
-              {{"max_slot_arcs", static_cast<double>(max_arcs)},
-               {"sum_slot_arcs", static_cast<double>(sum_arcs)},
-               {"arc_imbalance_permille", 1000.0 * imb[i]},
-               {"max_busy_ns", static_cast<double>(max_busy)},
-               {"sum_busy_ns", static_cast<double>(sum_busy)},
-               {"tasks", static_cast<double>(stats[i].tasks)},
-               {"steals", static_cast<double>(stats[i].steals)}}});
-  }
-  ex.set_busy_accounting(false);
-  ex.reset_scheduler_stats();
-  ex.set_mode(saved);
-
-  if (trees[0].level != trees[1].level ||
-      trees[0].reached != trees[1].reached) {
-    std::printf("!! schedules disagree on BFS levels on %s\n", family);
-    ok = false;
-  }
-  if (assert_skew && imb[1] < 1.5) {
-    std::printf("!! static schedule shows no skew on bfs/%s: max-slot arcs "
-                "are %.2fx the balanced share (< 1.5x)\n",
-                family, imb[1]);
-    ok = false;
-  }
-  if (!assert_skew && imb[1] >= 1.35) {
-    std::printf("!! static schedule is imbalanced %.2fx in arcs on the flat "
-                "control bfs/%s (>= 1.35x)\n",
-                imb[1], family);
-    ok = false;
-  }
-  // The wall gate is a catastrophe net, not a parity assertion: on an
-  // oversubscribed CI host back-to-back identical runs differ by tens
-  // of percent, so the margin only trips on a real scheduler
-  // pathology (deque livelock, lost wakeups, serialization).
-  if (best[0] > best[1] * 1.25 + 0.010) {
-    std::printf("!! work-steal bfs %.4fs exceeds spmd %.4fs (+25%% + 10 ms) "
-                "on %s\n",
-                best[0], best[1], family);
-    ok = false;
-  }
-  std::printf("    spmd max-slot/balanced-share: %.2fx in arcs "
-              "(work-steal %.2fx), work-steal/spmd wall: %.2fx\n\n",
-              imb[1], imb[0], best[1] > 0 ? best[0] / best[1] : 0.0);
-  return ok;
-}
-
-/// Section (f), part 2: whole solves through the dispatcher under both
-/// schedules.  Gates results and overhead — identical labels, sane
-/// steal/split counters (forks under kWorkSteal only), and wall-clock
-/// within a catastrophe margin (+25% + 10 ms) — and records
-/// the busy profiles for real-SMP runs without gating them (see
-/// part 1 for why whole-solve profiles are not attributable here).
-bool scheduler_section(Executor& ex, JsonWriter& json, const char* family,
-                       const EdgeList& g, Engine alg) {
-  bool ok = true;
-  std::printf("  %s/%s (n = %u, m = %u, p = %d)\n", family, to_string(alg),
-              g.n, g.m(), ex.threads());
-  std::printf("    %-12s %10s %10s %13s %12s %9s %9s\n", "schedule", "min(s)",
-              "median(s)", "max-busy(ms)", "mean(ms)", "tasks", "steals");
-
-  const struct {
-    ExecMode mode;
-    const char* name;
-  } modes[] = {{ExecMode::kWorkSteal, "work-steal"}, {ExecMode::kSpmd, "spmd"}};
-  double best[2] = {0, 0};
-  std::uint64_t max_busy[2] = {0, 0};
-  std::uint64_t sum_busy[2] = {0, 0};
-  SchedulerStats stats[2];
-  std::vector<vid> labels[2];
-  ex.set_busy_accounting(true);
-  const ExecMode prev_mode = ex.mode();
-  SolveOptions opt;
-  opt.compute_cut_info = false;
-  for (int i = 0; i < 2; ++i) {
-    BccContext ctx(ex);
-    ex.set_mode(modes[i].mode);
-    (void)solve(ctx, g, alg, opt);  // warm conversion + arena
-    BccResult r;
-    const RepStats st = timed_reps([&] { r = solve(ctx, g, alg, opt); },
-                                   /*min_reps=*/3);
-    // The dispatcher resets the counters per solve, so this snapshot
-    // is exactly the last rep's schedule.
-    stats[i] = ex.scheduler_stats();
-    for (const std::uint64_t ns : stats[i].busy_ns) {
-      max_busy[i] = std::max(max_busy[i], ns);
-      sum_busy[i] += ns;
-    }
-    best[i] = st.min;
-    labels[i] = std::move(r.edge_component);
-    const double mean_ms =
-        1e-6 * static_cast<double>(sum_busy[i]) / ex.threads();
-    std::printf("    %-12s %10.3f %10.3f %13.2f %12.2f %9llu %9llu\n",
-                modes[i].name, st.min, st.median, 1e-6 * max_busy[i], mean_ms,
-                static_cast<unsigned long long>(stats[i].tasks),
-                static_cast<unsigned long long>(stats[i].steals));
-    json.add({"ablation-scheduler", g.n, g.m(), ex.threads(),
-              std::string(family) + "/" + to_string(alg) + "/" + modes[i].name,
-              {}, st.min, st.median,
-              {{"max_busy_ns", static_cast<double>(max_busy[i])},
-               {"sum_busy_ns", static_cast<double>(sum_busy[i])},
-               {"tasks", static_cast<double>(stats[i].tasks)},
-               {"splits", static_cast<double>(stats[i].splits)},
-               {"steals", static_cast<double>(stats[i].steals)}}});
-  }
-  ex.set_mode(prev_mode);
-  ex.set_busy_accounting(false);
-  ex.reset_scheduler_stats();
-
-  // Reported, not gated: whole-solve static profiles blend
-  // deterministic parallel_for blocks with dynamic-counter loops whose
-  // slot attribution is first-to-wake luck under oversubscription.
-  const double imb_spmd =
-      sum_busy[1] > 0 ? static_cast<double>(max_busy[1]) * ex.threads() /
-                            static_cast<double>(sum_busy[1])
-                      : 0.0;
-
-  if (labels[0] != labels[1]) {
-    std::printf("!! work-steal and spmd labels differ on %s/%s\n", family,
-                to_string(alg));
-    ok = false;
-  }
-  if (ex.threads() > 1 && (stats[0].tasks == 0 || stats[0].splits == 0)) {
-    std::printf("!! work-steal run forked no tasks on %s/%s\n", family,
-                to_string(alg));
-    ok = false;
-  }
-  if (stats[1].tasks != 0 || stats[1].splits != 0) {
-    std::printf("!! spmd run forked %llu tasks on %s/%s\n",
-                static_cast<unsigned long long>(stats[1].tasks), family,
-                to_string(alg));
-    ok = false;
-  }
-  // Catastrophe net, not parity (see bfs_kernel_section): identical
-  // whole solves swing by tens of percent on the oversubscribed CI
-  // host, so only a schedule-induced collapse should trip this.
-  if (best[0] > best[1] * 1.25 + 0.010) {
-    std::printf("!! work-steal %.4fs regresses past spmd %.4fs "
-                "(+25%% + 10 ms) on %s/%s\n",
-                best[0], best[1], family, to_string(alg));
-    ok = false;
-  }
-  std::printf("    spmd max-slot/balanced-share: %.2fx, work-steal/spmd "
-              "wall: %.2fx\n\n",
-              imb_spmd, best[1] > 0 ? best[0] / best[1] : 0.0);
   return ok;
 }
 
@@ -631,11 +399,9 @@ int main(int argc, char** argv) {
   const eid m = 8 * static_cast<eid>(n);
   JsonWriter json(argc, argv);
   bool fastbcc_only = false;  // CI smoke: skip (a)-(d), run (e) alone
-  bool sched_only = false;    // BENCH_sched.json: run (f) alone
   bool dynamic_only = false;  // BENCH_dynamic.json gate: run (g) alone
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--fastbcc-only") fastbcc_only = true;
-    if (std::string_view(argv[i]) == "--sched-only") sched_only = true;
     if (std::string_view(argv[i]) == "--dynamic-only") dynamic_only = true;
   }
 
@@ -644,15 +410,8 @@ int main(int argc, char** argv) {
 
   Executor ex(p);
   Workspace ws;
-  // Sections (a)-(e) characterize the kernels under the paper's static
-  // SPMD schedule: their gates encode schedule-sensitive structure
-  // (SV round counts, bottom-up probe totals) and their committed
-  // baselines predate the work-stealing default.  Section (f) is the
-  // schedule ablation — it flips this per arm itself, and the
-  // whole-solve cells of (e)/(f) set and restore the mode they need.
-  ex.set_mode(ExecMode::kSpmd);
   bool ok = true;
-  if (!fastbcc_only && !sched_only && !dynamic_only) {
+  if (!fastbcc_only && !dynamic_only) {
   const EdgeList g = gen::random_connected_gnm(n, m, seed);
   const SpanningForest forest = sv_spanning_forest(ex, ws, g.n, g.edges);
 
@@ -746,7 +505,6 @@ int main(int argc, char** argv) {
     // The acceptance table's four cells: {m = 4n, m = 20n} x {p = 1,
     // full width}, all from one run so BENCH_aux.json is self-contained.
     Executor ex1(1);
-    ex1.set_mode(ExecMode::kSpmd);
     const EdgeList g4 =
         gen::random_connected_gnm(n, 4 * static_cast<eid>(n), seed + 1);
     const EdgeList g20 =
@@ -756,9 +514,9 @@ int main(int argc, char** argv) {
     ok &= aux_fusion_section(ex1, json, "gnm-20n", g20);
     ok &= aux_fusion_section(ex, json, "gnm-20n", g20);
   }
-  }  // !fastbcc_only && !sched_only && !dynamic_only
+  }  // !fastbcc_only && !dynamic_only
 
-  if (!sched_only && !dynamic_only) {
+  if (!dynamic_only) {
   std::printf("(e) full-solve engines: FastBCC vs TV-filter, with the "
               "kAuto verdict\n");
   {
@@ -780,35 +538,9 @@ int main(int argc, char** argv) {
     ok &= fastbcc_section(ex1, json, "gnm-20n", g20, false, auto_pick(g20));
     ok &= fastbcc_section(ex, json, "gnm-20n", g20, true, auto_pick(g20));
   }
-  }  // !sched_only && !dynamic_only
+  }  // !dynamic_only
 
-  if (!fastbcc_only && !dynamic_only) {
-    std::printf("(f) scheduler: work-stealing vs the static SPMD "
-                "schedule\n");
-    // The skew case is the power-law family the generator dedicates to
-    // this ablation (alpha 2.1 puts ~80% of the degree mass on the
-    // first static block at p = 12); the control cases are the uniform
-    // gnm and torus families, where static blocks are already balanced
-    // and stealing must be (nearly) free.
-    const eid m5 = 5 * static_cast<eid>(n);
-    const EdgeList plaw = gen::random_power_law(n, m5, 2.1, seed + 7);
-    const EdgeList uni = gen::random_connected_gnm(n, m5, seed + 8);
-    vid side = 1;
-    while ((side + 1) * (side + 1) <= n) ++side;
-    if (side < 3) side = 3;
-    const EdgeList torus = gen::grid_torus(side, side);
-    ok &= bfs_kernel_section(ex, json, "powerlaw-5n", plaw, true);
-    ok &= bfs_kernel_section(ex, json, "gnm-5n", uni, false);
-    ok &= scheduler_section(ex, json, "powerlaw-5n", plaw,
-                            paper::Algorithm::kTvFilter);
-    ok &= scheduler_section(ex, json, "powerlaw-5n", plaw,
-                            BccAlgorithm::kFastBcc);
-    ok &= scheduler_section(ex, json, "gnm-5n", uni,
-                            paper::Algorithm::kTvFilter);
-    ok &= scheduler_section(ex, json, "torus", torus, BccAlgorithm::kFastBcc);
-  }
-
-  if (dynamic_only || (!fastbcc_only && !sched_only)) {
+  if (dynamic_only || !fastbcc_only) {
     std::printf("(g) batch-dynamic engine: apply_batch vs fresh re-solve\n");
     // The acceptance cells are fixed: n = 200k (PARBCC_N still
     // overrides, for smokes), random + power-law at 1.25n edges,

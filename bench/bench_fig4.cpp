@@ -123,23 +123,6 @@ int main(int argc, char** argv) {
                   to_string(alg), g.n, g.m(), r.num_components);
       trace_out.add(to_string(alg), trace);
     }
-    // One solve under the paper's static SPMD schedule: same spans,
-    // but the sched_* fork/steal counters must be absent — the trace
-    // smoke asserts both directions of that contract.
-    {
-      Trace trace(p);
-      BccContext ctx(p);
-      ctx.executor().set_mode(ExecMode::kSpmd);
-      paper::PaperOptions opt;
-      opt.algorithm = paper::Algorithm::kTvFilter;
-      opt.compute_cut_info = false;
-      opt.trace = &trace;
-      const BccResult r = paper::solve(ctx, g, opt);
-      std::printf("trace: TV-filter-spmd solved n=%u m=%u into %u "
-                  "components\n",
-                  g.n, g.m(), r.num_components);
-      trace_out.add("TV-filter-spmd", trace);
-    }
   }
   return 0;
 }

@@ -65,9 +65,10 @@ int main() {
     const BfsTree bfs = bfs_tree(ex, ws, csr, {&kRoot, 1});
     std::vector<std::uint8_t> in_tree(g.m(), 0);
     for (vid v = 1; v < g.n; ++v) in_tree[bfs.parent_edge[v]] = 1;
-    std::vector<eid> nontree;
-    pack_indices(ex, ws, g.m(),
-                 [&](std::size_t e) { return in_tree[e] == 0; }, nontree);
+    std::vector<eid> nontree(g.m());
+    nontree.resize(pack_indices(
+        ex, ws, g.m(), [&](std::size_t e) { return in_tree[e] == 0; },
+        nontree));
     const SpanningForest forest =
         sv_spanning_forest(ex, ws, g.n, g.edges, nontree);
     const eid kept = (n - 1) + static_cast<eid>(forest.tree_edges.size());
@@ -100,9 +101,10 @@ int main() {
     const BfsTree bfs = bfs_tree(ex, ws, csr, {&kRoot, 1});
     std::vector<std::uint8_t> in_tree(g.m(), 0);
     for (vid v = 1; v < g.n; ++v) in_tree[bfs.parent_edge[v]] = 1;
-    std::vector<eid> nontree;
-    pack_indices(ex, ws, g.m(),
-                 [&](std::size_t e) { return in_tree[e] == 0; }, nontree);
+    std::vector<eid> nontree(g.m());
+    nontree.resize(pack_indices(
+        ex, ws, g.m(), [&](std::size_t e) { return in_tree[e] == 0; },
+        nontree));
     const SpanningForest forest =
         sv_spanning_forest(ex, ws, g.n, g.edges, nontree);
     std::vector<std::uint8_t> nontrivial(g.n, 0);

@@ -12,7 +12,7 @@
 # binary readers, the zero-copy ingestion pipeline on the committed
 # fixtures, the query server's epoch publication + TCP surface, and
 # the post-labeling cut-info / block-cut-tree passes, all at 12-way
-# width under both loop-scheduling models), and an AddressSanitizer
+# width), and an AddressSanitizer
 # tree running the untrusted-input parser tests (text and .pbg).
 # Exits non-zero on the first failure.
 #
@@ -104,12 +104,6 @@ smoke bench_fastbcc_smoke env PARBCC_N=20000 PARBCC_REPS=2 \
     ./build/bench/bench_ablation --fastbcc-only \
     --json build/bench_fastbcc_smoke.json
 grep -q 'ablation-fastbcc' build/bench_fastbcc_smoke.json
-
-echo "==> bench smoke: work-steal vs SPMD scheduler ablation (section f)"
-smoke bench_sched_smoke env PARBCC_N=20000 PARBCC_REPS=2 \
-    ./build/bench/bench_ablation --sched-only \
-    --json build/bench_sched_smoke.json
-grep -q 'ablation-scheduler' build/bench_sched_smoke.json
 
 echo "==> bench smoke: pathological shapes, every engine's block count vs HT"
 smoke bench_pathological_smoke env PARBCC_N=20000 PARBCC_THREADS=4 \

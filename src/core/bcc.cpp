@@ -180,16 +180,13 @@ BccResult solve_frame(BccContext& ctx, const EdgeList& g,
     }
   }
 
-  // Scheduler telemetry: populated only when the work-stealing model
-  // actually forked (kSpmd solves and pure-serial paths emit nothing,
-  // which is what validate_trace.py asserts per segment).
-  if (ex.mode() == ExecMode::kWorkSteal) {
-    const SchedulerStats sched = ex.scheduler_stats();
-    if (sched.tasks > 0) {
-      tr.counter("sched_tasks", static_cast<double>(sched.tasks));
-      tr.counter("sched_splits", static_cast<double>(sched.splits));
-      tr.counter("sched_steals", static_cast<double>(sched.steals));
-    }
+  // Scheduler telemetry: present only when a loop actually forked
+  // (pure-serial paths and p = 1 emit nothing).
+  const SchedulerStats sched = ex.scheduler_stats();
+  if (sched.tasks > 0) {
+    tr.counter("sched_tasks", static_cast<double>(sched.tasks));
+    tr.counter("sched_splits", static_cast<double>(sched.splits));
+    tr.counter("sched_steals", static_cast<double>(sched.steals));
   }
 
   result.peak_workspace_bytes = ws.peak_bytes();

@@ -100,13 +100,18 @@ const BccContext::StrippedGraph& BccContext::strip(const EdgeList& g) {
   strip_.emplace();
   StrippedGraph& s = *strip_;
   const eid m = g.m();
-  pack_indices(*ex_, ws_, m,
-               [&](std::size_t e) { return g.edges[e].u != g.edges[e].v; },
-               s.kept);
-  pack_indices(*ex_, ws_, m,
-               [&](std::size_t e) { return g.edges[e].u == g.edges[e].v; },
-               s.loops);
-  s.loops.shrink_to_fit();  // pack_indices sized it for m
+  {
+    Workspace::Frame frame(ws_);
+    std::span<std::uint32_t> picked = ws_.alloc<std::uint32_t>(m);
+    const std::size_t num_kept = pack_indices(
+        *ex_, ws_, m,
+        [&](std::size_t e) { return g.edges[e].u != g.edges[e].v; }, picked);
+    s.kept.assign(picked.begin(), picked.begin() + num_kept);
+    const std::size_t num_loops = pack_indices(
+        *ex_, ws_, m,
+        [&](std::size_t e) { return g.edges[e].u == g.edges[e].v; }, picked);
+    s.loops.assign(picked.begin(), picked.begin() + num_loops);
+  }
   s.graph.n = g.n;
   s.graph.edges.resize(s.kept.size());
   Edge* out = s.graph.edges.data();

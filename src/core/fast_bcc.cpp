@@ -115,7 +115,7 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
         // Each component is labeled by its smallest vertex; `root`
         // replaces that representative in its own component.
         const vid root_label = label[root];
-        num_roots = static_cast<vid>(pack_indices_span(
+        num_roots = static_cast<vid>(pack_indices(
             ex, ws, n,
             [&](std::size_t v) {
               return v == root || (label[v] == v && v != root_label);
@@ -170,17 +170,17 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
   // preorders always lie inside the parent interval the criticality
   // test checks against, so they never flip a verdict and filtering
   // them would only cost branches.  The per-vertex scan is
-  // degree-skewed, so the chunks are claimed dynamically — and under
-  // work-stealing a heavy hub's adjacency itself becomes a nested
-  // parallel region (the per-vertex inner parallel_for of PASGAL's
-  // euler_tour_tree), so one vertex owning a quarter of the edges no
-  // longer strands its whole scan on a single worker.
+  // degree-skewed, so the chunks are small and stolen — and a heavy
+  // hub's adjacency itself becomes a nested parallel region (the
+  // per-vertex inner parallel_for of PASGAL's euler_tour_tree), so one
+  // vertex owning a quarter of the edges no longer strands its whole
+  // scan on a single worker.
   {
     TraceSpan span(tr, steps::kLowHigh);
     const vid* pre = tree.pre.data();
     constexpr std::size_t kHubDegree = 2048;  // 2x the helper's grain
-    const bool nest = ex.mode() == ExecMode::kWorkSteal && ex.threads() > 1;
-    ex.parallel_for_dynamic(n, /*grain=*/512, [&](std::size_t v) {
+    const bool nest = ex.threads() > 1;
+    ex.parallel_for(0, n, /*grain=*/512, [&](std::size_t v) {
       const std::span<const vid> nbrs = csr.neighbors(static_cast<vid>(v));
       vid lo = pre[v];
       vid hi = lo;
@@ -230,9 +230,9 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
     }
     // Both sweeps run as chunked grained loops: chunk-local register
     // accumulation flushed into the executing worker's padded slot
-    // (exclusive per slot under either scheduler), so work-stealing can
+    // (each slot runs its tasks serially), so work-stealing can
     // rebalance chunks — union-find hook depth is data-dependent and
-    // the SPMD blocks serialized on the unluckiest block.
+    // flat per-thread blocks serialize on the unluckiest block.
     TraceSpan hook_span(tr, "skeleton_hook");
     constexpr std::size_t kHookGrain = 2048;
     const std::size_t vchunks = (tn + kHookGrain - 1) / kHookGrain;
@@ -354,7 +354,7 @@ BccResult fast_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
         is_top(par) ? cluster[children.children(par)[0]] : cluster[par];
     if (c != ref) flag(result.is_articulation[par]);
   });
-  ex.parallel_for_dynamic(n, /*grain=*/512, [&](std::size_t v) {
+  ex.parallel_for(0, n, /*grain=*/512, [&](std::size_t v) {
     if (cluster[v] != v || is_top(static_cast<vid>(v)) ||
         many[block_id[v]] != 0) {
       return;

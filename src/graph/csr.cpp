@@ -194,93 +194,59 @@ void build_rows_scatter(Executor& ex, Workspace& ws, const EdgeList& g,
     }
   });
 
-  if (ex.mode() == ExecMode::kSpmd || p == 1) {
-    // The printed schedule: each participant claims buckets off a
-    // shared counter, with one cursor array hoisted per thread.
-    std::atomic<std::size_t> next{0};
-    ex.run([&](int) {
-      std::vector<eid> cursor(bucket_width);
-      for (;;) {
-        const std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
-        if (b >= num_buckets) break;
-        const std::size_t lo = b * bucket_width;
-        const std::size_t hi = std::min(lo + bucket_width, n);
-        const std::size_t s_begin = bucket_start[b];
-        const std::size_t s_end = bucket_start[b + 1];
-
-        std::fill(cursor.begin(), cursor.begin() + (hi - lo), eid{0});
-        for (std::size_t s = s_begin; s < s_end; ++s) {
-          ++cursor[arcs[s].src - lo];
-        }
-        eid running = static_cast<eid>(s_begin);
-        for (std::size_t v = lo; v < hi; ++v) {
-          const eid degree = cursor[v - lo];
-          offsets[v] = running;
-          cursor[v - lo] = running;
-          running += degree;
-        }
-        for (std::size_t s = s_begin; s < s_end; ++s) {
-          const Arc a = arcs[s];
-          const eid dst = cursor[a.src - lo]++;
-          nbrs[dst] = a.nbr;
-          eids[dst] = a.edge;
-        }
+  // Buckets are fine-grained tasks, and a bucket that swallowed a
+  // hub's arc mass (buckets are vertex ranges, so one heavy vertex
+  // concentrates its whole adjacency here) runs its count and scatter
+  // as nested parallel regions over the staged arcs, claiming
+  // destinations with atomic cursor bumps.  The cursor is task-local,
+  // not per-worker: a worker stealing another bucket while joining a
+  // nested region would otherwise re-enter the same scratch mid-phase.
+  // Row order becomes schedule dependent, which Csr's contract allows
+  // (rows are multisets).  At p = 1 every bucket runs serially, with
+  // plain cursor bumps.
+  constexpr std::size_t kHeavyBucketArcs = 4 * kTargetArcsPerBucket;
+  constexpr std::size_t kInnerGrain = 4096;
+  ex.parallel_for(0, num_buckets, 1, [&](std::size_t b) {
+    const std::size_t lo = b * bucket_width;
+    const std::size_t hi = std::min(lo + bucket_width, n);
+    const std::size_t s_begin = bucket_start[b];
+    const std::size_t s_end = bucket_start[b + 1];
+    std::vector<eid> cursor(hi - lo, eid{0});
+    const bool heavy = p > 1 && s_end - s_begin > kHeavyBucketArcs;
+    if (heavy) {
+      ex.parallel_for(s_begin, s_end, kInnerGrain, [&](std::size_t s) {
+        std::atomic_ref(cursor[arcs[s].src - lo])
+            .fetch_add(1, std::memory_order_relaxed);
+      });
+    } else {
+      for (std::size_t s = s_begin; s < s_end; ++s) {
+        ++cursor[arcs[s].src - lo];
       }
-    });
-  } else {
-    // Work-stealing: buckets are fine-grained tasks, and a bucket that
-    // swallowed a hub's arc mass (buckets are vertex ranges, so one
-    // heavy vertex concentrates its whole adjacency here) runs its
-    // count and scatter as nested parallel regions over the staged
-    // arcs, claiming destinations with atomic cursor bumps.  The
-    // cursor is task-local, not per-worker: a worker stealing another
-    // bucket while joining a nested region would otherwise re-enter
-    // the same scratch mid-phase.  Row order becomes schedule
-    // dependent, which Csr's contract allows (rows are multisets).
-    constexpr std::size_t kHeavyBucketArcs = 4 * kTargetArcsPerBucket;
-    constexpr std::size_t kInnerGrain = 4096;
-    ex.parallel_for_dynamic(num_buckets, 1, [&](std::size_t b) {
-      const std::size_t lo = b * bucket_width;
-      const std::size_t hi = std::min(lo + bucket_width, n);
-      const std::size_t s_begin = bucket_start[b];
-      const std::size_t s_end = bucket_start[b + 1];
-      std::vector<eid> cursor(hi - lo, eid{0});
-      const bool heavy = s_end - s_begin > kHeavyBucketArcs;
-      if (heavy) {
-        ex.parallel_for(s_begin, s_end, kInnerGrain, [&](std::size_t s) {
-          std::atomic_ref(cursor[arcs[s].src - lo])
-              .fetch_add(1, std::memory_order_relaxed);
-        });
-      } else {
-        for (std::size_t s = s_begin; s < s_end; ++s) {
-          ++cursor[arcs[s].src - lo];
-        }
+    }
+    eid running = static_cast<eid>(s_begin);
+    for (std::size_t v = lo; v < hi; ++v) {
+      const eid degree = cursor[v - lo];
+      offsets[v] = running;
+      cursor[v - lo] = running;
+      running += degree;
+    }
+    if (heavy) {
+      ex.parallel_for(s_begin, s_end, kInnerGrain, [&](std::size_t s) {
+        const Arc a = arcs[s];
+        const eid dst = std::atomic_ref(cursor[a.src - lo])
+                            .fetch_add(1, std::memory_order_relaxed);
+        nbrs[dst] = a.nbr;
+        eids[dst] = a.edge;
+      });
+    } else {
+      for (std::size_t s = s_begin; s < s_end; ++s) {
+        const Arc a = arcs[s];
+        const eid dst = cursor[a.src - lo]++;
+        nbrs[dst] = a.nbr;
+        eids[dst] = a.edge;
       }
-      eid running = static_cast<eid>(s_begin);
-      for (std::size_t v = lo; v < hi; ++v) {
-        const eid degree = cursor[v - lo];
-        offsets[v] = running;
-        cursor[v - lo] = running;
-        running += degree;
-      }
-      if (heavy) {
-        ex.parallel_for(s_begin, s_end, kInnerGrain, [&](std::size_t s) {
-          const Arc a = arcs[s];
-          const eid dst = std::atomic_ref(cursor[a.src - lo])
-                              .fetch_add(1, std::memory_order_relaxed);
-          nbrs[dst] = a.nbr;
-          eids[dst] = a.edge;
-        });
-      } else {
-        for (std::size_t s = s_begin; s < s_end; ++s) {
-          const Arc a = arcs[s];
-          const eid dst = cursor[a.src - lo]++;
-          nbrs[dst] = a.nbr;
-          eids[dst] = a.edge;
-        }
-      }
-    });
-  }
+    }
+  });
   offsets[n] = static_cast<eid>(num_arcs);
 }
 

@@ -135,8 +135,8 @@ std::vector<vid> fused_aux_components(Executor& ex, Workspace& ws,
     thread_depth[static_cast<std::size_t>(t)].value = 0;
   }
   // Both sweeps run as chunked grained loops with the chunk totals
-  // flushed into the executing worker's padded slot (exclusive under
-  // either scheduler): work-stealing can then rebalance chunks, which
+  // flushed into the executing worker's padded slot (each slot runs
+  // its tasks serially): work-stealing can then rebalance chunks, which
   // matters because hook/find depth is data-dependent and the flat
   // per-thread blocks serialized on the unluckiest block.
   constexpr std::size_t kSweepGrain = 2048;

@@ -118,7 +118,7 @@ void list_rank_hj(Executor& ex, Workspace& ws, const vid* succ, vid* rank,
   std::span<vid> next_splitter = ws.alloc<vid>(s);
   std::span<vid> sublist_len = ws.alloc<vid>(s);
 
-  ex.parallel_for_dynamic(s, 1, [&](std::size_t k) {
+  ex.parallel_for(0, s, 1, [&](std::size_t k) {
     vid v = splitters[k];
     vid local = 0;
     for (;;) {

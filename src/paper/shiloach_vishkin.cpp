@@ -4,6 +4,25 @@
 
 namespace parbcc {
 
+namespace {
+
+/// One SPMD step of the printed algorithm: all p participants scan
+/// their static block of [0, count) at the same time.  SV's round
+/// counts depend on that concurrency — a label written early in a pass
+/// is visible later in the same pass, so blocks run one after another
+/// (as fork-join block tasks may on a busy host) collapse classic SV
+/// towards its serial 2-round minimum and hide FastSV's advantage.
+template <class F>
+void spmd_blocks(Executor& ex, std::size_t count, const F& f) {
+  const int p = ex.threads();
+  ex.run([&](int tid) {
+    const auto [begin, end] = Executor::block_range(count, p, tid);
+    f(tid, begin, end);
+  });
+}
+
+}  // namespace
+
 bool any_set(std::span<const Padded<bool>> flags) {
   for (const auto& c : flags) {
     if (c.value) return true;
@@ -13,7 +32,7 @@ bool any_set(std::span<const Padded<bool>> flags) {
 
 void shortcut_pass(Executor& ex, std::span<vid> label, vid n,
                    std::span<Padded<bool>> thread_changed) {
-  ex.parallel_blocks(n, [&](int tid, std::size_t begin, std::size_t end) {
+  spmd_blocks(ex, n, [&](int tid, std::size_t begin, std::size_t end) {
     bool changed = false;
     for (std::size_t v = begin; v < end; ++v) {
       const vid l = std::atomic_ref(label[v]).load(std::memory_order_relaxed);
@@ -65,7 +84,7 @@ void components_classic(Executor& ex, vid n, std::span<const Edge> edges,
     // Graft: hook current roots onto strictly smaller neighbour labels.
     // The CAS guarantees each root is hooked at most once, and the
     // strict decrease makes the label digraph acyclic.
-    ex.parallel_blocks(m, [&](int tid, std::size_t begin, std::size_t end) {
+    spmd_blocks(ex, m, [&](int tid, std::size_t begin, std::size_t end) {
       bool changed = false;
       for (std::size_t i = begin; i < end; ++i) {
         const vid u = edges[i].u;
@@ -107,7 +126,7 @@ void components_fastsv(Executor& ex, vid n, std::span<const Edge> edges,
     // Labels only decrease and only to ids inside the same component,
     // so the fixpoint is the component minimum — identical to the
     // classic scheme's contract.
-    ex.parallel_blocks(m, [&](int tid, std::size_t begin, std::size_t end) {
+    spmd_blocks(ex, m, [&](int tid, std::size_t begin, std::size_t end) {
       bool changed = false;
       for (std::size_t i = begin; i < end; ++i) {
         const vid u = edges[i].u;

@@ -11,7 +11,6 @@
 /// Tarjan-Vishkin pipelines, kept to reproduce its figures.
 ///
 ///   parbcc::BccContext ctx(/*threads=*/12);
-///   ctx.executor().set_mode(parbcc::ExecMode::kSpmd);  // paper schedule
 ///   parbcc::paper::PaperOptions opt;
 ///   opt.algorithm = parbcc::paper::Algorithm::kTvFilter;
 ///   parbcc::BccResult r = parbcc::paper::solve(ctx, graph, opt);

@@ -52,7 +52,7 @@ BccResult tv_filter_bcc(Executor& ex, Workspace& ws, const PreparedGraph& pg,
       if (bfs.parent_edge[v] != kNoEdge) in_tree.set_atomic(bfs.parent_edge[v]);
     });
     std::span<eid> candidates = ws.alloc<eid>(m);
-    const std::size_t num_candidates = pack_indices_span(
+    const std::size_t num_candidates = pack_indices(
         ex, ws, m,
         [&](std::size_t e) {
           if (in_tree.get(e)) return false;

@@ -2,7 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "scan/scan.hpp"
 #include "util/padded.hpp"
@@ -64,28 +64,13 @@ std::size_t pack_into(Executor& ex, Workspace& ws, std::size_t n, Pred pred,
   return total.value;
 }
 
-/// Pack the selected indices themselves: out = [i : pred(i)], ascending.
+/// Pack the selected indices themselves: out = [i : pred(i)],
+/// ascending.  `out` (usually workspace memory in the caller's frame)
+/// must have room for n indices; the return value is how many were
+/// written.
 template <class Pred>
-std::size_t pack_indices(Executor& ex, Workspace& ws, std::size_t n, Pred pred,
-                         std::vector<std::uint32_t>& out) {
-  // Sizing pass runs inside pack_into; reserve pessimistically only for
-  // small inputs to avoid touching memory twice on the big ones.
-  out.resize(n);
-  const std::size_t count = pack_into(
-      ex, ws, n, pred,
-      [&](std::size_t dst, std::size_t i) {
-        out[dst] = static_cast<std::uint32_t>(i);
-      });
-  out.resize(count);
-  return count;
-}
-
-/// pack_indices writing into a workspace span allocated by the caller
-/// (in the caller's frame).  `out` must have room for n indices; the
-/// return value is how many were written.
-template <class Pred>
-std::size_t pack_indices_span(Executor& ex, Workspace& ws, std::size_t n,
-                              Pred pred, std::span<std::uint32_t> out) {
+std::size_t pack_indices(Executor& ex, Workspace& ws, std::size_t n,
+                         Pred pred, std::span<std::uint32_t> out) {
   return pack_into(ex, ws, n, pred, [&](std::size_t dst, std::size_t i) {
     out[dst] = static_cast<std::uint32_t>(i);
   });

@@ -76,7 +76,6 @@ BfsTree bfs_tree(Executor& ex, Workspace& ws, const Csr& g,
   out.parent.assign(n, kNoVertex);
   out.parent_edge.assign(n, kNoEdge);
   out.level.assign(n, kNoVertex);
-  out.slot_inspected.assign(static_cast<std::size_t>(ex.threads()), 0);
   if (n == 0 || roots.empty()) return out;
 
   // The output parent array doubles as the discovery array: top-down
@@ -92,7 +91,7 @@ BfsTree bfs_tree(Executor& ex, Workspace& ws, const Csr& g,
   const std::size_t num_words = BitSpan::words_for(n);
   const std::uint64_t num_arcs = 2 * static_cast<std::uint64_t>(g.num_edges());
 
-  const bool nest = ex.mode() == ExecMode::kWorkSteal && p > 1;
+  const bool nest = p > 1;
 
   Workspace::Frame frame(ws);
   std::span<vid> frontier = ws.alloc<vid>(n);
@@ -164,11 +163,11 @@ BfsTree bfs_tree(Executor& ex, Workspace& ws, const Csr& g,
     if (!dense) {
       // Top-down: workers scan frontier chunks and claim undiscovered
       // neighbours with a CAS on the parent slot.  Buffers and
-      // accumulators are indexed by the *executing worker* (exclusive
-      // under either scheduler; == tid under kSpmd), which is what
-      // makes the nested split legal: a hub's adjacency goes through an
-      // inner parallel region whose pieces land on other workers and
-      // append to those workers' own buffers.
+      // accumulators are indexed by the *executing worker* (each slot
+      // runs its tasks serially), which is what makes the nested split
+      // legal: a hub's adjacency goes through an inner parallel region
+      // whose pieces land on other workers and append to those
+      // workers' own buffers.
       for (auto& buf : local) buf.value.clear();
       // auto_grain floors at 64 (tiny frontiers run serially rather
       // than shatter) and targets ~8 chunks per worker on wide rounds;
@@ -282,8 +281,6 @@ BfsTree bfs_tree(Executor& ex, Workspace& ws, const Csr& g,
     frontier_degree = 0;
     for (int t = 0; t < p; ++t) {
       out.inspected_edges += t_inspected[static_cast<std::size_t>(t)].value;
-      out.slot_inspected[static_cast<std::size_t>(t)] +=
-          t_inspected[static_cast<std::size_t>(t)].value;
       frontier_degree += t_degree[static_cast<std::size_t>(t)].value;
     }
     unexplored_arcs -= frontier_degree;

@@ -72,13 +72,6 @@ struct BfsTree {
   /// until a frontier member is found.  The hybrid's win over
   /// top-down-only is exactly this count shrinking.
   std::uint64_t inspected_edges = 0;
-  /// inspected_edges split by the worker slot that scanned each arc
-  /// (size == Executor::threads()).  Under kSpmd this is the static
-  /// schedule's per-thread work assignment in machine-independent
-  /// units — the ablation bench gates load skew on it because wall or
-  /// CPU-time profiles are polluted by oversubscription on small
-  /// hosts.  Under kWorkSteal it shows where stolen chunks landed.
-  std::vector<std::uint64_t> slot_inspected;
   /// Rounds executed per step kind (their sum counts the final empty
   /// round that detects termination).
   vid top_down_rounds = 0;

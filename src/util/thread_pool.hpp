@@ -19,14 +19,12 @@
 
 /// \file thread_pool.hpp
 /// The execution substrate for every parallel algorithm in parbcc: one
-/// persistent pool of p participants serving two scheduling models.
+/// persistent pool of p participants.
 ///
-/// **SPMD** (the paper's model): `run(f)` executes `f(tid)` on all p
-/// participants with the sense-reversing `barrier()` available between
-/// steps.  The hand-written barrier-phased substrates (scan, sort,
-/// list-ranking, CSR conversion) use this path, and
-/// `ExecMode::kSpmd` routes the `parallel_*` loops through it too so
-/// the paper-faithful drivers run the printed algorithm:
+/// **SPMD steps** (the paper's model): `run(f)` executes `f(tid)` on
+/// all p participants with the sense-reversing `barrier()` available
+/// between steps.  The hand-written barrier-phased substrates (scan,
+/// sort, list ranking, CSR conversion) use this path:
 ///
 ///   Executor ex(p);
 ///   ex.run([&](int tid) {          // all p threads execute the body
@@ -35,31 +33,24 @@
 ///     ... step 2 ...
 ///   });
 ///
-/// **Work-stealing fork-join** (the default): the `parallel_for` /
-/// `parallel_blocks` / `parallel_for_dynamic` loops lazily binary-split
-/// their range into tasks on per-worker Chase–Lev deques
+/// **Fork-join loops**: `parallel_for` and `parallel_blocks` lazily
+/// binary-split their range into tasks on per-worker Chase–Lev deques
 /// (`work_deque.hpp`); idle workers steal the largest outstanding
-/// subrange.  Regions are *nestable*: a `parallel_for` issued from
-/// inside a task forks onto the executing worker's own deque, which is
-/// what lets a per-vertex edge loop go parallel when one vertex owns a
-/// quarter of the graph (the skewed-degree regime flat SPMD chunking
-/// cannot balance).  The `grain` knob bounds the smallest task.
+/// subrange.  Loops are *nestable*: a `parallel_for` issued from inside
+/// a task forks onto the executing worker's own deque, which is what
+/// lets a per-vertex edge loop go parallel when one vertex owns a
+/// quarter of the graph (the skewed-degree regime a static block
+/// partition cannot balance).  The `grain` knob bounds the smallest
+/// task.
 ///
-/// The calling thread participates as slot 0 in both models, so
+/// The calling thread participates as slot 0 in both, so
 /// `Executor(1)` runs everything inline with zero threading overhead —
 /// the p = 1 data points in the benchmarks measure pure algorithmic
 /// work.
 namespace parbcc {
 
-/// Scheduling model for the `parallel_*` loops.  `run()` is always
-/// SPMD; the mode only selects how loops are decomposed.
-enum class ExecMode {
-  kWorkSteal,  ///< lazy binary splitting onto Chase–Lev deques (default)
-  kSpmd,       ///< static block partition / shared-counter chunks, as printed
-};
-
-/// Aggregated scheduler telemetry since the last reset (work-stealing
-/// loops only; SPMD loops fork no tasks so they contribute nothing).
+/// Aggregated fork-join telemetry since the last reset (`run()` bodies
+/// fork no tasks, so they contribute nothing).
 struct SchedulerStats {
   std::uint64_t steals = 0;  ///< successful steals across all slots
   std::uint64_t splits = 0;  ///< forks (one binary range split each)
@@ -83,14 +74,6 @@ class Executor {
 
   /// Number of participants (== worker slots).
   int threads() const { return threads_; }
-
-  /// Scheduling model used by the `parallel_*` loops.
-  ExecMode mode() const { return mode_.load(std::memory_order_relaxed); }
-
-  /// Select the loop scheduling model.  Call between regions only; it
-  /// holds for every later solve on this executor (set kSpmd for the
-  /// paper's static schedule).
-  void set_mode(ExecMode m) { mode_.store(m, std::memory_order_relaxed); }
 
   /// The barrier shared by all participants of the current run().
   /// Only meaningful inside the body passed to run().
@@ -144,21 +127,12 @@ class Executor {
     return std::max<std::size_t>(64, std::min<std::size_t>(2048, per));
   }
 
-  /// Parallel loop: `f(i)` for each i in [0, n).  Work-stealing mode
-  /// lazily splits the range at auto_grain(); kSpmd uses the static
-  /// block partition.
+  /// Parallel loop: `f(i)` for each i in [0, n), lazily split at
+  /// auto_grain().
   template <class F>
   void parallel_for(std::size_t n, F&& f) {
     if (threads_ == 1 || n < 2) {
       for (std::size_t i = 0; i < n; ++i) f(i);
-      return;
-    }
-    if (mode() == ExecMode::kSpmd) {
-      run([&](int tid) {
-        auto [begin, end] = block_range(n, threads_, tid);
-        BusyScope busy(this, tid);
-        for (std::size_t i = begin; i < end; ++i) f(i);
-      });
       return;
     }
     ws_loop(0, n, auto_grain(n), f);
@@ -168,9 +142,9 @@ class Executor {
   /// splitter never creates a task smaller than `grain` iterations.
   /// This is the nested-region entry point — legal from inside another
   /// parallel loop's body, where it forks onto the executing worker's
-  /// own deque (per-vertex edge loops in the skewed hot paths).  In
-  /// kSpmd mode (or on a 1-thread pool) it degrades to a serial loop
-  /// when nested and a static partition at top level.
+  /// own deque (per-vertex edge loops in the skewed hot paths).  Use it
+  /// with a small grain for irregular per-index work (vertices with
+  /// skewed degrees): stealing balances the chunks.
   template <class F>
   void parallel_for(std::size_t lo, std::size_t hi, std::size_t grain,
                     F&& f) {
@@ -181,42 +155,20 @@ class Executor {
       for (std::size_t i = lo; i < hi; ++i) f(i);
       return;
     }
-    if (mode() == ExecMode::kSpmd) {
-      if (tls_executor_ == this && tls_slot_ > 0) {
-        // Nested inside an SPMD participant: stay serial, the outer
-        // static partition already owns this thread.
-        for (std::size_t i = lo; i < hi; ++i) f(i);
-        return;
-      }
-      run([&](int tid) {
-        auto [begin, end] = block_range(n, threads_, tid);
-        BusyScope busy(this, tid);
-        for (std::size_t i = lo + begin; i < lo + end; ++i) f(i);
-      });
-      return;
-    }
     ws_loop(lo, hi, grain, f);
   }
 
   /// Statically partitioned loop handing each participant its whole
   /// block: exactly threads() invocations of `f(tid, begin, end)`,
   /// distinct tid each, empty blocks included.  Use when per-thread
-  /// setup matters.  Work-stealing mode forks exactly p block tasks
-  /// (tid = block index) so idle workers can steal a straggler block,
-  /// preserving the exactly-once-per-tid contract the per-tid scratch
-  /// at the call sites depends on.
+  /// setup matters.  It forks exactly p block tasks (tid = block index)
+  /// so idle workers can steal a straggler block, preserving the
+  /// exactly-once-per-tid contract the per-tid scratch at the call
+  /// sites depends on.
   template <class F>
   void parallel_blocks(std::size_t n, F&& f) {
     if (threads_ == 1) {
       f(0, std::size_t{0}, n);
-      return;
-    }
-    if (mode() == ExecMode::kSpmd) {
-      run([&](int tid) {
-        auto [begin, end] = block_range(n, threads_, tid);
-        BusyScope busy(this, tid);
-        f(tid, begin, end);
-      });
       return;
     }
     const std::size_t p = static_cast<std::size_t>(threads_);
@@ -226,45 +178,10 @@ class Executor {
     });
   }
 
-  /// Dynamically scheduled loop over chunks of `grain` indices; use for
-  /// irregular per-index work (e.g. vertices with skewed degrees).  In
-  /// work-stealing mode this is the same lazy splitter as
-  /// parallel_for(lo, hi, grain, f) — stealing subsumes the shared
-  /// counter; kSpmd keeps the printed atomic-counter loop.
-  template <class F>
-  void parallel_for_dynamic(std::size_t n, std::size_t grain, F&& f) {
-    if (threads_ == 1 || n < 2) {
-      for (std::size_t i = 0; i < n; ++i) f(i);
-      return;
-    }
-    if (grain == 0) grain = 1;
-    // Cap the grain at n: the shared counter advances by `grain` once
-    // per claim, and an oversized grain could wrap it past SIZE_MAX,
-    // handing out bogus chunk starts (duplicated or skipped indices).
-    if (grain > n) grain = n;
-    if (mode() == ExecMode::kWorkSteal) {
-      ws_loop(0, n, grain, f);
-      return;
-    }
-    std::atomic<std::size_t> next{0};
-    run([&](int tid) {
-      BusyScope busy(this, tid);
-      for (;;) {
-        const std::size_t begin =
-            next.fetch_add(grain, std::memory_order_relaxed);
-        if (begin >= n) break;
-        // Clamp via the distance to n — `begin + grain` itself could
-        // overflow, yielding end < begin and a silently empty chunk.
-        const std::size_t end = begin + std::min(grain, n - begin);
-        for (std::size_t i = begin; i < end; ++i) f(i);
-      }
-    });
-  }
-
-  /// Enable per-slot busy-CPU accounting inside `parallel_*` bodies
-  /// (both modes).  Off by default: each leaf pays two clock_gettime
-  /// calls when on.  The scheduler-ablation bench uses the resulting
-  /// per-slot busy profile as its machine-independent imbalance metric.
+  /// Enable per-slot busy-CPU accounting inside `parallel_*` bodies.
+  /// Off by default: each leaf pays two clock_gettime calls when on.
+  /// The per-slot busy profile against wall time is a region's parallel
+  /// efficiency.
   void set_busy_accounting(bool on) {
     busy_accounting_.store(on, std::memory_order_relaxed);
   }
@@ -403,7 +320,6 @@ class Executor {
 
   const int threads_;
   Barrier barrier_;
-  std::atomic<ExecMode> mode_{ExecMode::kWorkSteal};
 
   std::vector<std::unique_ptr<WorkerState>> state_;
   std::atomic<bool> fj_active_{false};

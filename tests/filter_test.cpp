@@ -30,9 +30,10 @@ TEST(FilterLemmas, ForestEdgesHaveNoAncestralRelation) {
 
     std::vector<std::uint8_t> in_tree(g.m(), 0);
     for (vid v = 1; v < g.n; ++v) in_tree[bfs.parent_edge[v]] = 1;
-    std::vector<eid> nontree;
-    pack_indices(ex, ws, g.m(),
-                 [&](std::size_t e) { return in_tree[e] == 0; }, nontree);
+    std::vector<eid> nontree(g.m());
+    nontree.resize(pack_indices(
+        ex, ws, g.m(), [&](std::size_t e) { return in_tree[e] == 0; },
+        nontree));
     const SpanningForest forest =
         sv_spanning_forest(ex, ws, g.n, g.edges, nontree);
 
@@ -63,9 +64,10 @@ TEST(FilterLemmas, TwoBfsCountsBlocksOnBridgelessGraphs) {
     const BfsTree bfs = bfs_tree(ex, ws, csr, {&kRoot, 1});
     std::vector<std::uint8_t> in_tree(g.m(), 0);
     for (vid v = 1; v < g.n; ++v) in_tree[bfs.parent_edge[v]] = 1;
-    std::vector<eid> nontree;
-    pack_indices(ex, ws, g.m(),
-                 [&](std::size_t e) { return in_tree[e] == 0; }, nontree);
+    std::vector<eid> nontree(g.m());
+    nontree.resize(pack_indices(
+        ex, ws, g.m(), [&](std::size_t e) { return in_tree[e] == 0; },
+        nontree));
     const SpanningForest forest =
         sv_spanning_forest(ex, ws, g.n, g.edges, nontree);
     // Nontrivial components of F = components that own a forest edge.
@@ -89,9 +91,10 @@ TEST(FilterLemmas, FilterRemovesAtLeastTheGuaranteedCount) {
     const BfsTree bfs = bfs_tree(ex, ws, csr, {&kRoot, 1});
     std::vector<std::uint8_t> in_tree(g.m(), 0);
     for (vid v = 1; v < g.n; ++v) in_tree[bfs.parent_edge[v]] = 1;
-    std::vector<eid> nontree;
-    pack_indices(ex, ws, g.m(),
-                 [&](std::size_t e) { return in_tree[e] == 0; }, nontree);
+    std::vector<eid> nontree(g.m());
+    nontree.resize(pack_indices(
+        ex, ws, g.m(), [&](std::size_t e) { return in_tree[e] == 0; },
+        nontree));
     const SpanningForest forest =
         sv_spanning_forest(ex, ws, g.n, g.edges, nontree);
     const eid kept = (n - 1) + static_cast<eid>(forest.tree_edges.size());

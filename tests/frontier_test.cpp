@@ -214,18 +214,14 @@ TEST(FastSv, ConvergesInFewerRoundsThanClassic) {
   // Round counts are scheduling-sensitive: labels written early in a
   // pass are visible later in the same pass, so a nearly serial
   // interleave — including workers descheduled by a loaded machine —
-  // can collapse classic to its 2-round minimum even at full SPMD
-  // width.  The stable property is separation under the typical
-  // schedule (stride-2 hooking plus full per-round flattening lands
-  // FastSV at 2 rounds while classic's single jump needs 4+), so the
-  // round assertion gets a small retry budget; label equality stays
-  // unconditional.  The separation is a property of the paper's SPMD
-  // schedule — work-stealing's lazy splitting executes mostly in index
-  // order on an idle machine, which is exactly the nearly serial
-  // interleave that collapses classic — so the test pins kSpmd.
+  // can collapse classic to its 2-round minimum even at full width.
+  // The stable property is separation under the typical schedule
+  // (stride-2 hooking plus full per-round flattening lands FastSV at 2
+  // rounds while classic's single jump needs 4+), so the round
+  // assertion gets a small retry budget; label equality stays
+  // unconditional.
   Executor ex(12);
   Workspace ws;
-  ex.set_mode(ExecMode::kSpmd);
   const EdgeList torus = gen::grid_torus(141, 141);
   const EdgeList random = gen::random_connected_gnm(20000, 160000, 20050404);
   bool separated = false;

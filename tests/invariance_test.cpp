@@ -137,25 +137,29 @@ TEST(Invariance, DuplicatingABridgeRemovesIt) {
   }
 }
 
-TEST(Invariance, ExecModeNeverChangesThePartition) {
-  // Work-stealing and the paper's SPMD schedule interleave hooks and
-  // CAS claims completely differently; the partition must not care.
-  // The power-law instance is the adversarial case: its hub adjacency
-  // is exactly what the nested regions re-split at run time.
+TEST(Invariance, RepeatedSolvesAndWidthsNeverChangeThePartition) {
+  // Work-stealing interleaves hooks and CAS claims differently on
+  // every run and at every width; the partition must not care.  The
+  // power-law instance is the adversarial case: its hub adjacency is
+  // exactly what the nested regions re-split at run time.
   for (const EdgeList& g : {gen::random_power_law(1500, 9000, 2.1, 13),
                             gen::random_connected_gnm(800, 4000, 14)}) {
     for (const auto algorithm : kParallel) {
-      Executor ex(4);
-      ex.set_mode(ExecMode::kWorkSteal);
-      const BccResult ws = testutil::solve(ex, g, algorithm);
-      ex.set_mode(ExecMode::kSpmd);
-      const BccResult spmd = testutil::solve(ex, g, algorithm);
-      ASSERT_EQ(ws.num_components, spmd.num_components)
-          << to_string(algorithm);
-      EXPECT_TRUE(testutil::same_partition(ws.edge_component,
-                                           spmd.edge_component));
-      EXPECT_EQ(ws.is_articulation, spmd.is_articulation);
-      EXPECT_EQ(ws.bridges, spmd.bridges);
+      Executor ex1(1);
+      const BccResult base = testutil::solve(ex1, g, algorithm);
+      for (const int threads : {1, 4, 12}) {
+        BccContext ctx(threads);  // the second solve is a warm re-solve
+        for (int rep = 0; rep < 2; ++rep) {
+          const BccResult r = testutil::solve(ctx, g, algorithm);
+          ASSERT_EQ(r.num_components, base.num_components)
+              << to_string(algorithm) << " threads=" << threads
+              << " rep=" << rep;
+          EXPECT_TRUE(testutil::same_partition(r.edge_component,
+                                               base.edge_component));
+          EXPECT_EQ(r.is_articulation, base.is_articulation);
+          EXPECT_EQ(r.bridges, base.bridges);
+        }
+      }
     }
   }
 }

@@ -192,14 +192,12 @@ TEST_P(FidelityParam, PaperFaithfulTvSmpPathSolvesCorrectly) {
   faithful.algorithm = paper::Algorithm::kTvSmp;
   faithful.arc_sort = ArcSort::kSampleSort;
   faithful.aux_mode = AuxMode::kMaterialized;
-  ctx.executor().set_mode(ExecMode::kSpmd);
   const BccResult r = paper::solve(ctx, g, faithful);
   const testutil::RefBcc ref = testutil::reference_bcc(g);
   EXPECT_TRUE(testutil::same_partition(r.edge_component, ref.edge_comp));
 
   paper::PaperOptions engineered;
   engineered.algorithm = paper::Algorithm::kTvSmp;
-  ctx.executor().set_mode(ExecMode::kWorkSteal);
   const BccResult f = paper::solve(ctx, g, engineered);
   EXPECT_EQ(r.num_components, f.num_components);
   EXPECT_TRUE(testutil::same_partition(r.edge_component, f.edge_component));

@@ -115,11 +115,10 @@ TEST(Compact, PacksSelectedIndicesInOrder) {
   Executor ex(4);
   Workspace ws;
   const std::size_t n = 30000;
-  std::vector<std::uint32_t> out;
-  const auto count =
-      pack_indices(ex, ws, n, [](std::size_t i) { return i % 3 == 0; }, out);
-  EXPECT_EQ(count, out.size());
-  EXPECT_EQ(count, (n + 2) / 3);
+  std::vector<std::uint32_t> out(n);
+  out.resize(
+      pack_indices(ex, ws, n, [](std::size_t i) { return i % 3 == 0; }, out));
+  EXPECT_EQ(out.size(), (n + 2) / 3);
   for (std::size_t k = 0; k < out.size(); ++k) {
     ASSERT_EQ(out[k], 3 * k);
   }
@@ -147,12 +146,12 @@ TEST(Compact, EmitReceivesDenseDestinations) {
 TEST(Compact, AllAndNoneSelected) {
   Executor ex(2);
   Workspace ws;
-  std::vector<std::uint32_t> out;
+  std::vector<std::uint32_t> out(5000);
   EXPECT_EQ(pack_indices(ex, ws, 5000, [](std::size_t) { return true; }, out),
             5000u);
+  for (std::size_t k = 0; k < out.size(); ++k) ASSERT_EQ(out[k], k);
   EXPECT_EQ(pack_indices(ex, ws, 5000, [](std::size_t) { return false; }, out),
             0u);
-  EXPECT_TRUE(out.empty());
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Work-stealing fork-join scheduler tests: nested-region correctness,
 // lazy-split range coverage, exception propagation out of stolen
-// tasks, steal/split counter sanity, and kSpmd mode equivalence, each
-// swept over p in {1, 4, 12}.  Runs under the sanitize-smoke label so
-// the TSan tree exercises the Chase-Lev deques at full width.
+// tasks, steal/split counter sanity, and equal results from every loop
+// form, each swept over p in {1, 4, 12}.  Runs under the sanitize-smoke
+// label so the TSan tree exercises the Chase-Lev deques at full width.
 
 #include <gtest/gtest.h>
 
@@ -162,33 +162,25 @@ TEST_P(SchedulerParam, CountersSeeSplitsAndTasks) {
   EXPECT_EQ(z.splits + z.tasks + z.steals, 0u);
 }
 
-TEST_P(SchedulerParam, SpmdModeMatchesWorkStealingResults) {
+TEST_P(SchedulerParam, LoopFormsWriteIdenticalResults) {
   Executor ex(GetParam());
   const std::size_t n = 50000;
   std::vector<std::uint64_t> a(n), b(n);
-  ex.set_mode(ExecMode::kWorkSteal);
   ex.parallel_for(n, [&](std::size_t i) { a[i] = i * i; });
-  ex.set_mode(ExecMode::kSpmd);
-  ex.parallel_for(n, [&](std::size_t i) { b[i] = i * i; });
+  ex.parallel_for(0, n, 64, [&](std::size_t i) { b[i] = i * i; });
   EXPECT_EQ(a, b);
-  const SchedulerStats before = ex.scheduler_stats();
-  ex.parallel_for_dynamic(n, 64, [&](std::size_t i) { b[i] += i; });
+  ex.parallel_for(0, n, 64, [&](std::size_t i) { b[i] += i; });
   ex.parallel_blocks(n, [&](int, std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) b[i] -= i;
   });
-  // SPMD loops fork no tasks: the counters must not move.
-  const SchedulerStats after = ex.scheduler_stats();
-  EXPECT_EQ(before.splits, after.splits);
-  EXPECT_EQ(before.tasks, after.tasks);
   EXPECT_EQ(a, b);
-  ex.set_mode(ExecMode::kWorkSteal);
 }
 
-TEST_P(SchedulerParam, DynamicLoopStealsUnderWorkStealing) {
+TEST_P(SchedulerParam, GrainedLoopSplitsAcrossWorkers) {
   Executor ex(GetParam());
   ex.reset_scheduler_stats();
   std::atomic<std::uint64_t> acc{0};
-  ex.parallel_for_dynamic(20000, 32, [&](std::size_t i) {
+  ex.parallel_for(0, 20000, 32, [&](std::size_t i) {
     acc.fetch_add(1, std::memory_order_relaxed);
     (void)i;
   });
@@ -299,9 +291,9 @@ TEST(WorkDequeProtocol, ConcurrentStealHalfClaimsEachTaskExactlyOnce) {
   }
 }
 
-TEST(Scheduler, SpmdBarrierPathStillRunsUnderWorkStealMode) {
-  // run() is mode-independent: the barrier-phased substrates use it
-  // directly regardless of how the loops are scheduled.
+TEST(Scheduler, SpmdBarrierPathSeesEveryStepWrite) {
+  // run() is the barrier-phased SPMD path the hand-written substrates
+  // use beside the fork-join loops.
   Executor ex(8);
   std::vector<int> stage(8, 0);
   ex.run([&](int tid) {

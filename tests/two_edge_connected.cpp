@@ -28,9 +28,10 @@ TwoEdgeConnected two_edge_connected_components(Executor& ex,
     is_bridge[out.bridges[k]] = 1;
   });
   Workspace ws;
-  std::vector<eid> survivors;
-  pack_indices(ex, ws, g.m(),
-               [&](std::size_t e) { return is_bridge[e] == 0; }, survivors);
+  std::vector<eid> survivors(g.m());
+  survivors.resize(pack_indices(
+      ex, ws, g.m(), [&](std::size_t e) { return is_bridge[e] == 0; },
+      survivors));
 
   std::vector<Edge> kept;
   kept.reserve(survivors.size());

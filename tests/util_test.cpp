@@ -70,32 +70,29 @@ TEST(Executor, ParallelForCoversRangeExactlyOnce) {
   }
 }
 
-TEST(Executor, ParallelForDynamicCoversRangeExactlyOnce) {
+TEST(Executor, GrainedParallelForCoversRangeExactlyOnce) {
   Executor ex(4);
   const std::size_t n = 5000;
   std::vector<std::atomic<int>> hits(n);
   for (auto& h : hits) h.store(0);
-  ex.parallel_for_dynamic(n, 64, [&](std::size_t i) { hits[i].fetch_add(1); });
+  ex.parallel_for(0, n, 64, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1);
 }
 
-TEST(Executor, ParallelForDynamicSurvivesOversizedGrain) {
-  // Regression: `begin + grain` used to be computed without clamping,
-  // so a grain near SIZE_MAX wrapped the chunk end past zero (empty
-  // chunk) while the shared counter wrapped back to small begins —
-  // duplicated indices, or with p >= 2 a cycle that never terminated.
+TEST(Executor, GrainedParallelForSurvivesOversizedGrain) {
+  // A grain near SIZE_MAX must not wrap any chunk arithmetic into
+  // duplicated or skipped indices.
   Executor ex(4);
   const std::size_t n = 1000;
   std::vector<std::atomic<int>> hits(n);
   for (auto& h : hits) h.store(0);
-  ex.parallel_for_dynamic(n, std::size_t{1} << 63,
-                          [&](std::size_t i) { hits[i].fetch_add(1); });
+  ex.parallel_for(0, n, std::size_t{1} << 63,
+                  [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1);
 
   // Any grain > n must behave exactly like one whole-range chunk.
   for (auto& h : hits) h.store(0);
-  ex.parallel_for_dynamic(n, n + 1,
-                          [&](std::size_t i) { hits[i].fetch_add(1); });
+  ex.parallel_for(0, n, n + 1, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1);
 }
 

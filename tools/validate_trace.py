@@ -20,11 +20,8 @@ Checks, per segment of the Chrome export written by bench_fig4:
      span at all), ran exactly one skeleton_hook sweep, and carries the
      skeleton counters (fastbcc_hooks, fastbcc_find_depth,
      fastbcc_cross_edges) plus the shared BFS/arena telemetry;
-  7. every parallel segment run under the default work-stealing
-     schedule forked (sched_tasks and sched_splits counters positive,
-     sched_steals present), while the TV-filter-spmd segment — the same
-     solve pinned to the paper's static SPMD schedule — carries no
-     sched_* counter at all: the fallback must not touch the deques;
+  7. every parallel segment's fork-join loops forked (sched_tasks and
+     sched_splits counters positive, sched_steals present);
   8. dynamic segments (label `dynamic:<family>:p<p>`, written by
      bench_dynamic) carry the batch-dynamic engine's telemetry: a
      batch_apply span with damage_probe nested per batch, the
@@ -87,16 +84,6 @@ EXPECTED_STEPS = {
         "label_edge",
         "connected_components",
     },
-    "TV-filter-spmd": {
-        "conversion",
-        "spanning_tree",
-        "euler_tour",
-        "root_tree",
-        "low_high",
-        "label_edge",
-        "connected_components",
-        "filtering",
-    },
 }
 
 REQUIRED_FILTER_COUNTERS = [
@@ -111,15 +98,11 @@ REQUIRED_FILTER_COUNTERS = [
 FUSED_AUX_SPANS = ["aux_vertex_map", "aux_hook", "aux_gather"]
 MATERIALIZED_AUX_SPANS = ["aux_stage", "aux_compact"]
 REQUIRED_TV_AUX_COUNTERS = ["aux_vertices", "aux_hooks", "aux_find_depth"]
-TV_SEGMENTS = {"TV-SMP", "TV-opt", "TV-filter", "TV-filter-spmd"}
+TV_SEGMENTS = {"TV-SMP", "TV-opt", "TV-filter"}
 
-# Segments solved under the default work-stealing schedule must show a
-# forked schedule; the pinned-SPMD segment must show none (the fallback
-# routes around the deques entirely, so a single stray counter means a
-# loop escaped the mode switch).
+# Parallel segments must show a forked schedule: a segment without
+# sched_* counters ran every loop serially.
 WS_SEGMENTS = {"TV-SMP", "TV-opt", "TV-filter", "FastBCC"}
-SPMD_SEGMENTS = {"TV-filter-spmd"}
-SCHED_COUNTERS = ["sched_tasks", "sched_splits", "sched_steals"]
 
 # FastBCC replaces the aux pipeline with skeleton hooking on the tree:
 # its segment must carry these counters and exactly one skeleton_hook
@@ -289,13 +272,6 @@ def main():
                     )
             if "sched_steals" not in counters:
                 fail(f"{label}: counter 'sched_steals' missing")
-        if label in SPMD_SEGMENTS:
-            present = [c for c in SCHED_COUNTERS if c in counters]
-            if present:
-                fail(
-                    f"{label}: sched counters {present!r} present in a "
-                    "pinned-SPMD solve — a loop escaped the mode switch"
-                )
         if label in TV_SEGMENTS:
             for span in FUSED_AUX_SPANS:
                 if names.count(span) != 1:
@@ -327,7 +303,7 @@ def main():
             for counter in REQUIRED_FASTBCC_COUNTERS:
                 if counters.get(counter, 0) <= 0:
                     fail(f"FastBCC: counter {counter!r} missing or zero")
-        if label in ("TV-filter", "TV-filter-spmd"):
+        if label == "TV-filter":
             for counter in REQUIRED_FILTER_COUNTERS:
                 if counters.get(counter, 0) <= 0:
                     fail(f"{label}: counter {counter!r} missing or zero")
